@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -28,6 +27,7 @@ from .erm import (
     QuantileConfig,
     _PiecewiseLinearFit,
     _build_l1,
+    _build_quantile,
     fit_ols,
 )
 from .errors import (
@@ -134,28 +134,26 @@ def _make_solver(spec: MechanismSpec, data: DataSet):
         pinv = np.linalg.pinv(data.xbar())
         return lambda ys: pinv @ ys
 
-    if kind is MechanismKind.L1ERM:
-        cfg = params or L1Config()
-        template = _build_l1(data, cfg)
-        tail = template.rhs[data.n:]
-
-        def solve(ys, template=template, tail=tail, n=data.n):
-            prob = _PiecewiseLinearFit(template.xbar, np.concatenate([ys, tail]),
-                                       template.up_w, template.lo_w, template.drift)
-            h = prob.fit()
-            return h.coefficients()
-
-        return solve
-
-    if kind is MechanismKind.QUANTILE:
-        if not isinstance(params, QuantileConfig):
+    if kind in (MechanismKind.L1ERM, MechanismKind.QUANTILE):
+        if kind is MechanismKind.L1ERM:
+            template = _build_l1(data, params or L1Config())
+        elif isinstance(params, QuantileConfig):
+            template = _build_quantile(data, params)
+        else:
             raise ConfigurationError("quantile mechanism needs a QuantileConfig")
-        xbar = data.xbar()
-        up = np.full(data.n, params.q)
-        lo = np.full(data.n, 1.0 - params.q)
+        tail = template.rhs[data.n:]
+        # probes differ only in the dual objective, so each one starts from
+        # the previous probe's optimal basis
+        basis = None
 
-        def solve(ys, xbar=xbar, up=up, lo=lo):
-            return _PiecewiseLinearFit(xbar, ys, up, lo, 0.0).fit().coefficients()
+        def solve(ys, template=template, tail=tail):
+            nonlocal basis
+            prob = _PiecewiseLinearFit(template.xbar, np.concatenate([ys, tail]),
+                                       template.up_w, template.lo_w, template.drift,
+                                       basis=basis)
+            coeffs = prob.fit().coefficients()
+            basis = prob.basis
+            return coeffs
 
         return solve
 
@@ -361,31 +359,18 @@ def default_candidates(data: DataSet, agent: int, grid_points: int = 41) -> list
 # audits
 
 
-def _chunked(seq, size):
-    for start in range(0, len(seq), size):
-        yield seq[start:start + size]
-
-
-def _first_hit(evaluate, items, threads: int):
-    """First non-None evaluate(item) in ``items`` order, optionally threaded."""
-    if threads <= 1:
-        for item in items:
-            out = evaluate(item)
-            if out is not None:
-                return out
-        return None
-    items = list(items)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for chunk in _chunked(items, 8 * threads):
-            for out in pool.map(evaluate, chunk):
-                if out is not None:
-                    return out
+def _first_hit(evaluate, items):
+    """First non-None evaluate(item) in ``items`` order."""
+    for item in items:
+        out = evaluate(item)
+        if out is not None:
+            return out
     return None
 
 
 def audit_sp(spec: MechanismSpec, data: DataSet, agent: int,
-             candidates=None, margin: float = DEFAULT_MARGIN,
-             threads: int = 1) -> ViolationCertificate | None:
+             candidates=None,
+             margin: float = DEFAULT_MARGIN) -> ViolationCertificate | None:
     """Search one agent's misreports for a strictly profitable deviation.
 
     Candidates default to :func:`default_candidates`.  Returns the first
@@ -422,14 +407,13 @@ def audit_sp(spec: MechanismSpec, data: DataSet, agent: int,
             )
         return None
 
-    return _first_hit(evaluate, list(candidates), threads)
+    return _first_hit(evaluate, candidates)
 
 
 def audit_gsp(spec: MechanismSpec, data: DataSet, max_coalition: int,
               candidates_per_agent: int = 41, seed: int = 0,
               margin: float = DEFAULT_MARGIN, max_evals: int | None = None,
-              coalition_samples: int = 64,
-              threads: int = 1) -> ViolationCertificate | None:
+              coalition_samples: int = 64) -> ViolationCertificate | None:
     """Coalition misreport search: weak improvement for all, strict for one.
 
     ``margin`` is the strict-gain threshold; the no-member-worse condition
@@ -495,7 +479,7 @@ def audit_gsp(spec: MechanismSpec, data: DataSet, max_coalition: int,
     for agent in range(n):
         cert = _first_hit(
             lambda cand, agent=agent: try_joint((agent,), [cand]),
-            cand_lists[agent], threads,
+            cand_lists[agent],
         )
         if cert is not None:
             return cert
@@ -521,8 +505,7 @@ def audit_gsp(spec: MechanismSpec, data: DataSet, max_coalition: int,
                 picks = [rng.integers(0, len(lst), size=budget) for lst in lists]
                 joints = (tuple(lst[p[k]] for lst, p in zip(lists, picks))
                           for k in range(budget))
-            cert = _first_hit(lambda rep, c=coalition: try_joint(c, list(rep)),
-                              list(joints), threads)
+            cert = _first_hit(lambda rep, c=coalition: try_joint(c, list(rep)), joints)
             if cert is not None:
                 return cert
     return None

@@ -107,14 +107,13 @@ def cmd_audit(args) -> int:
                 candidates = default_candidates(data, agent)
                 if agent == inst.deviator:
                     candidates = [inst.misreport] + candidates
-            cert = audit_sp(spec, data, agent, candidates=candidates,
-                            threads=args.threads)
+            cert = audit_sp(spec, data, agent, candidates=candidates)
             if cert is not None:
                 break
     else:
         cert = audit_gsp(spec, data, max_coalition=args.max_coalition,
                          candidates_per_agent=args.candidates, seed=args.seed,
-                         max_evals=args.max_evals, threads=args.threads)
+                         max_evals=args.max_evals)
     _print_json({"violation": None if cert is None else _certificate_jsonable(cert)})
     return EXIT_OK
 
@@ -358,7 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-evals", type=int, default=None,
                    help="cap on sampled joint misreports per coalition size (gsp)")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser("influence", help="per-agent influence bounds (l, h)")

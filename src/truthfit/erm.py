@@ -1,16 +1,22 @@
 """Empirical risk minimization mechanisms: least squares, weighted L1, quantile.
 
-The L1 and quantile fits run in two stages.  Stage 1 minimizes the
-piecewise-linear risk by LP (residuals split into positive and negative
-parts).  Stage 2 resolves ties by picking, among all risk minimizers, the
+The L1 and quantile fits run in two stages.  Stage 1 solves the LP dual
+of the piecewise-linear risk minimization,
+
+    max rhs . tau  s.t.  xbar^T tau = drift e_p,  -lo_w <= tau <= up_w,
+
+with p = d+1 equality rows and one bounded column per row of data, on the
+bounded-variable simplex; an audit passes each probe the previous probe's
+optimal basis, which stays feasible because only rhs (the dual objective)
+changes.  Stage 2 resolves ties by picking, among all risk minimizers, the
 coefficient vector of smallest Euclidean norm; this strictly convex
 tie-break is what makes the L1 mechanism group strategyproof, so it is
 computed exactly rather than left to whatever vertex the solver happens
-to return.  The minimizer set is the polyhedron { beta : risk(beta) <=
-r* + 1e-9 (1 + |r*|) }; a minimum-norm-point search over it (linear
-minimization oracle + corrective steps over the current corral) finds the
-tie-broken optimum, with a cheap subgradient interiority test skipping
-the search whenever the stage-1 vertex is already provably unique.
+to return.  Complementary slackness with the optimal tau describes the set
+of minimizers exactly, as a face cut out by zero, nonnegative and
+nonpositive residual conditions; when p independent rows have zero
+residual the face is their interpolation, and otherwise a small
+active-set quadratic program in p variables finds its smallest-norm point.
 
 Regularizers are restricted to the phantom family: absolute-value terms
 |target - f(anchor)| with positive weights, plus one linear drift
@@ -26,7 +32,7 @@ import numpy as np
 
 from .core import DataSet, Hyperplane
 from .errors import ConfigurationError, ContractViolation, InternalInconsistency
-from .simplex import INFEASIBLE, UNBOUNDED, solve_lp
+from .simplex import INFEASIBLE, solve_lp
 
 
 def fit_ols(data: DataSet) -> Hyperplane:
@@ -101,16 +107,21 @@ class _PiecewiseLinearFit:
     Rows are the n data rows followed by the phantom rows.  Row i carries
     an asymmetric absolute-value cost: up_w on positive residuals, lo_w on
     negative ones (equal for plain L1).  ``drift`` multiplies beta0.
+
+    ``basis`` warm-starts stage 1 from the dual basis of an earlier fit on
+    the same positions and weights; after :meth:`fit` it holds this fit's
+    optimal dual basis, and ``pivots`` the simplex iterations it took.
     """
 
-    def __init__(self, xbar, rhs, up_w, lo_w, drift):
+    def __init__(self, xbar, rhs, up_w, lo_w, drift, basis=None):
         self.xbar = np.asarray(xbar, dtype=float)
         self.rhs = np.asarray(rhs, dtype=float)
         self.up_w = np.asarray(up_w, dtype=float)
         self.lo_w = np.asarray(lo_w, dtype=float)
         self.drift = float(drift)
-        self.m, self.p = self.xbar.shape
-        self.scale = 1.0 + float(np.max(np.abs(self.rhs), initial=0.0))
+        self.p = self.xbar.shape[1]
+        self.basis = basis
+        self.pivots = 0
 
     def risk(self, beta) -> float:
         r = self.rhs - self.xbar @ beta
@@ -118,207 +129,124 @@ class _PiecewiseLinearFit:
                      + self.lo_w @ np.maximum(-r, 0.0)
                      + self.drift * beta[-1])
 
-    def _lp(self, extra_cost_beta=None, risk_cap=None, box=None):
-        """LP over (beta, u, v): u - v = rhs - xbar @ beta, u, v >= 0."""
-        p, m = self.p, self.m
-        nvars = p + 2 * m
-        cost = np.zeros(nvars)
-        cost[p:p + m] = self.up_w
-        cost[p + m:] = self.lo_w
-        cost[p - 1] += self.drift
-        a_eq = np.zeros((m, nvars))
-        a_eq[:, :p] = self.xbar
-        a_eq[:, p:p + m] = np.eye(m)
-        a_eq[:, p + m:] = -np.eye(m)
-        b_eq = self.rhs
-        a_ub = b_ub = None
-        objective = cost
-        bounds = [(None, None)] * p + [(0.0, None)] * (2 * m)
-        if risk_cap is not None:
-            a_ub = cost.reshape(1, -1)
-            b_ub = np.array([risk_cap])
-            objective = np.zeros(nvars)
-            objective[:p] = extra_cost_beta
-            if box is None:
-                box = 1e6 * (1.0 + self.scale)
-            bounds = [(-box, box)] * p + [(0.0, None)] * (2 * m)
-        return solve_lp(objective, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq,
-                        bounds=bounds)
-
-    def stage1(self) -> tuple[np.ndarray, float]:
-        res = self._lp()
-        if res.status == UNBOUNDED:
+    def dual(self) -> np.ndarray:
+        """Stage 1: an optimal tau of max rhs . tau s.t. xbar^T tau = drift e_p,
+        -lo_w <= tau <= up_w (the LP dual of the risk minimization)."""
+        b_eq = np.zeros(self.p)
+        b_eq[-1] = self.drift
+        res = solve_lp(-self.rhs, a_eq=self.xbar.T, b_eq=b_eq,
+                       bounds=np.column_stack([-self.lo_w, self.up_w]),
+                       basis=self.basis)
+        if res.status == INFEASIBLE:
             raise ConfigurationError(
                 "risk is unbounded below; the drift coefficient exceeds the "
                 "total absolute weight available to oppose it"
             )
-        if res.status == INFEASIBLE:
-            raise InternalInconsistency("residual-splitting LP cannot be infeasible")
-        beta = res.x[:self.p]
-        return beta, self.risk(beta)
-
-    # -- stage 2: minimum-norm point of the optimal face --------------------
-
-    def _zero_rows(self, beta):
-        r = self.rhs - self.xbar @ beta
-        return np.flatnonzero(np.abs(r) <= 1e-9 * self.scale)
-
-    def _provably_unique(self, beta) -> np.ndarray | None:
-        """Interpolation snap when the optimum is provably unique.
-
-        With exactly p zero-residual rows whose positions are independent,
-        the optimum is unique iff the subgradient certificate sits strictly
-        inside its box; then the exact interpolation through those rows is
-        returned.
-        """
-        zeros = self._zero_rows(beta)
-        if zeros.size != self.p:
-            return None
-        mat = self.xbar[zeros]
-        if np.linalg.cond(mat) > 1e10:
-            return None
-        r = self.rhs - self.xbar @ beta
-        tau_fixed = np.where(r > 0, self.up_w, -self.lo_w)
-        tau_fixed[zeros] = 0.0
-        g = -self.xbar.T @ tau_fixed
-        g[-1] += self.drift
-        tau_z = np.linalg.solve(mat.T, g)
-        lo = -self.lo_w[zeros]
-        hi = self.up_w[zeros]
-        margin = 1e-7 * (self.up_w[zeros] + self.lo_w[zeros])
-        if np.all(tau_z > lo + margin) and np.all(tau_z < hi - margin):
-            return np.linalg.solve(mat, self.rhs[zeros])
-        return None
-
-    def _min_norm_over_face(self, beta, rstar) -> np.ndarray:
-        eps = 1e-9 * (1.0 + abs(rstar))
-        cap = rstar + eps
-        # The minimum-norm point has norm at most ||beta||, so a tight box
-        # keeps the oracle's vertices small and the corral well conditioned
-        # even when the optimal face is unbounded.
-        box = 10.0 * (1.0 + float(np.max(np.abs(beta))))
-
-        def lmo(direction):
-            res = self._lp(extra_cost_beta=direction, risk_cap=cap, box=box)
-            if not res.ok:
-                raise InternalInconsistency(
-                    f"face linear-minimization oracle returned {res.status}"
-                )
-            return res.x[:self.p]
-
-        # Vertices of the eps-thickened face wobble at the solver-tolerance
-        # scale, so oracle answers within a comfortable multiple of it are
-        # the same vertex; genuine vertices sit at data scale, far apart.
-        return _min_norm_point(lmo, beta,
-                               same_tol=3e-8 * (1.0 + float(np.max(np.abs(beta)))))
-
-    def _snap(self, beta, rstar):
-        """Pull beta onto the exact interpolation of its near-zero rows.
-
-        Only applied when the interpolation is consistent, stays within the
-        optimal-face tolerance and moves beta by a rounding-level amount, so
-        it cannot change which face point was selected -- it just removes
-        solver dust from coefficients that are exactly determined.
-        """
-        r = self.rhs - self.xbar @ beta
-        active = np.flatnonzero(np.abs(r) <= 1e-7 * self.scale)
-        if active.size < self.p:
-            return beta
-        mat = self.xbar[active]
-        # Solve a square independent-row subsystem exactly; SVD-based
-        # least squares leaves rounding dust even on consistent systems.
-        sel: list[int] = []
-        for i in range(active.size):
-            trial = sel + [i]
-            if np.linalg.matrix_rank(mat[trial]) == len(trial):
-                sel = trial
-            if len(sel) == self.p:
-                break
-        if len(sel) < self.p:
-            return beta
-        snapped = np.linalg.solve(mat[sel], self.rhs[active][sel])
-        if np.max(np.abs(mat @ snapped - self.rhs[active])) > 1e-12 * self.scale:
-            return beta
-        if np.max(np.abs(snapped - beta)) > 1e-6 * (1.0 + np.max(np.abs(beta))):
-            return beta
-        if self.risk(snapped) > rstar + 1e-9 * (1.0 + abs(rstar)):
-            return beta
-        return snapped
+        if not res.ok:
+            raise InternalInconsistency(f"the bounded dual LP ended {res.status}")
+        self.basis, self.pivots = res.basis, res.pivots
+        return res.x
 
     def fit(self) -> Hyperplane:
-        beta, rstar = self.stage1()
-        zero = np.zeros(self.p)
-        if self.risk(zero) <= rstar + 1e-9 * (1.0 + abs(rstar)):
-            # The all-zero vector has the smallest norm of any point, so if
-            # it attains the optimal risk it is the exact tie-break winner.
-            return Hyperplane(zero[:-1], 0.0)
-        unique = self._provably_unique(beta)
-        if unique is not None:
-            beta = unique
+        """Stage 2: the smallest-norm point of the optimal face.
+
+        By complementary slackness with the optimal tau, beta minimizes the
+        risk exactly when rows with tau strictly inside its bounds have zero
+        residual, rows with tau at up_w a nonnegative one and rows with tau
+        at -lo_w a nonpositive one.
+        """
+        tau = self.dual()
+        edge = 1e-9 * (self.up_w + self.lo_w)
+        inside = (tau > edge - self.lo_w) & (tau < self.up_w - edge)
+        zero = np.flatnonzero(inside)
+        if zero.size == self.p:
+            beta = np.linalg.solve(self.xbar[zero], self.rhs[zero])
         else:
-            beta = self._min_norm_over_face(beta, rstar)
-            beta = self._snap(beta, rstar)
+            # rows written as g @ beta >= h: residual >= 0 at the upper
+            # bound, <= 0 at the lower one
+            sign = np.where(tau > 0.0, -1.0, 1.0)[~inside]
+            beta = _min_norm_on_face(self.xbar[zero], self.rhs[zero],
+                                     sign[:, None] * self.xbar[~inside],
+                                     sign * self.rhs[~inside])
         return Hyperplane(beta[:-1], float(beta[-1]))
 
 
-def _min_norm_point(lmo, start, max_iter=200, same_tol=1e-13):
-    """Minimum-norm point of a polytope given by a linear-minimization oracle.
+def _min_norm_on_face(a_eq, b_eq, g, h):
+    """argmin ||beta|| subject to a_eq @ beta == b_eq and g @ beta >= h.
 
-    Maintains a corral of oracle points and its convex coefficients;
-    alternates oracle calls with corrective steps that re-solve the
-    affine minimum-norm problem over the corral and retreat along the
-    segment when coefficients leave the simplex.
+    The Goldfarb-Idnani dual active-set method with identity Hessian: start
+    at the smallest-norm solution of the equalities, add the most violated
+    inequality, and drop an active inequality whenever its multiplier would
+    turn negative.  After each constraint joins, beta is recomputed as the
+    smallest-norm solution of the active equations, which it is in exact
+    arithmetic; so a face pinned down by p independent rows comes out as
+    their exact interpolation, and rounding does not build up over steps.
+    The caller guarantees a nonempty face.
     """
-    x = np.asarray(start, dtype=float).copy()
-    corral = [x.copy()]
-    seen = [x.copy()]  # every oracle answer, surviving corral retreats
-    lam = np.array([1.0])
-    for _ in range(max_iter):
-        s = lmo(x)
-        gap = float(x @ x - x @ s)
-        if gap <= 1e-12 * (1.0 + float(x @ x)):
-            return x
-        if any(np.max(np.abs(s - p)) <= same_tol for p in seen):
-            return x  # oracle cannot improve further at this tolerance
-        corral.append(np.asarray(s, dtype=float))
-        seen.append(np.asarray(s, dtype=float))
-        lam = np.append(lam, 0.0)
+    p = a_eq.shape[1]
+    active: list[np.ndarray] = []     # normals of the active constraints
+    targets: list[float] = []         # their right-hand sides
+    mult: list[float | None] = []     # their multipliers (None: equality)
+    rows: list[int | None] = []       # their rows of g (None: equality)
+
+    def project(normal):
+        """Component of ``normal`` off the active normals, and its weights."""
+        if not active:
+            return normal, np.zeros(0)
+        mat = np.column_stack(active)
+        weights = np.linalg.lstsq(mat, normal, rcond=None)[0]
+        return normal - mat @ weights, weights
+
+    def independent(z, normal):
+        return z @ z > 1e-20 * (normal @ normal)
+
+    def on_active():
+        if not active:
+            return np.zeros(p)
+        return np.linalg.lstsq(np.array(active), np.array(targets), rcond=None)[0]
+
+    for normal, target in zip(a_eq, b_eq):
+        if independent(project(normal)[0], normal):  # else implied by earlier rows
+            active.append(normal)
+            targets.append(target)
+            mult.append(None)
+            rows.append(None)
+    beta = on_active()
+
+    norms = np.linalg.norm(g, axis=1)
+    for _ in range(10 * (g.shape[0] + p) + 10):
+        slack = g @ beta - h
+        # violations within the rounding of the slack itself do not count
+        bad = slack < -1e-10 * (np.abs(h) + norms * np.linalg.norm(beta))
+        bad[[r for r in rows if r is not None]] = False
+        if not bad.any():
+            return beta
+        q = int(np.argmin(np.where(bad, slack / norms, np.inf)))
+        normal, added = g[q], 0.0
         while True:
-            v = np.stack(corral, axis=1)
-            alpha = _affine_min_norm_coeffs(v)
-            if np.all(alpha >= -1e-12):
-                lam = np.clip(alpha, 0.0, None)
-                lam /= lam.sum()
-                x = v @ lam
+            z, weights = project(normal)
+            # partial step: the largest dual move keeping multipliers >= 0
+            partial, drop = np.inf, None
+            for k, (u, w) in enumerate(zip(mult, weights)):
+                if u is not None and w > 0.0 and u / w < partial:
+                    partial, drop = u / w, k
+            full = (h[q] - normal @ beta) / (z @ normal) if independent(z, normal) else np.inf
+            step = min(partial, full)
+            if not np.isfinite(step):
+                raise InternalInconsistency("optimal face of the fit LP is empty")
+            if np.isfinite(full):
+                beta = beta + step * z
+            mult = [None if u is None else u - step * w for u, w in zip(mult, weights)]
+            added += step
+            if full <= partial:
+                active.append(normal)
+                targets.append(h[q])
+                mult.append(added)
+                rows.append(q)
+                beta = on_active()
                 break
-            shrink = lam - alpha
-            steps = np.where(shrink > 1e-15, lam / shrink, np.inf)
-            theta = float(np.min(steps))
-            lam = lam + theta * (alpha - lam)
-            keep = lam > 1e-12
-            if keep.sum() == 0:
-                keep[int(np.argmax(lam))] = True
-            corral = [c for c, k in zip(corral, keep) if k]
-            lam = lam[keep]
-            lam /= lam.sum()
-            x = np.stack(corral, axis=1) @ lam
+            del active[drop], targets[drop], mult[drop], rows[drop]
     raise InternalInconsistency("minimum-norm search failed to converge")
-
-
-def _affine_min_norm_coeffs(v):
-    """argmin ||v @ a||^2 subject to sum(a) = 1 (a may leave the simplex)."""
-    k = v.shape[1]
-    kkt = np.zeros((k + 1, k + 1))
-    kkt[:k, :k] = v.T @ v
-    kkt[:k, k] = 1.0
-    kkt[k, :k] = 1.0
-    rhs = np.zeros(k + 1)
-    rhs[k] = 1.0
-    try:
-        sol = np.linalg.solve(kkt, rhs)
-    except np.linalg.LinAlgError:
-        sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-    return sol[:k]
 
 
 def _build_l1(data: DataSet, cfg: L1Config) -> _PiecewiseLinearFit:
@@ -353,12 +281,14 @@ def l1_risk(data: DataSet, cfg: L1Config, h: Hyperplane) -> float:
     return _build_l1(data, cfg).risk(h.coefficients())
 
 
+def _build_quantile(data: DataSet, cfg: QuantileConfig) -> _PiecewiseLinearFit:
+    return _PiecewiseLinearFit(data.xbar(), data.ys, np.full(data.n, cfg.q),
+                               np.full(data.n, 1.0 - cfg.q), 0.0)
+
+
 def fit_quantile(data: DataSet, cfg: QuantileConfig) -> Hyperplane:
     """Quantile fit: weight q above the line, 1-q below, same tie-break."""
-    xbar = data.xbar()
-    up = np.full(data.n, cfg.q)
-    lo = np.full(data.n, 1.0 - cfg.q)
-    return _PiecewiseLinearFit(xbar, data.ys, up, lo, 0.0).fit()
+    return _build_quantile(data, cfg).fit()
 
 
 def quantile_risk(data: DataSet, cfg: QuantileConfig, h: Hyperplane) -> float:

@@ -30,7 +30,8 @@ from .separability import AgentPartition, is_publicly_separable
 #: Transversal systems with condition estimates above this are singular.
 CONDITION_LIMIT = 1e12
 
-#: Hyperplanes equal coefficientwise within this are the same candidate.
+#: Hyperplanes equal coefficientwise within this many times
+#: 1 + max |beta| over the satisfying candidates are the same candidate.
 DEDUP_TOL = 1e-12
 
 
@@ -129,12 +130,15 @@ class _GrhSolver:
                 "no transversal hyperplane satisfies the rank conditions"
             )
         first = betas[hits[0]]
-        distinct = np.max(np.abs(betas[hits] - first), axis=1) > DEDUP_TOL
-        if np.any(distinct):
-            raise UniquenessViolation(
-                f"{int(distinct.sum()) + 1} coefficientwise distinct hyperplanes "
-                "satisfy the rank conditions"
-            )
+        if hits.size > 1:
+            found = betas[hits]
+            same = DEDUP_TOL * (1.0 + float(np.max(np.abs(found))))
+            distinct = np.max(np.abs(found - first), axis=1) > same
+            if np.any(distinct):
+                raise UniquenessViolation(
+                    f"{int(distinct.sum()) + 1} coefficientwise distinct hyperplanes "
+                    "satisfy the rank conditions"
+                )
         return first, tuple(int(i) for i in self.traversals[hits[0]])
 
 

@@ -1,7 +1,7 @@
-"""Dense two-phase primal simplex with Bland's anti-cycling rule.
+"""Dense bounded-variable primal simplex with Bland's anti-cycling rule.
 
-Problems in this package are tiny (tens of variables), so a dense
-textbook tableau beats anything asymptotically clever and, with Bland's
+Problems in this package are small (a few rows or a few hundred), so a
+dense tableau beats anything asymptotically clever and, with Bland's
 pivoting rule, terminates without cycling.  The interface mirrors the
 common ``linprog`` shape:
 
@@ -10,8 +10,19 @@ common ``linprog`` shape:
                 a_eq @ x == b_eq
                 lo_j <= x_j <= hi_j
 
-Bounds default to free variables (None on both ends); callers always
-state bounds explicitly at the call sites that need them.
+Bounds default to free variables (None on both ends).  Bounds live on the
+columns, not in extra rows: a nonbasic variable sits at one of its finite
+bounds (a free one at zero), and the ratio test lets the entering column
+stop at its own opposite bound, a bound flip that changes no basis.  Each
+inequality row gets a slack column, and the slacks form the starting basis
+of every row whose right-hand side is nonnegative once the nonbasic
+variables sit at their bounds; only the remaining rows get phase-1
+artificials.
+
+A solve returns its final ``basis``: one status code per column, the
+variables first and then one slack per inequality row.  Passing it back as
+``basis=`` to a problem with the same constraints and any cost vector skips
+phase 1: the old basis is still feasible, and phase 2 starts from it.
 """
 
 from __future__ import annotations
@@ -26,12 +37,27 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
+#: Column status codes in :attr:`LpResult.basis`.
+AT_LOWER, AT_UPPER, BASIC = 0, 1, 2
+
+#: Pivot elements at or below this magnitude are treated as zero.
+PIVOT_TOL = 1e-10
+
 
 @dataclass
 class LpResult:
+    """Outcome of :func:`solve_lp`.
+
+    ``basis`` holds one status code (``AT_LOWER``, ``AT_UPPER`` or
+    ``BASIC``) per variable and then per inequality slack; ``pivots``
+    counts simplex iterations, basis changes and bound flips alike.
+    """
+
     status: str
     x: np.ndarray | None = None
     objective: float | None = None
+    basis: np.ndarray | None = None
+    pivots: int = 0
 
     @property
     def ok(self) -> bool:
@@ -47,155 +73,210 @@ def _as_matrix(a, ncols):
     return a
 
 
+def _as_bounds(bounds, n):
+    if bounds is None:
+        return np.full(n, -np.inf), np.full(n, np.inf)
+    lo, hi = np.array(bounds, dtype=float).reshape(n, 2).T  # None reads as nan
+    lo[np.isnan(lo)] = -np.inf
+    hi[np.isnan(hi)] = np.inf
+    return lo, hi
+
+
 def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, bounds=None,
-             tol: float = 1e-9, max_iter: int | None = None) -> LpResult:
-    """Solve the LP above; status is "optimal", "infeasible" or "unbounded"."""
+             tol: float = 1e-9, max_iter: int | None = None,
+             basis=None) -> LpResult:
+    """Solve the LP above; status is "optimal", "infeasible" or "unbounded".
+
+    ``tol`` is relative: reduced costs count as zero below
+    tol * (1 + max |c|), and bound violations below tol times the scale of
+    the right-hand sides and finite bounds.  ``basis`` is the ``basis`` of
+    an earlier result for the same constraints; one that no longer fits is
+    ignored and the solve starts cold.
+    """
     c = np.asarray(c, dtype=float).ravel()
     n = c.size
     a_ub = _as_matrix(a_ub, n)
     b_ub = np.zeros(0) if b_ub is None else np.asarray(b_ub, dtype=float).ravel()
     a_eq = _as_matrix(a_eq, n)
     b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, dtype=float).ravel()
-    if bounds is None:
-        bounds = [(None, None)] * n
-
-    # --- translate to standard form: min cs.z  s.t.  A z = b, z >= 0 ------
-    # Each original variable contributes one or two standard columns plus a
-    # constant offset:  x_j = offset_j + sum_k M[j, k] z_k.
-    cols = []          # (orig_index, sign) per standard column
-    offsets = np.zeros(n)
-    extra_rows = []    # (std_col_index, rhs) for two-sided bounds
-    for j, (lo, hi) in enumerate(bounds):
-        if lo is None and hi is None:
-            cols.append((j, 1.0))
-            cols.append((j, -1.0))
-        elif lo is not None and hi is None:
-            offsets[j] = lo
-            cols.append((j, 1.0))
-        elif lo is None and hi is not None:
-            offsets[j] = hi
-            cols.append((j, -1.0))
-        else:
-            if hi < lo:
-                return LpResult(INFEASIBLE)
-            offsets[j] = lo
-            extra_rows.append((len(cols), hi - lo))
-            cols.append((j, 1.0))
-
-    ns = len(cols)
-    trans = np.zeros((n, ns))
-    for k, (j, sign) in enumerate(cols):
-        trans[j, k] = sign
-
-    a_ub_s = a_ub @ trans
-    b_ub_s = b_ub - a_ub @ offsets
-    a_eq_s = a_eq @ trans
-    b_eq_s = b_eq - a_eq @ offsets
-    for col, rhs in extra_rows:
-        row = np.zeros(ns)
-        row[col] = 1.0
-        a_ub_s = np.vstack([a_ub_s, row])
-        b_ub_s = np.append(b_ub_s, rhs)
-
-    n_slack = a_ub_s.shape[0]
-    big_a = np.block([
-        [a_ub_s, np.eye(n_slack)],
-        [a_eq_s, np.zeros((a_eq_s.shape[0], n_slack))],
-    ]) if n_slack + a_eq_s.shape[0] > 0 else np.zeros((0, ns))
-    big_b = np.concatenate([b_ub_s, b_eq_s])
-    c_std = np.concatenate([c @ trans, np.zeros(n_slack)])
-
-    m, total = big_a.shape
-    if m == 0:
-        # Unconstrained: bounded only if the (bound-reduced) cost is zero.
-        if np.any(np.abs(c_std) > tol):
-            return LpResult(UNBOUNDED)
-        x = offsets.copy()
-        return LpResult(OPTIMAL, x, float(c @ x))
-
-    neg = big_b < 0
-    big_a[neg] *= -1.0
-    big_b[neg] *= -1.0
-
-    # --- phase 1: artificial basis ----------------------------------------
-    tableau = np.hstack([big_a, np.eye(m), big_b.reshape(-1, 1)])
-    basis = list(range(total, total + m))
-    cost1 = np.concatenate([np.zeros(total), np.ones(m)])
-    if max_iter is None:
-        max_iter = 200 * (m + total + 10)
-
-    _pivot_until_optimal(tableau, basis, cost1, ncols=total + m,
-                         tol=tol, max_iter=max_iter)
-    infeas = sum(tableau[i, -1] for i, b in enumerate(basis) if b >= total)
-    if infeas > 1e-8 * (1.0 + float(np.abs(big_b).sum())):
+    lo, hi = _as_bounds(bounds, n)
+    if np.any(hi < lo):
         return LpResult(INFEASIBLE)
 
-    # Drive any remaining artificial variables out of the basis, pivoting on
-    # the largest available element for stability.
-    drop_rows = []
-    for i, b in enumerate(basis):
-        if b < total:
-            continue
-        row = np.abs(tableau[i, :total])
-        pivot_col = int(np.argmax(row)) if row.size else 0
-        if row.size == 0 or row[pivot_col] <= 1e-9:
-            drop_rows.append(i)  # redundant row
-        else:
-            _pivot(tableau, basis, i, pivot_col)
-    if drop_rows:
-        keep = [i for i in range(m) if i not in drop_rows]
-        tableau = tableau[keep]
-        basis = [basis[i] for i in keep]
-        m = len(basis)
+    n_ub, n_eq = a_ub.shape[0], a_eq.shape[0]
+    # one row per constraint, one column per variable and slack, and b last
+    ab = np.zeros((n_ub + n_eq, n + n_ub + 1))
+    if n_ub:
+        ab[:n_ub, :n] = a_ub
+        ab[:n_ub, n:-1] = np.eye(n_ub)
+        ab[:n_ub, -1] = b_ub
+        c = np.concatenate([c, np.zeros(n_ub)])
+        lo = np.concatenate([lo, np.zeros(n_ub)])
+        hi = np.concatenate([hi, np.full(n_ub, np.inf)])
+    ab[n_ub:, :n] = a_eq
+    ab[n_ub:, -1] = b_eq
+    lp = _Tableau(ab, c, lo, hi, tol)
+    if max_iter is None:
+        max_iter = 200 * (ab.shape[0] + ab.shape[1] + 10)
 
-    # --- phase 2 ------------------------------------------------------------
-    tableau = np.hstack([tableau[:, :total], tableau[:, -1:]])
-    cost2 = c_std
-    status = _pivot_until_optimal(tableau, basis, cost2, ncols=total,
-                                  tol=tol, max_iter=max_iter)
-    if status == UNBOUNDED:
-        return LpResult(UNBOUNDED)
-
-    z = np.zeros(total)
-    for i, b in enumerate(basis):
-        if b < total:
-            z[b] = tableau[i, -1]
-    x = offsets + trans @ z[:ns]
-    return LpResult(OPTIMAL, x, float(c @ x))
+    if basis is None or not lp.warm_start(np.asarray(basis)):
+        if not lp.cold_start(n_ub, max_iter):
+            return LpResult(INFEASIBLE, pivots=lp.pivots)
+    if lp.run(lp.cost, max_iter) == UNBOUNDED:
+        return LpResult(UNBOUNDED, pivots=lp.pivots)
+    x = lp.values()[:n]
+    return LpResult(OPTIMAL, x, float(c[:n] @ x), lp.status, lp.pivots)
 
 
-def _pivot(tableau, basis, row, col):
-    tableau[row] /= tableau[row, col]
-    piv = tableau[:, col].copy()
-    piv[row] = 0.0
-    tableau -= np.outer(piv, tableau[row])
-    basis[row] = col
+class _Tableau:
+    """Tableau B^-1 [A | b] of a bounded LP in equality form, plus the
+    status of every column and the value of each nonbasic one (basic
+    columns hold zero there; their values follow from the tableau)."""
 
+    def __init__(self, ab, cost, lo, hi, tol):
+        self.ab, self.cost, self.lo, self.hi = ab, cost, lo, hi
+        self.m, self.ncols = ab.shape[0], ab.shape[1] - 1
+        self.tol = tol
+        scale = np.abs(np.concatenate([lo, hi, ab[:, -1]]))
+        self.ftol = tol * (1.0 + float(scale.max(where=np.isfinite(scale), initial=0.0)))
+        self.pivots = 0
 
-def _pivot_until_optimal(tableau, basis, cost, ncols, tol, max_iter):
-    """Run Bland-rule pivots in place until optimal or unbounded."""
-    for _ in range(max_iter):
-        cb = cost[basis]
-        reduced = cost[:ncols] - cb @ tableau[:, :ncols]
-        entering = None
-        for j in range(ncols):  # Bland: lowest eligible index
-            if reduced[j] < -tol and j not in basis:
-                entering = j
-                break
-        if entering is None:
-            return OPTIMAL
-        col = tableau[:, entering]
-        rows = np.where(col > 1e-10)[0]
-        if rows.size == 0:
-            return UNBOUNDED
-        # Two-pass ratio test: allow a 1e-9 feasibility slack so that among
-        # near-minimal ratios we can pivot on a large element instead of a
-        # barely-eligible one (tiny pivots amplify round-off by 1/|pivot|).
-        rhs = np.maximum(tableau[rows, -1], 0.0)
-        theta = np.min((rhs + 1e-9) / col[rows])
-        candidates = rows[rhs / col[rows] <= theta]
-        piv = col[candidates]
-        solid = candidates[piv >= 0.5 * piv.max()]
-        leave = min(solid, key=lambda i: basis[i])
-        _pivot(tableau, basis, leave, entering)
-    raise InternalInconsistency("simplex failed to terminate within iteration cap")
+    def warm_start(self, status) -> bool:
+        """Adopt a previous basis if it is square, nonsingular and feasible."""
+        basic = np.flatnonzero(status == BASIC)
+        if status.shape != (self.ncols,) or basic.size != self.m:
+            return False
+        x = np.where(status == AT_UPPER, self.hi, self.lo)
+        x[basic] = 0.0
+        x[~np.isfinite(x)] = 0.0
+        try:
+            tab = np.linalg.solve(self.ab[:, basic], self.ab)
+        except np.linalg.LinAlgError:
+            return False
+        xb = tab[:, -1] - tab[:, :-1] @ x
+        # comparisons with nan are false, so a garbage solve is refused too
+        if not np.all((xb >= self.lo[basic] - self.ftol) & (xb <= self.hi[basic] + self.ftol)):
+            return False
+        self.status, self.x, self.basic, self.tab = status.astype(np.int8), x, basic, tab
+        return True
+
+    def cold_start(self, n_ub, max_iter) -> bool:
+        """Phase 1 from slacks and artificials; False when infeasible."""
+        lo, hi, ncols = self.lo, self.hi, self.ncols
+        # nonbasic variables rest on the finite bound their cost prefers,
+        # free ones at zero
+        upper = np.isfinite(hi) & ((self.cost < 0.0) | ~np.isfinite(lo))
+        x = np.where(upper, hi, np.where(np.isfinite(lo), lo, 0.0))
+        status = np.where(upper, AT_UPPER, AT_LOWER)
+        resid = self.ab[:, -1] - self.ab[:, :-1] @ x
+        needs_art = np.ones(self.m, dtype=bool)
+        needs_art[:n_ub] = resid[:n_ub] < 0.0
+        slack_rows, art_rows = np.flatnonzero(~needs_art), np.flatnonzero(needs_art)
+        n_art = art_rows.size
+        basic = np.empty(self.m, dtype=int)
+        basic[slack_rows] = ncols - n_ub + slack_rows
+        basic[art_rows] = ncols + np.arange(n_art)
+        # artificial columns carry the sign of their row's residual, so the
+        # starting basis is a signed identity and B^-1 is that same sign
+        sign = np.ones(self.m)
+        sign[art_rows] = np.where(resid[art_rows] >= 0.0, 1.0, -1.0)
+        art = np.zeros((self.m, n_art))
+        art[art_rows, np.arange(n_art)] = sign[art_rows]
+        self.tab = sign[:, None] * np.hstack([self.ab[:, :-1], art, self.ab[:, -1:]])
+        self.basic = basic
+        self.x = np.concatenate([x, np.zeros(n_art)])
+        self.status = np.concatenate([status, np.full(n_art, AT_LOWER)]).astype(np.int8)
+        self.status[basic] = BASIC
+        self.x[basic] = 0.0
+        self.lo = np.concatenate([lo, np.zeros(n_art)])
+        self.hi = np.concatenate([hi, np.full(n_art, np.inf)])
+        if n_art:
+            self.run(np.concatenate([np.zeros(ncols), np.ones(n_art)]), max_iter)
+            if self.values()[ncols:].sum() > 1e-8 * (1.0 + float(np.abs(resid).sum())):
+                return False
+            self._drive_out_artificials(ncols)
+        self.tab = np.hstack([self.tab[:, :ncols], self.tab[:, -1:]])
+        self.x, self.status = self.x[:ncols], self.status[:ncols]
+        self.lo, self.hi = lo, hi
+        return True
+
+    def _drive_out_artificials(self, ncols):
+        """Pivot zero-valued artificials out of the basis; drop the rows of
+        those that no column can replace (redundant equality rows)."""
+        keep = np.ones(self.m, dtype=bool)
+        for row in np.flatnonzero(self.basic >= ncols):
+            entries = np.abs(self.tab[row, :ncols])
+            col = int(np.argmax(entries)) if ncols else 0
+            if ncols == 0 or entries[col] <= 1e-9:
+                keep[row] = False
+            else:
+                self._pivot(row, col, leaving_status=AT_LOWER)
+        if not keep.all():
+            self.status[self.basic[~keep]] = AT_LOWER
+            self.tab, self.basic = self.tab[keep], self.basic[keep]
+            self.m = int(keep.sum())
+
+    def values(self) -> np.ndarray:
+        """Every column's value: nonbasic ones as stored, basic ones solved."""
+        x = self.x.copy()
+        x[self.basic] = self.tab[:, -1] - self.tab[:, :-1] @ self.x
+        return x
+
+    def _pivot(self, row, col, leaving_status):
+        leaving = self.basic[row]
+        self.status[leaving] = leaving_status
+        self.x[leaving] = self.lo[leaving] if leaving_status == AT_LOWER else self.hi[leaving]
+        if not np.isfinite(self.x[leaving]):
+            self.x[leaving] = 0.0
+        tab = self.tab
+        tab[row] /= tab[row, col]
+        piv = tab[:, col].copy()
+        piv[row] = 0.0
+        tab -= np.outer(piv, tab[row])
+        self.basic[row] = col
+        self.status[col] = BASIC
+        self.x[col] = 0.0
+
+    def run(self, cost, max_iter) -> str:
+        """Bland-rule iterations until optimal or unbounded."""
+        lo, hi, x = self.lo, self.hi, self.x
+        dtol = self.tol * (1.0 + float(np.abs(cost).max(initial=0.0)))
+        for _ in range(max_iter):
+            tab = self.tab
+            reduced = cost - cost[self.basic] @ tab[:, :-1]
+            # basic columns have zero reduced cost, so only nonbasic ones
+            # qualify: rising below their upper bound or falling above their
+            # lower one (a free column at zero may do either)
+            eligible = ((reduced < -dtol) & (x < hi)) | ((reduced > dtol) & (x > lo))
+            if not eligible.any():
+                return OPTIMAL
+            col = int(eligible.argmax())  # Bland: lowest eligible index
+            rising = reduced[col] < 0.0
+            # per unit of movement of the column, basic value i falls by alpha_i
+            alpha = tab[:, col] if rising else -tab[:, col]
+            xb = tab[:, -1] - tab[:, :-1] @ x
+            down = alpha > PIVOT_TOL
+            up = alpha < -PIVOT_TOL
+            room = np.full(self.m, np.inf)
+            room[down] = np.maximum(xb[down] - lo[self.basic[down]], 0.0)
+            room[up] = np.maximum(hi[self.basic[up]] - xb[up], 0.0)
+            mag = np.where(down | up, np.abs(alpha), 1.0)
+            ratio = room / mag
+            self.pivots += 1
+            step = ratio.min(initial=np.inf)
+            flip = hi[col] - lo[col]
+            if flip <= step and flip < np.inf:
+                x[col] = hi[col] if rising else lo[col]
+                self.status[col] = AT_UPPER if rising else AT_LOWER
+                continue
+            if step == np.inf:
+                return UNBOUNDED
+            # Harris pass: among ratios within the feasibility tolerance of
+            # the smallest, pivot on a large element, since tiny pivots
+            # amplify round-off by 1/|pivot|
+            relaxed = ((room + self.ftol) / mag).min()
+            rows = np.flatnonzero(ratio <= relaxed)
+            solid = rows[mag[rows] >= 0.5 * mag[rows].max()]
+            row = int(solid[np.argmin(self.basic[solid])])  # Bland: lowest index
+            self._pivot(row, col, AT_LOWER if down[row] else AT_UPPER)
+        raise InternalInconsistency("simplex failed to terminate within iteration cap")

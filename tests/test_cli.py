@@ -79,6 +79,17 @@ def test_fit_with_config_file(line_csv, tmp_path, capsys):
     assert payload["mechanism"] == {"kind": "quantile", "q": 0.4}
 
 
+def test_fit_brown_mood_on_collinear_data_at_large_scale(tmp_path, capsys):
+    xs = np.arange(8.0).reshape(-1, 1)
+    path = tmp_path / "collinear.csv"
+    write_dataset(path, DataSet(xs, 0.37e6 * xs[:, 0] + 0.7e6))
+    code, out, _ = run(capsys, "fit", "--data", str(path), "--mechanism", "brown-mood")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["beta1"][0] == pytest.approx(0.37e6, rel=1e-12)
+    assert payload["beta0"] == pytest.approx(0.7e6, rel=1e-12)
+
+
 # -- audit -------------------------------------------------------------------------
 
 

@@ -1,10 +1,13 @@
 """Least-squares, weighted L1, and quantile fits against external oracles.
 
-Three independent routes check the two-stage fit: scipy's HiGHS solver
-recomputes the optimal risk, a cvxopt quadratic program recomputes the
-minimum-norm tie-break over the optimal slab, and a sorted-list weighted
-median handles the d = 0 reduction exactly.
+Independent routes check the two-stage fit: scipy's HiGHS solver
+recomputes the optimal risk, an enumeration of zero-residual row subsets
+recomputes the exact minimum-norm tie-break for p <= 3, a cvxopt quadratic
+program recomputes it over the optimal slab where cvxopt is installed, and
+a sorted-list weighted median handles the d = 0 reduction exactly.
 """
+
+import itertools
 
 import numpy as np
 import numpy.testing as npt
@@ -20,7 +23,10 @@ from truthfit import (
     Hyperplane,
     L1Config,
     PhantomTerm,
+    MechanismKind,
+    MechanismSpec,
     QuantileConfig,
+    audit_gsp,
     builtin_instance,
     fit_l1erm,
     fit_ols,
@@ -29,6 +35,9 @@ from truthfit import (
     quantile_risk,
     rss,
 )
+from truthfit.audit import BoundMechanism
+from truthfit.erm import _build_l1, _PiecewiseLinearFit
+from truthfit.random_instances import random_data
 
 try:
     from cvxopt import matrix as cvx_matrix
@@ -43,8 +52,9 @@ except ImportError:  # pragma: no cover
 # -- oracles -------------------------------------------------------------------
 
 
-def scipy_optimal_risk(xbar, rhs, up, lo, drift):
-    """Optimal piecewise-linear risk via HiGHS on the residual-split LP."""
+def scipy_optimal_risk(xbar, rhs, up, lo, drift, allow_unbounded=False):
+    """Optimal piecewise-linear risk via HiGHS on the residual-split LP
+    (None for an unbounded risk when ``allow_unbounded``)."""
     m, p = xbar.shape
     nv = p + 2 * m
     cost = np.zeros(nv)
@@ -58,8 +68,39 @@ def scipy_optimal_risk(xbar, rhs, up, lo, drift):
     res = linprog(cost, A_eq=a_eq, b_eq=rhs,
                   bounds=[(None, None)] * p + [(0, None)] * (2 * m),
                   method="highs")
+    if allow_unbounded and res.status == 3:
+        return None
     assert res.status == 0, res.message
     return float(res.fun)
+
+
+def enumerated_min_norm(xbar, rhs, up, lo, drift):
+    """Exact smallest-norm risk minimizer for p <= 3, by enumeration.
+
+    The smallest-norm point of the optimal face is the smallest-norm
+    solution of X_Z beta = y_Z for Z its zero-residual rows, and some such
+    Z with |Z| <= p spans the same affine set.  So among the smallest-norm
+    solutions of every consistent subsystem with |Z| <= p, the optimal risk
+    r* is the least risk found, and the answer is the smallest-norm
+    candidate whose risk is within r* (1 + 1e-12), plus 1e-12 of the sum
+    of the absolute terms, which bounds the rounding of its risk.
+    """
+    m, p = xbar.shape
+    assert p <= 3
+    cands = []
+    for size in range(p + 1):
+        for z in itertools.combinations(range(m), size):
+            z = list(z)
+            beta = np.linalg.pinv(xbar[z]) @ rhs[z] if z else np.zeros(p)
+            if z and np.max(np.abs(xbar[z] @ beta - rhs[z])) > 1e-9 * (1 + np.abs(rhs).max()):
+                continue  # inconsistent subsystem
+            r = rhs - xbar @ beta
+            terms = np.concatenate([up * np.maximum(r, 0), lo * np.maximum(-r, 0),
+                                    [drift * beta[-1]]])
+            cands.append((float(terms.sum()), float(np.abs(terms).sum()), beta))
+    rstar = min(risk for risk, _, _ in cands)
+    near = [b for risk, size, b in cands if risk <= rstar + 1e-12 * (abs(rstar) + size)]
+    return min(near, key=lambda b: float(b @ b))
 
 
 def cvxopt_min_norm(xbar, rhs, up, lo, drift, cap):
@@ -173,8 +214,8 @@ def test_fit_beats_random_alternatives(case, rnd):
     for _ in range(20):
         other = Hyperplane(h.beta1 + rng.normal(0, 1, data.d),
                            h.beta0 + rng.normal())
-        # the tie-break slab lets the fit sit up to 1e-9*(1+r*) above the
-        # exact optimum, so the alternative gets a slightly wider cushion
+        # the fit is an exact optimum; the cushion covers rounding in the
+        # risk sums
         assert l1_risk(data, cfg, other) >= base - 3e-9 * (1.0 + abs(base))
 
 
@@ -209,6 +250,111 @@ def test_quantile_tie_break_matches_qp_oracle(case, q):
     ref = cvxopt_min_norm(data.xbar(), data.ys, up, lo, 0.0, cap)
     assume(ref is not None)
     npt.assert_allclose(h.coefficients(), ref, atol=2e-4)
+
+
+@st.composite
+def face_cases(draw):
+    """Small integer-grid fits, where ties and collinear triples abound:
+    L1 with weights, phantoms and drift, or a quantile risk with q != 1/2."""
+    d = draw(st.integers(0, 2))
+    n = draw(st.integers(1, 6))
+    grid = st.integers(-3, 3)
+    xs = np.array(draw(st.lists(st.tuples(*[grid] * d), min_size=n, max_size=n)),
+                  dtype=float).reshape(n, d)
+    ys = np.array(draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n))) / 2.0
+    data = DataSet(xs, ys)
+    if draw(st.booleans()):
+        q = draw(st.sampled_from([0.25, 0.4, 0.7]))
+        return data, QuantileConfig(q)
+    weights = tuple(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
+    phantoms = tuple(
+        PhantomTerm(np.array(anchor, dtype=float), float(target), float(weight))
+        for anchor, target, weight in draw(st.lists(
+            st.tuples(st.tuples(*[grid] * d), st.integers(-3, 3), st.integers(1, 2)),
+            max_size=2))
+    )
+    drift = float(draw(st.sampled_from([0, 0, 1, -1, 2])))
+    return data, L1Config(weights=weights, phantoms=phantoms, drift=drift)
+
+
+def _fit_problem(data, cfg):
+    """(fit, xbar, rhs, up, lo, drift) for either kind of config."""
+    if isinstance(cfg, QuantileConfig):
+        return (fit_quantile, data.xbar(), data.ys, np.full(data.n, cfg.q),
+                np.full(data.n, 1.0 - cfg.q), 0.0)
+    prob = _build_l1(data, cfg)
+    return fit_l1erm, prob.xbar, prob.rhs, prob.up_w, prob.lo_w, prob.drift
+
+
+@given(face_cases())
+@settings(max_examples=300, deadline=None)
+def test_tie_break_matches_enumeration_oracle(case):
+    data, cfg = case
+    fit, xbar, rhs, up, lo, drift = _fit_problem(data, cfg)
+    if scipy_optimal_risk(xbar, rhs, up, lo, drift, allow_unbounded=True) is None:
+        with pytest.raises(ConfigurationError):
+            fit(data, cfg)
+        return
+    ours = fit(data, cfg).coefficients()
+    ref = enumerated_min_norm(xbar, rhs, up, lo, drift)
+    npt.assert_allclose(ours, ref, rtol=0, atol=1e-9 * (1.0 + np.abs(ref).max()))
+
+
+def test_collinear_triple_fits_their_exact_line():
+    # points 1, 2 and 5 are collinear and their line is the unique optimum
+    xs = [1.324063664466082, -0.1292670223162311, 4.529776429441803,
+          2.7646145033566762, -3.6921496628198236, 3.1410950803550257]
+    ys = [-5.2364286531096775, -0.8229934068057114, 1.663690794211157,
+          -2.5674907374297966, 6.145728241816213, 0.9225060409936588]
+    data = DataSet(np.array(xs).reshape(-1, 1), np.array(ys))
+    line = np.linalg.solve(data.xbar()[[1, 2]], data.ys[[1, 2]])
+    npt.assert_allclose(fit_l1erm(data).coefficients(), line, rtol=0, atol=1e-12)
+    w = np.ones(6)
+    rstar = scipy_optimal_risk(data.xbar(), data.ys, w, w, 0.0)
+    assert l1_risk(data, L1Config(), fit_l1erm(data)) == pytest.approx(rstar, rel=1e-14)
+
+
+@pytest.mark.parametrize("kind", ["l1", "l1-phantom", "quantile"])
+def test_warm_started_probes_equal_cold_fits(kind, monkeypatch):
+    rng = np.random.default_rng({"l1": 41, "l1-phantom": 42, "quantile": 43}[kind])
+    data = random_data(rng, 5, 1 + (kind == "l1-phantom"))
+    if kind == "quantile":
+        spec = MechanismSpec(MechanismKind.QUANTILE, QuantileConfig(0.3))
+        cold = lambda d: fit_quantile(d, spec.params)  # noqa: E731
+    else:
+        cfg = L1Config()
+        if kind == "l1-phantom":
+            cfg = L1Config(weights=(1, 2, 1, 3, 1), drift=0.5,
+                           phantoms=(PhantomTerm(np.zeros(2), 0.0, 2.0),))
+        spec = MechanismSpec(MechanismKind.L1ERM, cfg)
+        cold = lambda d: fit_l1erm(d, cfg)  # noqa: E731
+    probes = []
+    coefficients = BoundMechanism.coefficients
+
+    def record(self, ys=None):
+        out = coefficients(self, ys)
+        probes.append((self.data.ys if ys is None else np.array(ys), out))
+        return out
+
+    monkeypatch.setattr(BoundMechanism, "coefficients", record)
+    assert audit_gsp(spec, data, max_coalition=2, max_evals=60, seed=1) is None
+    assert len(probes) > 300
+    for ys, warm in probes:
+        ref = cold(DataSet(data.xs, ys)).coefficients()
+        npt.assert_allclose(warm, ref, rtol=1e-12, atol=1e-12 * (1.0 + np.abs(ref).max()))
+
+
+def test_repeated_probe_with_an_unchanged_basis_takes_no_pivots():
+    rng = np.random.default_rng(9)
+    data = random_data(rng, 7, 2)
+    w = np.ones(data.n)
+    first = _PiecewiseLinearFit(data.xbar(), data.ys, w, w, 0.0)
+    h1 = first.fit()
+    assert first.pivots > 0
+    again = _PiecewiseLinearFit(data.xbar(), data.ys, w, w, 0.0, basis=first.basis)
+    h2 = again.fit()
+    assert again.pivots == 0
+    npt.assert_array_equal(h1.coefficients(), h2.coefficients())
 
 
 def test_single_point_returns_projection_of_origin():

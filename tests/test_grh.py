@@ -59,6 +59,24 @@ def oracle_hits(data, part):
 # -- pinned example ------------------------------------------------------------
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_collinear_data_at_large_scale_fits_the_exact_hyperplane(d):
+    # every transversal interpolates the same hyperplane, up to rounding at
+    # the scale of the data; deduplication must be relative to that scale
+    rng = np.random.default_rng(8)
+    if d == 1:
+        xs = np.arange(8.0).reshape(-1, 1)
+        part = preset_partition(DataSet(xs, np.zeros(8)), "brown-mood")
+    else:
+        data, part = random_separable_instance(rng, 2, sizes=(3, 3, 3))
+        xs = data.xs
+    beta = np.array([0.37e6, -0.21e6, 0.7e6][-(d + 1):])
+    data = DataSet(xs, xs @ beta[:-1] + beta[-1])
+    h = fit_grh(data, part).hyperplane
+    npt.assert_allclose(h.coefficients(), beta, rtol=1e-12)
+
+
+
 def test_grl_pinned_two_two_example():
     data = DataSet(np.array([[0.0], [0.5], [2.0], [3.0]]),
                    np.array([0.0, 2.0, 0.0, 3.0]))
