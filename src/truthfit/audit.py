@@ -36,7 +36,7 @@ from .errors import (
     InternalInconsistency,
     UnsupportedMechanism,
 )
-from .grh import _GrhSolver, preset_partition
+from .grh import _GrhSolver, _grl_solver, preset_partition
 from .impartial import ImpartialConfig, fit_impartial, generalized_median
 from .separability import AgentPartition, is_publicly_separable
 
@@ -171,15 +171,7 @@ def _make_solver(spec: MechanismSpec, data: DataSet):
     if kind is MechanismKind.GRL:
         if not isinstance(params, GrlParams):
             raise ConfigurationError("resistant line needs GrlParams")
-        if data.d != 1:
-            raise ContractViolation("resistant lines require d = 1")
-        part = AgentPartition((params.s, params.sprime), (params.k, params.kprime))
-        part.validate_against(data)
-        xs_s = data.xs[list(params.s), 0]
-        xs_sp = data.xs[list(params.sprime), 0]
-        if not (xs_s.max() < xs_sp.min() or xs_sp.max() < xs_s.min()):
-            raise ContractViolation("S and S' are not separated by a vertical line")
-        solver = _GrhSolver(data.xs, part)
+        solver = _grl_solver(data, params.s, params.sprime, params.k, params.kprime)
         return lambda ys: solver.solve(ys)[0]
 
     if kind is MechanismKind.GRH:

@@ -1,7 +1,9 @@
 """Command-line interface: fit, audit, influence, efficiency, plot, reproduce.
 
 Exit codes: 0 success (including "no violation found"), 1 reproduction
-failure, 2 malformed input, 3 mechanism contract violation.
+failure, 2 malformed input or an output file that cannot be written,
+3 mechanism contract violation, 141 standard output closed by its reader
+(as for a process killed by SIGPIPE, e.g. under ``| head``).
 """
 
 from __future__ import annotations
@@ -9,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -40,6 +43,7 @@ EXIT_OK = 0
 EXIT_REPRODUCE_FAIL = 1
 EXIT_INPUT = 2
 EXIT_CONTRACT = 3
+EXIT_BROKEN_PIPE = 141
 
 
 def _print_json(payload) -> None:
@@ -166,8 +170,11 @@ def cmd_plot(args) -> int:
         lines.append(("after deviation", deviated, "dashed"))
     svg = render_plot(data, lines, deviation=deviation,
                       title=builtin or args.data)
-    with open(args.out, "w") as fh:
-        fh.write(svg)
+    try:
+        with open(args.out, "w") as fh:
+            fh.write(svg)
+    except OSError as exc:
+        raise InputError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
     print(args.out)
     return EXIT_OK
 
@@ -387,7 +394,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader stopped reading; point stdout at devnull so that the
+        # interpreter's final flush of what is left does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

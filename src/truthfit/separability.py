@@ -5,7 +5,8 @@ target rank per set.  The structural property the resistant-hyperplane
 mechanisms need is *well separability* of the x-projections: every two
 disjoint groups of whole sets can be split by a hyperplane with all
 named sets strictly on their assigned sides.  Strict separation of two
-point clouds is decided by a small margin-maximization LP.
+point clouds is decided by a small margin-maximization LP, in closed form
+when the points lie on a line.
 """
 
 from __future__ import annotations
@@ -105,7 +106,8 @@ def strictly_separates(a_points, b_points) -> SeparatorWitness | None:
 
     Solves  max m  s.t.  a . x >= b + m (x in A),  a . x <= b - m (x in B),
     |a_k| <= 1,  and accepts only margins above ``SEPARATION_MARGIN``.
-    Returns None when no such hyperplane exists.
+    Returns None when no such hyperplane exists.  In d = 1 the optimum is
+    read off directly: normal +1 or -1 and half the gap as margin.
     """
     a_points = np.atleast_2d(np.asarray(a_points, dtype=float))
     b_points = np.atleast_2d(np.asarray(b_points, dtype=float))
@@ -116,6 +118,8 @@ def strictly_separates(a_points, b_points) -> SeparatorWitness | None:
         raise ContractViolation("point clouds live in different dimensions")
     if d == 0:
         return None
+    if d == 1:
+        return _separate_on_line(a_points[:, 0], b_points[:, 0])
 
     # variables: (a_1..a_d, b, m); maximize m
     na, nb = a_points.shape[0], b_points.shape[0]
@@ -143,6 +147,18 @@ def strictly_separates(a_points, b_points) -> SeparatorWitness | None:
     if margin <= SEPARATION_MARGIN:
         return None
     return SeparatorWitness(normal, (lo + hi) / 2.0, margin)
+
+
+def _separate_on_line(a_values: np.ndarray, b_values: np.ndarray) -> SeparatorWitness | None:
+    """The separation LP's optimum in d = 1: under |a| <= 1 the best normal
+    is +1 or -1, with the midpoint of the gap as offset."""
+    normal = 1.0 if a_values.min() > b_values.max() else -1.0
+    lo = float(np.min(normal * a_values))
+    hi = float(np.max(normal * b_values))
+    margin = (lo - hi) / 2.0
+    if margin <= SEPARATION_MARGIN:
+        return None
+    return SeparatorWitness(np.array([normal]), (lo + hi) / 2.0, margin)
 
 
 def _group_pairs(t: int):

@@ -2,11 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import truthfit
 from truthfit import (
     AgentPartition,
     DataSet,
@@ -188,6 +193,16 @@ def test_plot_custom_deviation_needs_both_flags(line_csv, tmp_path, capsys):
     assert "after deviation" in open(out).read()
 
 
+def test_unwritable_plot_output_exits_two_with_one_line(tmp_path, capsys):
+    for out in (tmp_path / "missing" / "x.svg", tmp_path):
+        code, printed, err = run(capsys, "plot", "--builtin", "crm-disjoint",
+                                 "--out", str(out))
+        assert code == 2, out
+        assert printed == ""
+        assert err.startswith(f"input error: cannot write {out}: "), err
+        assert err.count("\n") == 1, err
+
+
 # -- reproduce ------------------------------------------------------------------------
 
 
@@ -205,6 +220,22 @@ def test_reproduce_exit_codes_and_report_lines(capsys):
     code, out, _ = run(capsys, "reproduce", "all")
     assert code == 0
     assert "FAIL" not in out
+
+
+def test_reproduce_into_a_closed_pipe_ends_quietly_with_code_141():
+    # the reader is gone before the command starts (as under `| head -1`
+    # once head has its line), so the first write of the report fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(truthfit.__file__).resolve().parents[1]))
+    try:
+        proc = subprocess.run([sys.executable, "-m", "truthfit.cli", "reproduce", "all"],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env,
+                              timeout=300)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""
 
 
 def test_reproduce_lowerbound_with_explicit_size(capsys):

@@ -1,6 +1,8 @@
 """Resistant hyperplanes: transversal enumeration against a brute oracle."""
 
 import itertools
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import numpy.testing as npt
@@ -24,12 +26,9 @@ from truthfit.grh import in_weak_general_position, median_rank, satisfies_rank_c
 from truthfit.random_instances import random_separable_instance, random_split_line_instance
 
 
-def oracle_hits(data, part):
-    """All satisfying transversal hyperplanes, solved one at a time.
-
-    Scalar Python counting of residual signs; returns the deduplicated
-    coefficient vectors so the caller can assert uniqueness independently.
-    """
+def oracle_satisfying(data, part):
+    """(traversal, coefficients) of every satisfying transversal hyperplane,
+    solved one at a time in product order with scalar Python sign counts."""
     tol = 1e-9 * (1.0 + float(np.max(np.abs(data.ys))))
     xbar = np.hstack([data.xs, np.ones((data.n, 1))])
     hits = []
@@ -48,9 +47,15 @@ def oracle_hits(data, part):
                 good = False
                 break
         if good:
-            hits.append(beta)
+            hits.append((trav, beta))
+    return hits
+
+
+def oracle_hits(data, part):
+    """Deduplicated coefficient vectors of all satisfying transversals, so
+    the caller can assert uniqueness independently."""
     unique = []
-    for beta in hits:
+    for _, beta in oracle_satisfying(data, part):
         if not any(np.max(np.abs(beta - u)) <= 1e-9 for u in unique):
             unique.append(beta)
     return unique
@@ -75,6 +80,49 @@ def test_collinear_data_at_large_scale_fits_the_exact_hyperplane(d):
     h = fit_grh(data, part).hyperplane
     npt.assert_allclose(h.coefficients(), beta, rtol=1e-12)
 
+
+
+def test_near_tie_line_returns_the_exact_root():
+    # the line through agents 1 and 2 also meets the rank conditions within
+    # the 1e-9 tolerance; the exact root of the rank gap is y = 0
+    data = DataSet(np.array([[0.0], [1.0], [2.0]]), np.array([0.0, 1e-10, 0.0]))
+    result = fit_grh(data, AgentPartition(((0, 1), (2,)), (1, 1)))
+    assert result.hyperplane.coefficients().tolist() == [0.0, 0.0]
+    assert result.traversal == (0, 2)
+
+
+def exact_resistant_line(data, part):
+    """(slope, intercept) of the first satisfying transversal, in rationals."""
+    xs = [Fraction(v) for v in data.xs[:, 0]]
+    ys = [Fraction(v) for v in data.ys]
+    for i, j in itertools.product(*part.sets):
+        slope = (ys[j] - ys[i]) / (xs[j] - xs[i])
+        resid = [ys[m] - ys[i] - slope * (xs[m] - xs[i]) for m in range(data.n)]
+        if all(sorted(resid[m] for m in members)[k - 1] == 0
+               for members, k in zip(part.sets, part.ranks)):
+            return [float(slope), float(ys[i] - slope * xs[i])]
+    raise AssertionError("no transversal satisfies the rank conditions exactly")
+
+
+def test_line_far_from_the_x_origin_with_a_narrow_gap_is_exact():
+    # every transversal system here has condition number above 1e12, so
+    # enumeration rejected the partition
+    data = DataSet(np.array([[1e4], [1e4 + 5e-5], [1e4 + 1e-4], [1e4 + 1.5e-4]]),
+                   np.array([0.0, 1.0, 0.5, 2.0]))
+    part = AgentPartition(((0, 1), (2, 3)), (1, 1))
+    result = fit_grh(data, part)
+    npt.assert_allclose(result.hyperplane.coefficients(),
+                        exact_resistant_line(data, part), rtol=1e-12)
+    assert result.traversal == (0, 2)
+    # at x near 1e12, y - b*x rounds at the scale of the gaps between
+    # points unless the search works in an x-origin inside the data
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        xs = 1e12 + np.arange(8.0) * 3e-4 * rng.uniform(1.0, 3.0)
+        data = DataSet(xs.reshape(-1, 1), rng.normal(0.0, 2.0, 8))
+        part = preset_partition(data, "brown-mood")
+        slope = fit_grh(data, part).hyperplane.beta1[0]
+        assert slope == pytest.approx(exact_resistant_line(data, part)[0], rel=1e-12)
 
 
 def test_grl_pinned_two_two_example():
@@ -223,6 +271,77 @@ def test_grl_matches_oracle_on_split_lines(seed):
     unique = oracle_hits(data, AgentPartition((s, sp), (k, kp)))
     assert len(unique) == 1
     npt.assert_allclose(h.coefficients(), unique[0], atol=1e-9)
+
+
+def assert_matches_enumeration(data, part, result):
+    """One satisfying line; the search reports its coefficients and the
+    first satisfying traversal in product order."""
+    hits = oracle_satisfying(data, part)
+    unique = oracle_hits(data, part)
+    assert len(unique) == 1
+    npt.assert_allclose(result.hyperplane.coefficients(), unique[0], rtol=1e-9, atol=1e-9)
+    assert result.traversal == hits[0][0]
+    assert result.candidates_examined == len(part.sets[0]) * len(part.sets[1])
+
+
+@given(st.data())
+@settings(max_examples=250, deadline=None)
+def test_line_search_matches_enumeration_on_integer_grid_presets(pick):
+    # few distinct y values on distinct integer x's: ties inside each set
+    # and collinear triples across the two sets are common
+    n = pick.draw(st.integers(min_value=2, max_value=40), label="n")
+    xs = pick.draw(st.lists(st.integers(-60, 60), min_size=n, max_size=n, unique=True))
+    ys = pick.draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
+    scheme = pick.draw(st.sampled_from(["brown-mood", "tukey"]))
+    side = pick.draw(st.sampled_from([MedianSide.LEFT, MedianSide.RIGHT]))
+    data = DataSet(np.array(xs, dtype=float).reshape(-1, 1), np.array(ys, dtype=float))
+    part = preset_partition(data, scheme, side)
+    assert_matches_enumeration(data, part, fit_grh(data, part))
+
+
+@given(st.data())
+@settings(max_examples=250, deadline=None)
+def test_line_search_matches_enumeration_on_split_lines_with_random_ranks(pick):
+    # integer-grid split lines; the sets are listed in a random order and
+    # either one may be the left one, so the reported traversal must follow
+    # the partition's own order
+    rng = np.random.default_rng(pick.draw(st.integers(0, 2**32 - 1)))
+    n_left, n_right = (int(v) for v in rng.integers(1, 16, size=2))
+    xs = np.concatenate([rng.choice(np.arange(0, 30), n_left, replace=False),
+                         rng.choice(np.arange(31, 61), n_right, replace=False)])
+    ys = rng.integers(-3, 4, n_left + n_right).astype(float)
+    left = tuple(int(i) for i in rng.permutation(n_left))
+    right = tuple(int(i) + n_left for i in rng.permutation(n_right))
+    s, sp = (left, right) if rng.random() < 0.5 else (right, left)
+    k = int(rng.integers(1, len(s) + 1))
+    kp = int(rng.integers(1, len(sp) + 1))
+    data = DataSet(xs.astype(float).reshape(-1, 1), ys)
+    part = AgentPartition((s, sp), (k, kp))
+    result = fit_grh(data, part)
+    assert_matches_enumeration(data, part, result)
+    assert fit_grl(data, s, sp, k, kp).close_to(result.hyperplane, tol=0.0)
+
+
+def test_brown_mood_at_ten_thousand_points_runs_in_linear_memory():
+    rng = np.random.default_rng(10)
+    n = 10_000
+    x = rng.uniform(0.0, 100.0, n)
+    data = DataSet(x.reshape(-1, 1), 3.0 + 0.5 * x + 5.0 * rng.standard_t(3, n))
+    part = preset_partition(data, "brown-mood")
+    tracemalloc.start()
+    try:
+        result = fit_grh(data, part)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+    assert result.candidates_examined == (n // 2) ** 2
+    h = result.hyperplane
+    resid = data.ys - (data.xs @ h.beta1 + h.beta0)
+    tol = 1e-9 * (1.0 + float(np.max(np.abs(data.ys))))
+    for members, k in zip(part.sets, part.ranks):
+        assert abs(np.sort(resid[list(members)])[k - 1]) <= tol  # half-median is zero
+    assert satisfies_rank_conditions(data, part, h)
 
 
 @given(st.integers(min_value=0, max_value=100_000), st.integers(min_value=1, max_value=2))

@@ -5,6 +5,9 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
+
+import truthfit.separability as separability
 
 from truthfit import (
     AgentPartition,
@@ -109,6 +112,74 @@ def test_separates_swap_symmetry(data):
     assert (w_ab is None) == (w_ba is None)
     if w_ab is not None:
         assert w_ab.margin == pytest.approx(w_ba.margin, rel=1e-6)
+
+
+def scipy_line_margin(a_vals, b_vals):
+    """Optimal margin of the separation LP for points on a line, by HiGHS:
+    max m  s.t.  a*x >= b + m on A,  a*x <= b - m on B,  |a| <= 1."""
+    a_vals, b_vals = np.asarray(a_vals, float), np.asarray(b_vals, float)
+    rows = [[-x, 1.0, 1.0] for x in a_vals] + [[x, -1.0, 1.0] for x in b_vals]
+    res = linprog([0.0, 0.0, -1.0], A_ub=rows, b_ub=np.zeros(len(rows)),
+                  bounds=[(-1.0, 1.0), (None, None), (None, None)], method="highs")
+    assert res.status == 0
+    return -res.fun
+
+
+def on_a_plane(vals):
+    """The same points as (x, 0) in R^2, which the simplex LP decides."""
+    vals = np.asarray(vals, float)
+    return np.column_stack([vals, np.zeros_like(vals)])
+
+
+@pytest.mark.parametrize("a_vals, b_vals, margin", [
+    ([0.0, 2.0], [1.0], None),                   # overlapping
+    ([0.0, 2.0], [-1.0, 1.0, 3.0], None),        # B straddles A
+    ([0.0, 1.0], [1.0, 3.0], None),              # touching
+    ([-1.0, 0.0], [2e-9, 1.0], None),            # margin exactly SEPARATION_MARGIN
+    ([-1.0, 0.0], [3e-9, 1.0], 1.5e-9),          # just above it
+    ([0.0, 1.0], [5.0, 6.0], 2.0),               # A on the left
+    ([5.0, 6.0], [0.0, 1.0], 2.0),               # A on the right
+])
+def test_separation_on_a_line_is_the_lp_optimum(a_vals, b_vals, margin):
+    a, b = np.reshape(a_vals, (-1, 1)), np.reshape(b_vals, (-1, 1))
+    w = strictly_separates(a, b)
+    lp = strictly_separates(on_a_plane(a_vals), on_a_plane(b_vals))
+    optimum = scipy_line_margin(a_vals, b_vals)
+    if margin is None:
+        assert w is None and lp is None
+        assert optimum <= SEPARATION_MARGIN + 1e-15
+        return
+    assert w.margin == margin
+    assert optimum == pytest.approx(margin, rel=1e-9)
+    assert lp.margin == pytest.approx(margin, rel=1e-9)
+    assert w.normal[0] == lp.normal[0] == (1.0 if min(a_vals) > max(b_vals) else -1.0)
+    assert w.offset == pytest.approx(lp.offset, abs=1e-12)
+    check_witness(w, a, b)
+
+
+@given(
+    st.lists(st.floats(-100, 100), min_size=1, max_size=6),
+    st.lists(st.floats(-100, 100), min_size=1, max_size=6),
+)
+@settings(max_examples=150, deadline=None)
+def test_separation_on_a_line_agrees_with_the_simplex_lp(a_vals, b_vals):
+    w = strictly_separates(np.reshape(a_vals, (-1, 1)), np.reshape(b_vals, (-1, 1)))
+    lp = strictly_separates(on_a_plane(a_vals), on_a_plane(b_vals))
+    assert (w is None) == (lp is None)
+    if w is not None:
+        assert w.margin == pytest.approx(lp.margin, rel=1e-9, abs=1e-12)
+        assert w.normal[0] == lp.normal[0]
+        assert w.margin == pytest.approx(scipy_line_margin(a_vals, b_vals), rel=1e-9)
+
+
+def test_line_separation_and_d1_instances_solve_no_lp(monkeypatch):
+    def no_lp(*args, **kwargs):
+        raise AssertionError("an LP was solved for points on a line")
+
+    monkeypatch.setattr(separability, "solve_lp", no_lp)
+    assert strictly_separates(np.array([[0.0], [1.0]]), np.array([[3.0]])) is not None
+    data, part = random_separable_instance(np.random.default_rng(2), 1, sizes=(4, 3))
+    assert is_publicly_separable(data, part)
 
 
 # -- is_well_separable / is_publicly_separable -------------------------------
