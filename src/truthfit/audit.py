@@ -17,6 +17,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -54,10 +56,6 @@ class MechanismKind(Enum):
     GENERALIZED_MEDIAN = "generalized-median"
 
 
-#: Kinds whose output is guaranteed to interpolate d+1 data points.
-_TRAVERSAL_KINDS = {MechanismKind.CRM, MechanismKind.GRL, MechanismKind.GRH}
-
-
 @dataclass(frozen=True)
 class GrlParams:
     """Explicit resistant-line parameters (sets plus ranks)."""
@@ -80,22 +78,15 @@ class GenMedParams:
 
 @dataclass(frozen=True)
 class MechanismSpec:
-    """A mechanism kind plus its configuration object.
-
-    ``traversal_flag`` declares the d+1-point interpolation guarantee that
-    influence-bound probing relies on; it defaults by kind and may be
-    overridden for wrappers that earn the property another way.
-    """
+    """A mechanism kind plus its configuration object (None: the kind's default)."""
 
     kind: MechanismKind
     params: object = None
-    traversal_flag: bool | None = None
 
     @property
     def traversal(self) -> bool:
-        if self.traversal_flag is not None:
-            return self.traversal_flag
-        return self.kind in _TRAVERSAL_KINDS
+        """Whether the output is guaranteed to interpolate d+1 data points."""
+        return _MECHANISMS[self.kind].traversal
 
     def bind(self, data: DataSet) -> "BoundMechanism":
         return BoundMechanism(self, data)
@@ -128,94 +119,110 @@ def fit_mechanism(spec: MechanismSpec, data: DataSet) -> Hyperplane:
     return spec.bind(data).hyperplane()
 
 
+# --------------------------------------------------------------------------
+# the mechanism table: a binder checks a configuration against the positions
+# once and returns solve(ys) -> coefficients.  Binders look solver classes and
+# checks up as module globals, so that instrumentation rebinding them sees all.
+
+
+def _bind_ols(data: DataSet, cfg: None):
+    pinv = np.linalg.pinv(data.xbar())
+    return lambda ys: pinv @ ys
+
+
+def _bind_piecewise_linear(build, data: DataSet, cfg):
+    template = build(data, cfg)
+    tail = template.rhs[data.n:]
+    # probes differ only in the dual objective, so each one starts from
+    # the previous probe's optimal basis
+    basis = None
+
+    def solve(ys):
+        nonlocal basis
+        prob = _PiecewiseLinearFit(template.xbar, np.concatenate([ys, tail]),
+                                   template.up_w, template.lo_w, template.drift,
+                                   basis=basis)
+        coeffs = prob.fit().coefficients()
+        basis = prob.basis
+        return coeffs
+
+    return solve
+
+
+def _bind_refit(fit, data: DataSet, cfg):
+    fit(data, cfg)  # surface configuration errors once
+    xs = data.xs
+    return lambda ys: fit(DataSet(xs, ys), cfg).coefficients()
+
+
+def _bind_grl(data: DataSet, cfg: GrlParams):
+    solver = _grl_solver(data, cfg.s, cfg.sprime, cfg.k, cfg.kprime)
+    return lambda ys: solver.solve(ys)[0]
+
+
+def _bind_grh(data: DataSet, cfg: AgentPartition):
+    cfg.validate_against(data)
+    if not is_publicly_separable(data, cfg):
+        raise ContractViolation("partition is not publicly separable; rejected before solving")
+    solver = _GrhSolver(data.xs, cfg)
+    return lambda ys: solver.solve(ys)[0]
+
+
+def _bind_generalized_median(data: DataSet, cfg: GenMedParams):
+    if data.d != 0:
+        raise ContractViolation("the generalized median is a d = 0 mechanism")
+    phantoms = np.asarray(cfg.phantoms, dtype=float)
+    if phantoms.size != data.n + 1:
+        raise ConfigurationError(f"need exactly {data.n + 1} phantoms for {data.n} agents")
+
+    def solve(ys):
+        med = generalized_median(ys, phantoms)
+        if not math.isfinite(med):
+            raise ConfigurationError("phantom choice pushes the median to infinity")
+        return np.array([med])
+
+    return solve
+
+
+#: default of a kind that cannot be fitted without an explicit configuration
+NEEDS_CONFIG = object()
+
+
+class _Mechanism(NamedTuple):
+    config: type             # the configuration type the binder accepts
+    default: object          # used when a spec carries no configuration
+    traversal: bool          # output interpolates d+1 data points
+    bind: Callable           # (data, cfg) -> solve(ys) -> coefficients
+
+
+_MECHANISMS: dict[MechanismKind, _Mechanism] = {
+    MechanismKind.OLS: _Mechanism(type(None), None, False, _bind_ols),
+    MechanismKind.L1ERM: _Mechanism(L1Config, L1Config(), False,
+                                    partial(_bind_piecewise_linear, _build_l1)),
+    MechanismKind.QUANTILE: _Mechanism(QuantileConfig, NEEDS_CONFIG, False,
+                                       partial(_bind_piecewise_linear, _build_quantile)),
+    MechanismKind.CRM: _Mechanism(CrmConfig, NEEDS_CONFIG, True,
+                                  partial(_bind_refit, fit_crm)),
+    MechanismKind.GRL: _Mechanism(GrlParams, NEEDS_CONFIG, True, _bind_grl),
+    MechanismKind.GRH: _Mechanism(AgentPartition, NEEDS_CONFIG, True, _bind_grh),
+    MechanismKind.IMPARTIAL: _Mechanism(ImpartialConfig, NEEDS_CONFIG, False,
+                                        partial(_bind_refit, fit_impartial)),
+    MechanismKind.GENERALIZED_MEDIAN: _Mechanism(GenMedParams, NEEDS_CONFIG, False,
+                                                 _bind_generalized_median),
+}
+
+
 def _make_solver(spec: MechanismSpec, data: DataSet):
-    kind, params = spec.kind, spec.params
-    if kind is MechanismKind.OLS:
-        pinv = np.linalg.pinv(data.xbar())
-        return lambda ys: pinv @ ys
-
-    if kind in (MechanismKind.L1ERM, MechanismKind.QUANTILE):
-        if kind is MechanismKind.L1ERM:
-            template = _build_l1(data, params or L1Config())
-        elif isinstance(params, QuantileConfig):
-            template = _build_quantile(data, params)
-        else:
-            raise ConfigurationError("quantile mechanism needs a QuantileConfig")
-        tail = template.rhs[data.n:]
-        # probes differ only in the dual objective, so each one starts from
-        # the previous probe's optimal basis
-        basis = None
-
-        def solve(ys, template=template, tail=tail):
-            nonlocal basis
-            prob = _PiecewiseLinearFit(template.xbar, np.concatenate([ys, tail]),
-                                       template.up_w, template.lo_w, template.drift,
-                                       basis=basis)
-            coeffs = prob.fit().coefficients()
-            basis = prob.basis
-            return coeffs
-
-        return solve
-
-    if kind is MechanismKind.CRM:
-        if not isinstance(params, CrmConfig):
-            raise ConfigurationError("clockwise-median mechanism needs a CrmConfig")
-        fit_crm(data, params)  # surface configuration errors once
-        xs = data.xs
-
-        def solve(ys, xs=xs, cfg=params):
-            return fit_crm(DataSet(xs, ys), cfg).coefficients()
-
-        return solve
-
-    if kind is MechanismKind.GRL:
-        if not isinstance(params, GrlParams):
-            raise ConfigurationError("resistant line needs GrlParams")
-        solver = _grl_solver(data, params.s, params.sprime, params.k, params.kprime)
-        return lambda ys: solver.solve(ys)[0]
-
-    if kind is MechanismKind.GRH:
-        if not isinstance(params, AgentPartition):
-            raise ConfigurationError("resistant hyperplane needs an AgentPartition")
-        params.validate_against(data)
-        if not is_publicly_separable(data, params):
-            raise ContractViolation(
-                "partition is not publicly separable; rejected before solving"
-            )
-        solver = _GrhSolver(data.xs, params)
-        return lambda ys: solver.solve(ys)[0]
-
-    if kind is MechanismKind.IMPARTIAL:
-        if not isinstance(params, ImpartialConfig):
-            raise ConfigurationError("impartial mechanism needs an ImpartialConfig")
-        fit_impartial(data, params)  # validates shapes once
-        xs = data.xs
-
-        def solve(ys, xs=xs, cfg=params):
-            return fit_impartial(DataSet(xs, ys), cfg).coefficients()
-
-        return solve
-
-    if kind is MechanismKind.GENERALIZED_MEDIAN:
-        if not isinstance(params, GenMedParams):
-            raise ConfigurationError("generalized median needs GenMedParams")
-        if data.d != 0:
-            raise ContractViolation("the generalized median is a d = 0 mechanism")
-        phantoms = np.asarray(params.phantoms, dtype=float)
-        if phantoms.size != data.n + 1:
-            raise ConfigurationError(
-                f"need exactly {data.n + 1} phantoms for {data.n} agents"
-            )
-
-        def solve(ys, phantoms=phantoms):
-            med = generalized_median(ys, phantoms)
-            if not math.isfinite(med):
-                raise ConfigurationError("phantom choice pushes the median to infinity")
-            return np.array([med])
-
-        return solve
-
-    raise ConfigurationError(f"unknown mechanism kind {kind!r}")
+    row = _MECHANISMS.get(spec.kind)
+    if row is None:
+        raise ConfigurationError(f"unknown mechanism kind {spec.kind!r}")
+    cfg = row.default if spec.params is None else spec.params
+    if not isinstance(cfg, row.config):
+        wanted = ("takes no config" if row.config is type(None)
+                  else f"needs a config of type {row.config.__name__}")
+        raise ConfigurationError(f"{spec.kind.value} mechanism {wanted}, "
+                                 f"got {type(spec.params).__name__}")
+    return row.bind(data, cfg)
 
 
 # --------------------------------------------------------------------------
@@ -528,7 +535,7 @@ class InfluenceBounds:
 def influence_bounds(spec: MechanismSpec, data: DataSet, agent: int) -> InfluenceBounds:
     """Probe the envelope of one agent's influence on their own prediction.
 
-    Requires the mechanism's interpolation guarantee (traversal flag): the
+    Requires the mechanism's interpolation guarantee (``spec.traversal``): the
     prediction at the agent then moves inside the interval spanned by the
     hyperplanes through d+1 other agents.  Probing one unit beyond that
     interval on each side reveals whether the prediction tracks the report
@@ -572,17 +579,19 @@ def influence_bounds(spec: MechanismSpec, data: DataSet, agent: int) -> Influenc
 
 
 def efficiency_ratio(spec: MechanismSpec, data: DataSet) -> float:
-    """Squared-loss ratio of the mechanism against the least-squares optimum.
+    """Squared-loss ratio of the mechanism against the least-squares optimum."""
+    return efficiency_terms(spec, data)[2]
 
-    Returns +inf when least squares is exact but the mechanism is not, and
-    1 when both are exact.
-    """
+
+def efficiency_terms(spec: MechanismSpec, data: DataSet) -> tuple[float, float, float]:
+    """Mechanism RSS, least-squares RSS, and their ratio: +inf when least
+    squares is exact but the mechanism is not, 1 when both are exact."""
     mech_rss = rss(data, fit_mechanism(spec, data))
     ols_rss = rss(data, fit_ols(data))
     zero = (1e-12 * (1.0 + float(np.max(np.abs(data.ys))))) ** 2 * data.n
     if ols_rss <= zero:
-        return 1.0 if mech_rss <= zero else math.inf
-    return mech_rss / ols_rss
+        return mech_rss, ols_rss, 1.0 if mech_rss <= zero else math.inf
+    return mech_rss, ols_rss, mech_rss / ols_rss
 
 
 def constrained_least_squares(data: DataSet, position, value: float) -> Hyperplane:
@@ -742,11 +751,9 @@ def builtin_instance(name: str) -> BuiltinInstance:
 
 def brown_mood_spec(data: DataSet) -> MechanismSpec:
     """Resistant line over the x-halves with median ranks."""
-    part = preset_partition(data, "brown-mood")
-    return MechanismSpec(MechanismKind.GRH, part)
+    return MechanismSpec(MechanismKind.GRH, preset_partition(data, "brown-mood"))
 
 
 def tukey_spec(data: DataSet) -> MechanismSpec:
     """Resistant line over the outer x-thirds with median ranks."""
-    part = preset_partition(data, "tukey")
-    return MechanismSpec(MechanismKind.GRH, part)
+    return MechanismSpec(MechanismKind.GRH, preset_partition(data, "tukey"))

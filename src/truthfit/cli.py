@@ -2,7 +2,8 @@
 
 Exit codes: 0 success (including "no violation found"), 1 reproduction
 failure, 2 malformed input or an output file that cannot be written,
-3 mechanism contract violation, 141 standard output closed by its reader
+3 mechanism contract violation, 4 internal inconsistency (a guarantee of
+the method failed numerically), 141 standard output closed by its reader
 (as for a process killed by SIGPIPE, e.g. under ``| head``).
 """
 
@@ -10,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -23,26 +23,29 @@ from .audit import (
     audit_sp,
     builtin_instance,
     default_candidates,
+    efficiency_terms,
     fit_mechanism,
     influence_bounds,
     lowerbound_instance,
 )
-from .core import DataSet, Hyperplane, outcomes, predict, rss
+from .core import DataSet, Hyperplane, outcomes, predict
 from .datafiles import (
+    MECHANISM_NAMES,
     InputError,
     extended_jsonable,
     mechanism_jsonable,
     read_dataset,
     resolve_mechanism,
 )
-from .erm import fit_ols, quantile_risk
-from .errors import ContractViolation
+from .erm import quantile_risk
+from .errors import ContractViolation, InternalInconsistency
 from .svgplot import render_plot
 
 EXIT_OK = 0
 EXIT_REPRODUCE_FAIL = 1
 EXIT_INPUT = 2
 EXIT_CONTRACT = 3
+EXIT_INCONSISTENT = 4
 EXIT_BROKEN_PIPE = 141
 
 
@@ -115,6 +118,9 @@ def cmd_audit(args) -> int:
             if cert is not None:
                 break
     else:
+        for flag, value in (("--candidates", args.candidates), ("--max-evals", args.max_evals)):
+            if value is not None and value < 0:
+                raise InputError(f"{flag} must be nonnegative, got {value}")
         cert = audit_gsp(spec, data, max_coalition=args.max_coalition,
                          candidates_per_agent=args.candidates, seed=args.seed,
                          max_evals=args.max_evals)
@@ -137,13 +143,7 @@ def cmd_influence(args) -> int:
 
 def cmd_efficiency(args) -> int:
     data, spec = _load_inputs(args)
-    mech_rss = rss(data, fit_mechanism(spec, data))
-    ols_rss = rss(data, fit_ols(data))
-    zero = (1e-12 * (1.0 + float(np.max(np.abs(data.ys))))) ** 2 * data.n
-    if ols_rss <= zero:
-        ratio = 1.0 if mech_rss <= zero else math.inf
-    else:
-        ratio = mech_rss / ols_rss
+    mech_rss, ols_rss, ratio = efficiency_terms(spec, data)
     _print_json({"mechanism_rss": mech_rss, "ols_rss": ols_rss,
                  "ratio": extended_jsonable(ratio)})
     return EXIT_OK
@@ -334,9 +334,7 @@ def _add_common(parser, with_mechanism=True) -> None:
     parser.add_argument("--data", help="CSV file with header x1,...,xd,y")
     if with_mechanism:
         parser.add_argument("--mechanism",
-                            help="mechanism kind or preset (ols, l1erm, quantile, "
-                                 "crm, grl, grh, impartial, generalized-median, "
-                                 "brown-mood, tukey, impartial-swap)")
+                            help=f"mechanism kind or preset ({MECHANISM_NAMES})")
         parser.add_argument("--config", help="JSON mechanism config file")
     parser.add_argument("--builtin",
                         choices=["crm-disjoint", "crm-subset", "quantile04"],
@@ -409,6 +407,9 @@ def main(argv=None) -> int:
     except ContractViolation as exc:
         print(f"contract violation: {exc}", file=sys.stderr)
         return EXIT_CONTRACT
+    except InternalInconsistency as exc:
+        print(f"internal inconsistency: {exc}", file=sys.stderr)
+        return EXIT_INCONSISTENT
 
 
 if __name__ == "__main__":

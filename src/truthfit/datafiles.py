@@ -12,10 +12,20 @@ from __future__ import annotations
 import csv
 import json
 import math
+from typing import NamedTuple
 
 import numpy as np
 
-from .audit import GenMedParams, GrlParams, MechanismKind, MechanismSpec
+from .audit import (
+    _MECHANISMS,
+    NEEDS_CONFIG,
+    GenMedParams,
+    GrlParams,
+    MechanismKind,
+    MechanismSpec,
+    brown_mood_spec,
+    tukey_spec,
+)
 from .core import DataSet, MedianSide
 from .crm import CrmConfig
 from .erm import L1Config, PhantomTerm, QuantileConfig
@@ -100,18 +110,12 @@ def extended_jsonable(value: float):
     return float(value)
 
 
-def _parse_side(value, default=MedianSide.LEFT) -> MedianSide:
+def _parse_side(value) -> MedianSide:
     if value is None:
-        return default
-    if value == "left":
         return MedianSide.LEFT
-    if value == "right":
-        return MedianSide.RIGHT
+    if value in ("left", "right"):
+        return MedianSide(value)
     raise InputError(f'median side must be "left" or "right", got {value!r}')
-
-
-def _side_name(side: MedianSide) -> str:
-    return "left" if side is MedianSide.LEFT else "right"
 
 
 # --------------------------------------------------------------------------
@@ -129,120 +133,149 @@ def load_mechanism_config(path) -> MechanismSpec:
     return parse_mechanism(obj)
 
 
+def _indices(values) -> tuple[int, ...]:
+    return tuple(int(i) for i in values)
+
+
+def _floats(values) -> tuple[float, ...]:
+    return tuple(float(v) for v in values)
+
+
+def _float_list(values) -> list[float]:
+    return [float(v) for v in values]
+
+
+class _Codec(NamedTuple):
+    """JSON object <-> config type, field by field.
+
+    Each field maps its JSON key, which is also the config's attribute and
+    keyword, to (parse, dump) converters.  Optional fields fall back to the
+    config's default when absent and are written only when truthy.
+    """
+
+    config: type
+    required: dict
+    optional: dict = {}
+
+    def parse(self, obj, where: str):
+        if not isinstance(obj, dict):
+            raise InputError(f"{where} must be a JSON object, got {type(obj).__name__}")
+        for key in self.required:
+            if key not in obj:
+                raise InputError(f"{where} needs {key}")
+        fields = {**self.required, **self.optional}
+        for key in obj:
+            if key not in fields:
+                expected = ", ".join(fields) or "no keys"
+                raise InputError(f"{where} has unknown key {key!r}; expected {expected}")
+        return self.config(**{key: fields[key][0](value) for key, value in obj.items()})
+
+    def dump(self, params) -> dict:
+        out = {key: dump(getattr(params, key)) for key, (_, dump) in self.required.items()}
+        for key, (_, dump) in self.optional.items():
+            if value := getattr(params, key):
+                out[key] = dump(value)
+        return out
+
+
+_INDICES = (_indices, list)
+_FLOAT = (float, float)
+_FLOATS = (_floats, _float_list)
+_SIDE = (_parse_side, lambda side: side.value)
+
+_PHANTOM = _Codec(PhantomTerm, {"anchor": _FLOATS, "target": _FLOAT}, {"weight": _FLOAT})
+_RESPONSES = {
+    "affine": _Codec(AffineResponse, {"a": _FLOATS, "b": _FLOATS}),
+    "pwl": _Codec(PwlResponse, {"breakpoints": _FLOATS, "values": (
+        lambda rows: tuple(map(_floats, rows)), lambda rows: list(map(_float_list, rows)))}),
+}
+
+
+def _parse_response(pos: int, entry):
+    rtype = entry.get("type") if isinstance(entry, dict) else None
+    if rtype not in _RESPONSES:
+        raise InputError(f'impartial g[{pos}] must be an object with type "affine" or "pwl"')
+    fields = {key: value for key, value in entry.items() if key != "type"}
+    return _RESPONSES[rtype].parse(fields, f"impartial g[{pos}]")
+
+
+def _dump_response(resp) -> dict:
+    for rtype, codec in _RESPONSES.items():
+        if isinstance(resp, codec.config):
+            return {"type": rtype, **codec.dump(resp)}
+    raise ConfigurationError(f"cannot serialize response {type(resp).__name__}")
+
+
+_CODECS: dict[MechanismKind, _Codec] = {
+    MechanismKind.OLS: _Codec(type(None), {}),
+    MechanismKind.L1ERM: _Codec(L1Config, {}, {
+        "weights": (lambda v: None if v is None else _floats(v), _float_list),
+        "phantoms": (lambda v: tuple(_PHANTOM.parse(p, f"l1erm phantoms[{pos}]")
+                                     for pos, p in enumerate(v)),
+                     lambda v: [_PHANTOM.dump(p) for p in v]),
+        "drift": _FLOAT}),
+    MechanismKind.QUANTILE: _Codec(QuantileConfig, {"q": _FLOAT}),
+    MechanismKind.CRM: _Codec(CrmConfig, {"s": _INDICES, "sprime": _INDICES},
+                              {"outer_side": _SIDE, "inner_side": _SIDE,
+                               "intercept_side": _SIDE}),
+    MechanismKind.GRL: _Codec(GrlParams, {"s": _INDICES, "sprime": _INDICES,
+                                          "k": (int, int), "kprime": (int, int)}),
+    MechanismKind.GRH: _Codec(AgentPartition, {
+        "sets": (lambda v: tuple(map(_indices, v)), lambda v: [list(s) for s in v]),
+        "ranks": _INDICES}),
+    MechanismKind.IMPARTIAL: _Codec(ImpartialConfig, {
+        "g": (lambda v: tuple(_parse_response(pos, g) for pos, g in enumerate(v)),
+              lambda v: [_dump_response(g) for g in v]),
+        "c": _FLOAT}),
+    MechanismKind.GENERALIZED_MEDIAN: _Codec(GenMedParams, {"phantoms": (
+        lambda v: tuple(map(parse_extended, v)), lambda v: list(map(extended_jsonable, v)))}),
+}
+
+#: names that build a mechanism from the loaded data
+_PRESETS = {
+    "brown-mood": brown_mood_spec,
+    "tukey": tukey_spec,
+    "impartial-swap": lambda data: MechanismSpec(MechanismKind.IMPARTIAL, swap_config(data)),
+}
+
+_KIND_NAMES = ", ".join(kind.value for kind in MechanismKind)
+#: every name ``--mechanism`` accepts
+MECHANISM_NAMES = ", ".join([_KIND_NAMES, *_PRESETS])
+
+
 def parse_mechanism(obj) -> MechanismSpec:
     """Build a MechanismSpec from a JSON-shaped dict."""
     if not isinstance(obj, dict):
         raise InputError("mechanism config must be a JSON object")
     kind_name = obj.get("kind")
-    if kind_name == "impartial-swap":
-        # resolved against the data at bind time via cli; handled upstream
-        raise InputError("impartial-swap must be resolved with a data set first")
+    if isinstance(kind_name, str) and kind_name in _PRESETS:
+        raise InputError(f"{kind_name} is a preset built from a data set "
+                         f"(--mechanism {kind_name}), not a config kind")
     try:
         kind = MechanismKind(kind_name)
     except ValueError:
-        names = ", ".join(k.value for k in MechanismKind)
-        raise InputError(f"unknown mechanism kind {kind_name!r}; expected one of {names}")
-    traversal = obj.get("traversal_flag")
-    if traversal is not None and not isinstance(traversal, bool):
-        raise InputError("traversal_flag must be a boolean")
+        raise InputError(f"unknown mechanism kind {kind_name!r}; expected one of {_KIND_NAMES}")
+    fields = {key: value for key, value in obj.items() if key != "kind"}
     try:
-        params = _parse_params(kind, obj)
+        params = _CODECS[kind].parse(fields, f"{kind.value} config")
     except (TypeError, ValueError) as exc:
         if isinstance(exc, InputError):
             raise
         raise InputError(f"bad {kind.value} config: {exc}") from exc
-    return MechanismSpec(kind, params, traversal)
-
-
-def _parse_params(kind: MechanismKind, obj: dict):
-    if kind is MechanismKind.OLS:
-        return None
-    if kind is MechanismKind.L1ERM:
-        weights = obj.get("weights")
-        phantoms = tuple(
-            PhantomTerm(anchor=tuple(p["anchor"]), target=float(p["target"]),
-                        weight=float(p.get("weight", 1.0)))
-            for p in obj.get("phantoms", ())
-        )
-        return L1Config(
-            weights=None if weights is None else tuple(float(w) for w in weights),
-            phantoms=phantoms,
-            drift=float(obj.get("drift", 0.0)),
-        )
-    if kind is MechanismKind.QUANTILE:
-        if "q" not in obj:
-            raise InputError("quantile config needs q")
-        return QuantileConfig(float(obj["q"]))
-    if kind is MechanismKind.CRM:
-        if "s" not in obj or "sprime" not in obj:
-            raise InputError("crm config needs index sets s and sprime")
-        return CrmConfig(
-            s=tuple(int(i) for i in obj["s"]),
-            sprime=tuple(int(i) for i in obj["sprime"]),
-            outer_side=_parse_side(obj.get("outer_side")),
-            inner_side=_parse_side(obj.get("inner_side")),
-            intercept_side=_parse_side(obj.get("intercept_side")),
-        )
-    if kind is MechanismKind.GRL:
-        for key in ("s", "sprime", "k", "kprime"):
-            if key not in obj:
-                raise InputError(f"grl config needs {key}")
-        return GrlParams(
-            s=tuple(int(i) for i in obj["s"]),
-            sprime=tuple(int(i) for i in obj["sprime"]),
-            k=int(obj["k"]), kprime=int(obj["kprime"]),
-        )
-    if kind is MechanismKind.GRH:
-        if "sets" not in obj or "ranks" not in obj:
-            raise InputError("grh config needs sets and ranks")
-        return AgentPartition(
-            sets=tuple(tuple(int(i) for i in s) for s in obj["sets"]),
-            ranks=tuple(int(k) for k in obj["ranks"]),
-        )
-    if kind is MechanismKind.IMPARTIAL:
-        if "g" not in obj or "c" not in obj:
-            raise InputError("impartial config needs response list g and constant c")
-        return ImpartialConfig(
-            g=tuple(_parse_response(entry) for entry in obj["g"]),
-            c=float(obj["c"]),
-        )
-    if kind is MechanismKind.GENERALIZED_MEDIAN:
-        if "phantoms" not in obj:
-            raise InputError("generalized-median config needs phantoms")
-        return GenMedParams(tuple(parse_extended(v) for v in obj["phantoms"]))
-    raise InputError(f"unhandled mechanism kind {kind!r}")
-
-
-def _parse_response(entry: dict):
-    rtype = entry.get("type")
-    if rtype == "affine":
-        return AffineResponse(a=tuple(float(v) for v in entry["a"]),
-                              b=tuple(float(v) for v in entry["b"]))
-    if rtype == "pwl":
-        values = [[float(v) for v in row] for row in entry["values"]]
-        return PwlResponse(breakpoints=tuple(float(v) for v in entry["breakpoints"]),
-                           values=tuple(tuple(row) for row in values))
-    raise InputError(f'impartial response type must be "affine" or "pwl", got {rtype!r}')
+    return MechanismSpec(kind, params)
 
 
 def resolve_mechanism(name: str | None, config_path, data: DataSet | None) -> MechanismSpec:
     """CLI-facing resolution of --mechanism plus optional --config.
 
-    ``name`` may be a mechanism kind, "impartial-swap" (built from the
-    data), or a preset "brown-mood"/"tukey" (resistant lines over the
-    loaded data).  A config file, when given, must agree with the name.
+    ``name`` may be a mechanism kind or a preset built from the loaded data
+    (resistant lines "brown-mood"/"tukey", "impartial-swap").  A config
+    file, when given, must agree with the name.
     """
-    from .grh import preset_partition  # local import to avoid cycles
-
-    if name in ("brown-mood", "tukey"):
+    if name in _PRESETS:
         if data is None:
-            raise InputError(f"{name} preset needs a data set")
-        part = preset_partition(data, name)
-        return MechanismSpec(MechanismKind.GRH, part)
-    if name == "impartial-swap":
-        if data is None:
-            raise InputError("impartial-swap needs a data set")
-        return MechanismSpec(MechanismKind.IMPARTIAL, swap_config(data))
+            raise InputError(f"{name} needs a data set")
+        return _PRESETS[name](data)
     if config_path is not None:
         spec = load_mechanism_config(config_path)
         if name is not None and name != spec.kind.value:
@@ -255,57 +288,14 @@ def resolve_mechanism(name: str | None, config_path, data: DataSet | None) -> Me
     try:
         kind = MechanismKind(name)
     except ValueError:
-        names = ", ".join(k.value for k in MechanismKind)
-        raise InputError(f"unknown mechanism {name!r}; expected one of "
-                         f"{names}, brown-mood, tukey, impartial-swap")
-    if kind is MechanismKind.OLS:
-        return MechanismSpec(kind)
-    if kind is MechanismKind.L1ERM:
-        return MechanismSpec(kind, L1Config())
-    raise InputError(f"mechanism {name} needs a --config file")
+        raise InputError(f"unknown mechanism {name!r}; expected one of {MECHANISM_NAMES}")
+    default = _MECHANISMS[kind].default
+    if default is NEEDS_CONFIG:
+        raise InputError(f"mechanism {name} needs a --config file")
+    return MechanismSpec(kind, default)
 
 
 def mechanism_jsonable(spec: MechanismSpec) -> dict:
     """Serialize a MechanismSpec back to its JSON config shape."""
-    out: dict = {"kind": spec.kind.value}
-    if spec.traversal_flag is not None:
-        out["traversal_flag"] = spec.traversal_flag
-    p = spec.params
-    if spec.kind is MechanismKind.L1ERM and p is not None:
-        if p.weights is not None:
-            out["weights"] = [float(w) for w in p.weights]
-        if p.phantoms:
-            out["phantoms"] = [
-                {"anchor": [float(v) for v in ph.anchor],
-                 "target": float(ph.target), "weight": float(ph.weight)}
-                for ph in p.phantoms
-            ]
-        if p.drift:
-            out["drift"] = float(p.drift)
-    elif spec.kind is MechanismKind.QUANTILE:
-        out["q"] = float(p.q)
-    elif spec.kind is MechanismKind.CRM:
-        out.update(s=list(p.s), sprime=list(p.sprime),
-                   outer_side=_side_name(p.outer_side),
-                   inner_side=_side_name(p.inner_side),
-                   intercept_side=_side_name(p.intercept_side))
-    elif spec.kind is MechanismKind.GRL:
-        out.update(s=list(p.s), sprime=list(p.sprime), k=p.k, kprime=p.kprime)
-    elif spec.kind is MechanismKind.GRH:
-        out.update(sets=[list(s) for s in p.sets], ranks=list(p.ranks))
-    elif spec.kind is MechanismKind.IMPARTIAL:
-        out.update(c=float(p.c), g=[_response_jsonable(g) for g in p.g])
-    elif spec.kind is MechanismKind.GENERALIZED_MEDIAN:
-        out["phantoms"] = [extended_jsonable(v) for v in p.phantoms]
-    return out
-
-
-def _response_jsonable(resp) -> dict:
-    if isinstance(resp, AffineResponse):
-        return {"type": "affine", "a": [float(v) for v in resp.a],
-                "b": [float(v) for v in resp.b]}
-    if isinstance(resp, PwlResponse):
-        return {"type": "pwl",
-                "breakpoints": [float(v) for v in resp.breakpoints],
-                "values": [[float(v) for v in row] for row in resp.values]}
-    raise ConfigurationError(f"cannot serialize response {type(resp).__name__}")
+    params = _MECHANISMS[spec.kind].default if spec.params is None else spec.params
+    return {"kind": spec.kind.value, **_CODECS[spec.kind].dump(params)}

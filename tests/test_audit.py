@@ -290,10 +290,6 @@ def test_influence_requires_the_interpolation_guarantee():
     ):
         with pytest.raises(UnsupportedMechanism):
             influence_bounds(spec, data, 0)
-    # an explicit flag override bypasses the gate
-    forced = MechanismSpec(MechanismKind.OLS, traversal_flag=True)
-    b = influence_bounds(forced, data, 0)
-    assert b.lower <= b.upper
 
 
 def test_influence_contract_gates():
@@ -400,6 +396,21 @@ def test_mechanism_parameter_type_gates():
     ]
     for spec in bad:
         with pytest.raises(ConfigurationError):
+            fit_mechanism(spec, data)
+
+
+def test_type_gate_names_the_kind_and_the_config_types():
+    data = DataSet(np.array([[0.0], [1.0], [2.0]]), np.array([0.0, 1.0, 0.0]))
+    cases = [
+        (MechanismSpec(MechanismKind.OLS, L1Config()),
+         "ols mechanism takes no config, got L1Config"),
+        (MechanismSpec(MechanismKind.L1ERM, QuantileConfig(0.3)),
+         "l1erm mechanism needs a config of type L1Config, got QuantileConfig"),
+        (MechanismSpec(MechanismKind.GRH, GrlParams((0,), (1,), 1, 1)),
+         "grh mechanism needs a config of type AgentPartition, got GrlParams"),
+    ]
+    for spec, message in cases:
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
             fit_mechanism(spec, data)
 
 

@@ -13,16 +13,19 @@ import pytest
 
 import truthfit
 from truthfit import (
+    AffineResponse,
     AgentPartition,
     DataSet,
     GenMedParams,
     GrlParams,
+    ImpartialConfig,
     InputError,
     MechanismKind,
     MechanismSpec,
     QuantileConfig,
     L1Config,
     PhantomTerm,
+    PwlResponse,
     CrmConfig,
     fit_mechanism,
     fit_ols,
@@ -285,6 +288,38 @@ def test_malformed_files_exit_two(tmp_path, capsys):
     assert code == 2 and "conflicts" in err
 
 
+@pytest.mark.parametrize("config, key", [
+    ({"kind": "l1erm", "phantoms": [{"target": 1}]}, "anchor"),
+    ({"kind": "impartial", "g": [{"type": "affine"}], "c": 0}, "needs a"),
+    ({"kind": "impartial", "g": [3], "c": 0}, "g[0]"),
+    ({"kind": "impartial", "g": [{"type": "pwl", "breakpoints": [0], "values": [[1]],
+                                  "a": [1]}], "c": 0}, "'a'"),
+    ({"kind": "grh", "sets": [[0, 1], [2, 3]], "ranks": [1, 1], "extra": 1}, "'extra'"),
+    ({"kind": "l1erm", "drfit": 0.5}, "'drfit'"),
+    ({"kind": "l1erm", "traversal_flag": True}, "'traversal_flag'"),
+    ({"kind": "ols", "q": 0.5}, "'q'"),
+    ({"kind": "tukey"}, "--mechanism tukey"),
+])
+def test_malformed_mechanism_configs_exit_two_naming_the_key(line_csv, tmp_path, capsys,
+                                                            config, key):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(config))
+    code, printed, err = run(capsys, "fit", "--data", line_csv, "--config", str(cfg))
+    assert code == 2
+    assert printed == ""
+    assert err.startswith("input error:") and key in err, err
+    assert err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("flag", ["--candidates", "--max-evals"])
+def test_negative_audit_budgets_exit_two(line_csv, capsys, flag):
+    code, printed, err = run(capsys, "audit", "gsp", "--data", line_csv,
+                             "--mechanism", "ols", flag, "-3")
+    assert code == 2
+    assert printed == ""
+    assert err == f"input error: {flag} must be nonnegative, got -3\n"
+
+
 # -- exit code 3: contract violations ---------------------------------------------------
 
 
@@ -304,6 +339,24 @@ def test_contract_violations_exit_three(line_csv, tmp_path, capsys):
     code, _, err = run(capsys, "influence", "--data", line_csv,
                        "--config", str(grl), "--agent", "7")
     assert code == 3 and "out of range" in err
+
+
+# -- exit code 4: a guarantee of the method failed numerically --------------------------
+
+
+def test_internal_inconsistency_exits_four_with_one_line(tmp_path, capsys):
+    # a near tie in d = 2: two distinct hyperplanes pass the rank conditions
+    path = tmp_path / "near_tie.csv"
+    write_dataset(path, DataSet(np.array([[0.0, 0.0], [0.1, 0.0], [6.0, 0.0], [0.0, 6.0]]),
+                                np.array([0.0, 1e-10, 0.0, 0.0])))
+    cfg = tmp_path / "grh.json"
+    cfg.write_text(json.dumps({"kind": "grh", "sets": [[0, 1], [2], [3]],
+                               "ranks": [1, 1, 1]}))
+    code, printed, err = run(capsys, "fit", "--data", str(path), "--config", str(cfg))
+    assert code == 4
+    assert printed == ""
+    assert err.startswith("internal inconsistency:") and "rank conditions" in err, err
+    assert err.count("\n") == 1, err
 
 
 # -- file formats -----------------------------------------------------------------------
@@ -358,9 +411,15 @@ def test_mechanism_config_round_trips():
         MechanismSpec(MechanismKind.GRL, GrlParams((0, 1), (2, 3), 1, 2)),
         MechanismSpec(MechanismKind.GRH,
                       AgentPartition(((0, 1), (2, 3, 4)), (1, 2))),
+        MechanismSpec(MechanismKind.IMPARTIAL, ImpartialConfig(
+            g=(AffineResponse(a=(1.0,), b=(-0.5,)),
+               PwlResponse(breakpoints=(0.0, 1.0), values=((0.0,), (2.0,)))),
+            c=0.5)),
         MechanismSpec(MechanismKind.GENERALIZED_MEDIAN,
                       GenMedParams((-math.inf, 0.0, math.inf))),
     ]
+    # every kind has a codec row, so a kind added without one fails here
+    assert {spec.kind for spec in specs} == set(MechanismKind)
     for spec in specs:
         shape = mechanism_jsonable(spec)
         json.dumps(shape, allow_nan=False)  # must be plain JSON
