@@ -3,41 +3,28 @@
 
 Writes one figure per built-in instance into the output directory
 (default ./figures), each showing the data, the truthful fit, and the fit
-after the documented deviation.
+after the documented deviation: ``truthfit plot --builtin NAME`` for each.
 """
 
 import argparse
 import os
+import sys
 
-from truthfit.audit import builtin_instance, fit_mechanism
-from truthfit.svgplot import render_plot
+from truthfit import cli
 
 
-def main():
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", default="figures")
     args = parser.parse_args()
     os.makedirs(args.outdir, exist_ok=True)
-
     for name in ("crm-disjoint", "crm-subset", "quantile04"):
-        inst = builtin_instance(name)
-        truthful = fit_mechanism(inst.mechanism, inst.data)
-        deviated = fit_mechanism(
-            inst.mechanism,
-            inst.data.with_reports({inst.deviator: inst.misreport}),
-        )
-        svg = render_plot(
-            inst.data,
-            [("truthful fit", truthful, "solid"),
-             ("after deviation", deviated, "dashed")],
-            deviation=(inst.deviator, inst.misreport),
-            title=name,
-        )
         path = os.path.join(args.outdir, f"{name}.svg")
-        with open(path, "w") as fh:
-            fh.write(svg)
-        print(path)
+        code = cli.main(["plot", "--builtin", name, "--out", path])
+        if code != cli.EXIT_OK:
+            return code
+    return cli.EXIT_OK
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

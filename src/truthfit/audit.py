@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import DataSet, Hyperplane, predict, rss
+from .core import DataSet, Hyperplane, rss
 from .crm import CrmConfig, fit_crm
 from .erm import (
     L1Config,
@@ -36,9 +36,10 @@ from .errors import (
     ConfigurationError,
     ContractViolation,
     InternalInconsistency,
+    NotPubliclySeparable,
     UnsupportedMechanism,
 )
-from .grh import _GrhSolver, _grl_solver, preset_partition
+from .grh import _GrhSolver, _grl_solver, _interpolation_systems, preset_partition
 from .impartial import ImpartialConfig, fit_impartial, generalized_median
 from .separability import AgentPartition, is_publicly_separable
 
@@ -163,7 +164,7 @@ def _bind_grl(data: DataSet, cfg: GrlParams):
 def _bind_grh(data: DataSet, cfg: AgentPartition):
     cfg.validate_against(data)
     if not is_publicly_separable(data, cfg):
-        raise ContractViolation("partition is not publicly separable; rejected before solving")
+        raise NotPubliclySeparable("partition is not publicly separable; rejected before solving")
     solver = _GrhSolver(data.xs, cfg)
     return lambda ys: solver.solve(ys)[0]
 
@@ -287,33 +288,76 @@ class ViolationCertificate:
         object.__setattr__(self, "after", tuple(float(v) for v in self.after))
 
 
+class _Probe:
+    """One mechanism bound to the data, its truthful fit, and the judgement
+    of a joint misreport against it.
+
+    Every probe goes through ``BoundMechanism.coefficients``.
+    """
+
+    def __init__(self, spec: MechanismSpec, data: DataSet, margin: float):
+        self.data = data
+        self.margin = margin
+        # a member counting as "not worse off" is a componentwise requirement:
+        # judge it at solver-noise scale even when the caller raises ``margin``
+        # to demand a larger strict gain, or a real (if small) sacrifice by one
+        # member would masquerade as indifference and fake a certificate
+        self.noise = min(margin, DEFAULT_MARGIN)
+        self.bound = spec.bind(data)
+        self.truthful = self.bound.hyperplane()
+        self.xbar = data.xbar()
+        self.r0 = data.ys - self.xbar @ self.truthful.coefficients()
+
+    def judge(self, coalition: tuple[int, ...], reports) -> ViolationCertificate | None:
+        """The certificate when the coalition's joint report pays off, else None.
+
+        A report equal to the truth for every member is no probe.  Errors of
+        the mechanism, ``InternalInconsistency`` included, propagate.
+        """
+        ys = self.data.ys
+        members = list(coalition)
+        ys2 = ys.copy()
+        ys2[members] = reports
+        if np.all(ys2[members] == ys[members]):
+            return None
+        coeffs = self.bound.coefficients(ys2)
+        r1 = ys[members] - self.xbar[members] @ coeffs
+        r0 = self.r0[members]
+        strict = False
+        for b, a in zip(r0, r1):
+            if forced_worse(b, a, self.noise):
+                return None
+            strict = strict or strictly_better(b, a, self.margin)
+        if not strict:
+            return None
+        return ViolationCertificate(
+            coalition=coalition,
+            misreports={m: float(v) for m, v in zip(members, reports)},
+            before=tuple(abs(v) for v in r0),
+            after=tuple(abs(v) for v in r1),
+            truthful=self.truthful,
+            deviated=Hyperplane(coeffs[:-1], float(coeffs[-1])),
+        )
+
+
 def verify_certificate(spec: MechanismSpec, data: DataSet,
                        cert: ViolationCertificate,
                        margin: float = DEFAULT_MARGIN) -> bool:
-    """Replay the certificate: recompute both fits and re-check the gain.
+    """Replay the certificate: judge its misreports again as the audits do.
 
-    The stated residuals must reproduce within 1e-12 (absolute plus
-    relative) and the improvement conditions must hold as claimed.
+    The replay must find the gain again, and the stated lines and residuals
+    must reproduce within 1e-12 (absolute plus relative).
     """
-    bound = spec.bind(data)
-    truthful = bound.hyperplane()
-    deviated = bound.hyperplane(data.with_reports(cert.misreports).ys)
-    ok = truthful.close_to(cert.truthful, 1e-12) and deviated.close_to(cert.deviated, 1e-12)
-    # weak improvement is a componentwise requirement, so it is judged at
-    # solver-noise scale regardless of how large a gain the caller demands
-    noise = min(margin, DEFAULT_MARGIN)
-    strict = False
-    for pos, agent in enumerate(cert.coalition):
-        x = data.xs[agent]
-        r0 = data.ys[agent] - predict(truthful, x)
-        r1 = data.ys[agent] - predict(deviated, x)
-        for stated, actual in ((cert.before[pos], abs(r0)), (cert.after[pos], abs(r1))):
-            if abs(stated - actual) > 1e-12 * (1.0 + abs(actual)):
-                ok = False
-        if forced_worse(r0, r1, noise):
-            ok = False
-        strict = strict or strictly_better(r0, r1, margin)
-    return ok and strict
+    if cert.coalition and not 0 <= cert.coalition[0] <= cert.coalition[-1] < data.n:
+        raise ContractViolation(f"coalition {cert.coalition} out of range")
+    replay = _Probe(spec, data, margin).judge(
+        cert.coalition, [cert.misreports[m] for m in cert.coalition])
+    if replay is None:
+        return False
+    stated, actual = cert.before + cert.after, replay.before + replay.after
+    return (replay.truthful.close_to(cert.truthful, 1e-12)
+            and replay.deviated.close_to(cert.deviated, 1e-12)
+            and all(abs(s - a) <= 1e-12 * (1.0 + abs(a)) for s, a in zip(stated, actual)))
 
 
 # --------------------------------------------------------------------------
@@ -327,18 +371,10 @@ def hyperplanes_through_others(data: DataSet, agent: int) -> np.ndarray:
     Returns an array of shape (count, d+1); count may be zero.
     """
     others = [j for j in range(data.n) if j != agent]
-    combos = list(itertools.combinations(others, data.d + 1))
-    if not combos:
-        return np.zeros((0, data.d + 1))
-    idx = np.array(combos)
-    mats = np.ones((idx.shape[0], data.d + 1, data.d + 1))
-    mats[:, :, :data.d] = data.xs[idx]
-    with np.errstate(all="ignore"):
-        conds = np.linalg.cond(mats)
-    good = np.isfinite(conds) & (conds < 1e12)
-    if not good.any():
-        return np.zeros((0, data.d + 1))
-    return np.linalg.solve(mats[good], data.ys[idx[good]][..., None])[..., 0]
+    subsets = np.array(list(itertools.combinations(others, data.d + 1)),
+                       dtype=int).reshape(-1, data.d + 1)
+    mats, good = _interpolation_systems(data.xs, subsets)
+    return np.linalg.solve(mats[good], data.ys[subsets[good]][..., None])[..., 0]
 
 
 def default_candidates(data: DataSet, agent: int, grid_points: int = 41) -> list[float]:
@@ -358,12 +394,19 @@ def default_candidates(data: DataSet, agent: int, grid_points: int = 41) -> list
 # audits
 
 
-def _first_hit(evaluate, items):
-    """First non-None evaluate(item) in ``items`` order."""
-    for item in items:
-        out = evaluate(item)
-        if out is not None:
-            return out
+def _first_certificate(probe: _Probe, trials) -> ViolationCertificate | None:
+    """The first certificate over (coalition, reports) trials, in order.
+
+    Probes where the mechanism itself becomes undefined (degenerate-tie
+    errors) are skipped: they witness degeneracy, not manipulation.
+    """
+    for coalition, reports in trials:
+        try:
+            cert = probe.judge(coalition, reports)
+        except InternalInconsistency:
+            continue
+        if cert is not None:
+            return cert
     return None
 
 
@@ -374,39 +417,14 @@ def audit_sp(spec: MechanismSpec, data: DataSet, agent: int,
 
     Candidates default to :func:`default_candidates`.  Returns the first
     certificate in candidate order, or None.  Probes where the mechanism
-    itself becomes undefined (degenerate-tie errors) are skipped: they
-    witness degeneracy, not manipulation.
+    itself becomes undefined (degenerate-tie errors) are skipped.
     """
     if not 0 <= agent < data.n:
         raise ContractViolation(f"agent index {agent} out of range")
-    bound = spec.bind(data)
-    truthful = bound.hyperplane()
-    x_agent = data.xs[agent]
-    y_true = float(data.ys[agent])
-    r0 = y_true - predict(truthful, x_agent)
+    probe = _Probe(spec, data, margin)
     if candidates is None:
         candidates = default_candidates(data, agent)
-
-    def evaluate(cand: float):
-        cand = float(cand)
-        if cand == y_true:
-            return None
-        ys2 = data.ys.copy()
-        ys2[agent] = cand
-        try:
-            deviated = bound.hyperplane(ys2)
-        except InternalInconsistency:
-            return None
-        r1 = y_true - predict(deviated, x_agent)
-        if strictly_better(r0, r1, margin):
-            return ViolationCertificate(
-                coalition=(agent,), misreports={agent: cand},
-                before=(abs(r0),), after=(abs(r1),),
-                truthful=truthful, deviated=deviated,
-            )
-        return None
-
-    return _first_hit(evaluate, candidates)
+    return _first_certificate(probe, (((agent,), (cand,)) for cand in candidates))
 
 
 def audit_gsp(spec: MechanismSpec, data: DataSet, max_coalition: int,
@@ -428,61 +446,20 @@ def audit_gsp(spec: MechanismSpec, data: DataSet, max_coalition: int,
     n = data.n
     if not 1 <= max_coalition <= n:
         raise ContractViolation(f"max_coalition must lie in 1..{n}")
-    bound = spec.bind(data)
-    truthful = bound.hyperplane()
-    xbar = data.xbar()
-    preds0 = xbar @ truthful.coefficients()
-    r0_all = data.ys - preds0
-    # a member counting as "not worse off" is a componentwise requirement:
-    # judge it at solver-noise scale even when the caller raises ``margin``
-    # to demand a larger strict gain, or a real (if small) sacrifice by one
-    # member would masquerade as indifference and fake a certificate
-    noise = min(margin, DEFAULT_MARGIN)
+    probe = _Probe(spec, data, margin)
+    cand_lists = [list(dict.fromkeys([*default_candidates(data, i, candidates_per_agent),
+                                      *(float(v) for j, v in enumerate(data.ys) if j != i)]))
+                  for i in range(n)]
+    trials = _coalition_trials(cand_lists, max_coalition, seed, max_evals, coalition_samples)
+    return _first_certificate(probe, trials)
 
-    cand_lists: list[list[float]] = []
-    for i in range(n):
-        base = default_candidates(data, i, candidates_per_agent)
-        peers = [float(v) for j, v in enumerate(data.ys) if j != i]
-        cand_lists.append(list(dict.fromkeys([*base, *peers])))
 
-    def try_joint(coalition: tuple[int, ...], reports) -> ViolationCertificate | None:
-        members = list(coalition)
-        ys2 = data.ys.copy()
-        ys2[members] = reports
-        if np.all(ys2[members] == data.ys[members]):
-            return None
-        try:
-            coeffs = bound.coefficients(ys2)
-        except InternalInconsistency:
-            return None
-        preds1 = xbar[members] @ coeffs
-        r1 = data.ys[members] - preds1
-        r0 = r0_all[members]
-        strict = False
-        for b, a in zip(r0, r1):
-            if forced_worse(b, a, noise):
-                return None
-            strict = strict or strictly_better(b, a, margin)
-        if not strict:
-            return None
-        deviated = Hyperplane(coeffs[:-1], float(coeffs[-1]))
-        return ViolationCertificate(
-            coalition=coalition,
-            misreports={m: float(v) for m, v in zip(members, reports)},
-            before=tuple(abs(v) for v in r0),
-            after=tuple(abs(v) for v in r1),
-            truthful=truthful, deviated=deviated,
-        )
-
-    # exhaustive singleton pass
-    for agent in range(n):
-        cert = _first_hit(
-            lambda cand, agent=agent: try_joint((agent,), [cand]),
-            cand_lists[agent],
-        )
-        if cert is not None:
-            return cert
-
+def _coalition_trials(cand_lists: list[list[float]], max_coalition: int, seed: int,
+                      max_evals: int | None, coalition_samples: int):
+    """(coalition, reports) in search order, drawing from the seeded rng lazily."""
+    n = len(cand_lists)
+    for agent, cands in enumerate(cand_lists):
+        yield from (((agent,), (cand,)) for cand in cands)
     rng = np.random.default_rng(seed)
     for size in range(2, max_coalition + 1):
         if n <= 8:
@@ -504,10 +481,7 @@ def audit_gsp(spec: MechanismSpec, data: DataSet, max_coalition: int,
                 picks = [rng.integers(0, len(lst), size=budget) for lst in lists]
                 joints = (tuple(lst[p[k]] for lst, p in zip(lists, picks))
                           for k in range(budget))
-            cert = _first_hit(lambda rep, c=coalition: try_joint(c, list(rep)), joints)
-            if cert is not None:
-                return cert
-    return None
+            yield from ((coalition, reports) for reports in joints)
 
 
 # --------------------------------------------------------------------------

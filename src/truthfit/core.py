@@ -166,6 +166,15 @@ def order_statistic(values, j: int) -> float:
     return float(arr[j - 1])
 
 
+def median_rank(size: int, side: MedianSide = MedianSide.LEFT) -> int:
+    """1-based rank of the side-resolved median among ``size`` items."""
+    if size <= 0:
+        raise ContractViolation("rank of an empty set")
+    if size % 2 == 1:
+        return (size + 1) // 2
+    return size // 2 if side is MedianSide.LEFT else size // 2 + 1
+
+
 def median_with_side(values, side: MedianSide = MedianSide.LEFT) -> float:
     """Median as an order statistic; ``side`` picks the middle for even counts.
 
@@ -173,16 +182,15 @@ def median_with_side(values, side: MedianSide = MedianSide.LEFT) -> float:
     may be +-inf; they are ordered, never averaged.
     """
     arr = np.asarray(values, dtype=float).ravel()
-    k = arr.size
-    if k == 0:
+    if arr.size == 0:
         raise ContractViolation("median of an empty collection")
-    if k % 2 == 1:
-        rank = (k + 1) // 2
-    else:
-        rank = k // 2 if side is MedianSide.LEFT else k // 2 + 1
-    return order_statistic(arr, rank)
+    return order_statistic(arr, median_rank(arr.size, side))
 
 
-def residual_zero_tol(data: DataSet) -> float:
-    """Absolute tolerance used when a residual is required to be zero."""
-    return 1e-9 * (1.0 + float(np.max(np.abs(data.ys))))
+def residual_zero_tol(data: DataSet, h: Hyperplane) -> float:
+    """Absolute tolerance used when a residual of h on the data must be zero:
+    solver noise in y units, plus a few ulps of |beta0| + max |x . beta1| for
+    the rounding of y - (x . beta1 + beta0), whose terms cancel far from x = 0."""
+    terms = abs(h.beta0) + float(np.max(np.abs(data.xs @ h.beta1)))
+    return (1e-9 * (1.0 + float(np.max(np.abs(data.ys))))
+            + 8.0 * np.finfo(float).eps * terms)

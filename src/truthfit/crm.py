@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DataSet, Hyperplane, MedianSide, median_with_side
+from .core import DataSet, Hyperplane, MedianSide, median_rank, median_with_side
 from .errors import AdmissibilityError, ContractViolation
 
 
@@ -73,12 +73,6 @@ class _Directing:
     slope: float
 
 
-def _rank(count: int, side: MedianSide) -> int:
-    if count % 2 == 1:
-        return (count + 1) // 2
-    return count // 2 if side is MedianSide.LEFT else count // 2 + 1
-
-
 def _directing(data: DataSet, cfg: CrmConfig) -> _Directing:
     if data.d != 1:
         raise ContractViolation("clockwise repeated medians require d = 1")
@@ -105,12 +99,12 @@ def _directing(data: DataSet, cfg: CrmConfig) -> _Directing:
             raise ContractViolation(f"S' minus agent {int(s[row])} is empty")
         vals = angles[row, valid]
         js = sp[valid]
-        rank = _rank(vals.size, cfg.inner_side)
+        rank = median_rank(vals.size, cfg.inner_side)
         value = np.partition(vals, rank - 1)[rank - 1]
         inner_vals[row] = value
         inner_js[row] = js[vals == value].min()  # angle tie: smaller agent index
 
-    rank = _rank(s.size, cfg.outer_side)
+    rank = median_rank(s.size, cfg.outer_side)
     da = np.partition(inner_vals, rank - 1)[rank - 1]
     tie_rows = np.flatnonzero(inner_vals == da)
     row_star = int(tie_rows[np.argmin(s[tie_rows])])

@@ -99,6 +99,8 @@ def parse_extended(value) -> float:
             return float(text)
         except ValueError as exc:
             raise InputError(f"not a number: {value!r}") from exc
+    if isinstance(value, bool):
+        raise InputError(f"not a number: {value!r}")
     return float(value)
 
 
@@ -133,12 +135,24 @@ def load_mechanism_config(path) -> MechanismSpec:
     return parse_mechanism(obj)
 
 
+def _int(value) -> int:
+    if type(value) is not int:  # refuses floats, booleans and strings
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _float(value) -> float:
+    if isinstance(value, bool):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _indices(values) -> tuple[int, ...]:
-    return tuple(int(i) for i in values)
+    return tuple(map(_int, values))
 
 
 def _floats(values) -> tuple[float, ...]:
-    return tuple(float(v) for v in values)
+    return tuple(map(_float, values))
 
 
 def _float_list(values) -> list[float]:
@@ -150,7 +164,8 @@ class _Codec(NamedTuple):
 
     Each field maps its JSON key, which is also the config's attribute and
     keyword, to (parse, dump) converters.  Optional fields fall back to the
-    config's default when absent and are written only when truthy.
+    config's default when absent and are written only when truthy.  A value
+    its converter refuses is an InputError naming the key.
     """
 
     config: type
@@ -168,7 +183,13 @@ class _Codec(NamedTuple):
             if key not in fields:
                 expected = ", ".join(fields) or "no keys"
                 raise InputError(f"{where} has unknown key {key!r}; expected {expected}")
-        return self.config(**{key: fields[key][0](value) for key, value in obj.items()})
+        values = {}
+        for key, value in obj.items():
+            try:
+                values[key] = fields[key][0](value)
+            except (TypeError, ValueError) as exc:
+                raise InputError(f"{where}, key {key!r}: {exc}") from exc
+        return self.config(**values)
 
     def dump(self, params) -> dict:
         out = {key: dump(getattr(params, key)) for key, (_, dump) in self.required.items()}
@@ -179,7 +200,7 @@ class _Codec(NamedTuple):
 
 
 _INDICES = (_indices, list)
-_FLOAT = (float, float)
+_FLOAT = (_float, float)
 _FLOATS = (_floats, _float_list)
 _SIDE = (_parse_side, lambda side: side.value)
 
@@ -194,9 +215,9 @@ _RESPONSES = {
 def _parse_response(pos: int, entry):
     rtype = entry.get("type") if isinstance(entry, dict) else None
     if rtype not in _RESPONSES:
-        raise InputError(f'impartial g[{pos}] must be an object with type "affine" or "pwl"')
+        raise InputError(f'g[{pos}] must be an object with type "affine" or "pwl"')
     fields = {key: value for key, value in entry.items() if key != "type"}
-    return _RESPONSES[rtype].parse(fields, f"impartial g[{pos}]")
+    return _RESPONSES[rtype].parse(fields, f"g[{pos}]")
 
 
 def _dump_response(resp) -> dict:
@@ -210,7 +231,7 @@ _CODECS: dict[MechanismKind, _Codec] = {
     MechanismKind.OLS: _Codec(type(None), {}),
     MechanismKind.L1ERM: _Codec(L1Config, {}, {
         "weights": (lambda v: None if v is None else _floats(v), _float_list),
-        "phantoms": (lambda v: tuple(_PHANTOM.parse(p, f"l1erm phantoms[{pos}]")
+        "phantoms": (lambda v: tuple(_PHANTOM.parse(p, f"phantoms[{pos}]")
                                      for pos, p in enumerate(v)),
                      lambda v: [_PHANTOM.dump(p) for p in v]),
         "drift": _FLOAT}),
@@ -219,7 +240,7 @@ _CODECS: dict[MechanismKind, _Codec] = {
                               {"outer_side": _SIDE, "inner_side": _SIDE,
                                "intercept_side": _SIDE}),
     MechanismKind.GRL: _Codec(GrlParams, {"s": _INDICES, "sprime": _INDICES,
-                                          "k": (int, int), "kprime": (int, int)}),
+                                          "k": (_int, int), "kprime": (_int, int)}),
     MechanismKind.GRH: _Codec(AgentPartition, {
         "sets": (lambda v: tuple(map(_indices, v)), lambda v: [list(s) for s in v]),
         "ranks": _INDICES}),

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DataSet, Hyperplane, MedianSide, residual_zero_tol
+from .core import DataSet, Hyperplane, MedianSide, median_rank, residual_zero_tol
 from .errors import (
     AdmissibilityError,
     ContractViolation,
@@ -37,7 +37,7 @@ from .errors import (
 )
 from .separability import AgentPartition, is_publicly_separable
 
-#: Transversal systems with condition estimates above this are singular.
+#: Interpolation systems with condition estimates above this are singular.
 CONDITION_LIMIT = 1e12
 
 #: Hyperplanes equal coefficientwise within this many times
@@ -52,15 +52,6 @@ class GrhResult:
     hyperplane: Hyperplane
     traversal: tuple[int, ...]
     candidates_examined: int
-
-
-def median_rank(size: int, side: MedianSide = MedianSide.LEFT) -> int:
-    """1-based rank of the side-resolved median among ``size`` items."""
-    if size <= 0:
-        raise ContractViolation("rank of an empty set")
-    if size % 2 == 1:
-        return (size + 1) // 2
-    return size // 2 if side is MedianSide.LEFT else size // 2 + 1
 
 
 def preset_partition(data: DataSet, scheme: str,
@@ -129,14 +120,22 @@ def _require_transversal_shape(d: int, part: AgentPartition) -> None:
         )
 
 
+def _interpolation_systems(xs: np.ndarray, subsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stacked [x | 1] interpolation system of each row of point indices,
+    and which of them are nonsingular (condition at most CONDITION_LIMIT)."""
+    d = xs.shape[1]
+    mats = np.ones((subsets.shape[0], d + 1, d + 1))
+    mats[:, :, :d] = xs[subsets]
+    with np.errstate(all="ignore"):
+        conds = np.linalg.cond(mats)
+    return mats, np.isfinite(conds) & (conds <= CONDITION_LIMIT)
+
+
 def _transversal_systems(xs: np.ndarray, part: AgentPartition) -> tuple[np.ndarray, np.ndarray]:
     """Every transversal in product order, and its inverted interpolation system."""
-    d = xs.shape[1]
     traversals = np.array(list(itertools.product(*part.sets)), dtype=int)
-    mats = np.ones((traversals.shape[0], d + 1, d + 1))
-    mats[:, :, :d] = xs[traversals]
-    conds = np.linalg.cond(mats)
-    if np.any(~np.isfinite(conds)) or np.any(conds > CONDITION_LIMIT):
+    mats, good = _interpolation_systems(xs, traversals)
+    if not good.all():
         raise NotPubliclySeparable(
             "singular transversal interpolation system; positions of the "
             "partition sets are not in separable position"
@@ -348,7 +347,7 @@ def satisfies_rank_conditions(data: DataSet, part: AgentPartition,
     """Tie-robust check that h meets every set's rank condition on data."""
     part.validate_against(data)
     if tol is None:
-        tol = residual_zero_tol(data)
+        tol = residual_zero_tol(data, h)
     resid = data.ys - (data.xs @ h.beta1 + h.beta0)
     return all(_meets_rank(resid[list(members)], k, tol)
                for members, k in zip(part.sets, part.ranks))

@@ -22,6 +22,7 @@ from truthfit import (
     L1Config,
     MechanismKind,
     MechanismSpec,
+    NotPubliclySeparable,
     QuantileConfig,
     UnsupportedMechanism,
     ViolationCertificate,
@@ -129,6 +130,10 @@ def test_certificate_replay_accepts_genuine_and_rejects_tampered():
         cert.coalition, cert.misreports, (0.0,), cert.after,
         cert.truthful, cert.deviated)
     assert not verify_certificate(inst.mechanism, inst.data, wrong_residual)
+    nan_residual = ViolationCertificate(
+        cert.coalition, cert.misreports, (math.nan,), cert.after,
+        cert.truthful, cert.deviated)
+    assert not verify_certificate(inst.mechanism, inst.data, nan_residual)
 
     from truthfit import Hyperplane
     wrong_line = ViolationCertificate(
@@ -140,6 +145,12 @@ def test_certificate_replay_accepts_genuine_and_rejects_tampered():
         cert.coalition, {inst.deviator: float(inst.data.ys[inst.deviator])},
         cert.before, cert.before, cert.truthful, cert.truthful)
     assert not verify_certificate(inst.mechanism, inst.data, unprofitable)
+
+    for agent in (-1, inst.data.n):
+        stranger = ViolationCertificate((agent,), {agent: 0.0}, cert.before, cert.after,
+                                        cert.truthful, cert.deviated)
+        with pytest.raises(ContractViolation):
+            verify_certificate(inst.mechanism, inst.data, stranger)
 
 
 def test_audit_skips_the_truthful_report_and_respects_margin():
@@ -429,7 +440,7 @@ def test_mechanism_domain_gates():
         MechanismKind.GRH,
         AgentPartition(((0, 2), (1, 3)), (1, 1)),
     )
-    with pytest.raises(ContractViolation):
+    with pytest.raises(NotPubliclySeparable):  # the error fit_grh raises
         fit_mechanism(unseparable, line_data)
     with pytest.raises(ConfigurationError):
         fit_mechanism(MechanismSpec(MechanismKind.GENERALIZED_MEDIAN,

@@ -299,6 +299,11 @@ def test_malformed_files_exit_two(tmp_path, capsys):
     ({"kind": "l1erm", "traversal_flag": True}, "'traversal_flag'"),
     ({"kind": "ols", "q": 0.5}, "'q'"),
     ({"kind": "tukey"}, "--mechanism tukey"),
+    ({"kind": "grl", "s": [0, 1], "sprime": [2, 3], "k": 1.7, "kprime": 1}, "'k'"),
+    ({"kind": "grh", "sets": [[0, 1.9], [2, 3]], "ranks": [1, 1]}, "'sets'"),
+    ({"kind": "grh", "sets": [[0, 1], [2, 3]], "ranks": [1, True]}, "'ranks'"),
+    ({"kind": "l1erm", "weights": [1, 1, 1, True]}, "'weights'"),
+    ({"kind": "l1erm", "drift": True}, "'drift'"),
 ])
 def test_malformed_mechanism_configs_exit_two_naming_the_key(line_csv, tmp_path, capsys,
                                                             config, key):

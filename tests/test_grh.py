@@ -15,6 +15,7 @@ from truthfit import (
     AgentPartition,
     ContractViolation,
     DataSet,
+    Hyperplane,
     MedianSide,
     NotPubliclySeparable,
     fit_grh,
@@ -358,6 +359,23 @@ def test_rank_conditions_hold_with_fresh_counting(seed, d):
         assert sum(v < -tol for v in vals) <= k - 1
         assert sum(v <= tol for v in vals) >= k
         assert abs(vals[k - 1]) <= tol  # the k-th smallest residual is zero
+
+
+def test_rank_check_accepts_the_exact_line_far_from_x_zero():
+    # beta0 and beta1 * x are about 5e7 and cancel, so y - (beta1 * x + beta0)
+    # rounds at their scale, far above 1e-9 * (1 + max |y|)
+    xs = 1e4 + np.array([0.0, 5e-5, 1e-4, 1.5e-4])
+    data = DataSet(xs[:, None], np.array([0.0, 1.0, 0.5, 2.0]))
+    part = AgentPartition(((0, 1), (2, 3)), (1, 1))
+    fitted = fit_grh(data, part).hyperplane
+    # the rational line through agents 0 and 2, rounded once
+    x0, x2 = Fraction(float(xs[0])), Fraction(float(xs[2]))
+    slope = Fraction(0.5) / (x2 - x0)
+    exact = Hyperplane([float(slope)], float(-slope * x0))
+    for h in (fitted, exact):
+        assert satisfies_rank_conditions(data, part, h)
+        for shift in (1e-5, -1e-5):
+            assert not satisfies_rank_conditions(data, part, Hyperplane(h.beta1, h.beta0 + shift))
 
 
 @given(st.integers(min_value=0, max_value=100_000),

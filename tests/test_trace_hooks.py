@@ -12,7 +12,17 @@ from pathlib import Path
 
 import numpy as np
 
-from truthfit import L1Config, MechanismKind, MechanismSpec, audit_sp, fit_mechanism
+from truthfit import (
+    L1Config,
+    MechanismKind,
+    MechanismSpec,
+    audit_gsp,
+    audit_sp,
+    builtin_instance,
+    default_candidates,
+    fit_mechanism,
+    verify_certificate,
+)
 from truthfit.random_instances import random_data, random_separable_instance
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
@@ -39,3 +49,21 @@ def test_tracer_counts_every_layer_of_an_l1_audit_and_a_grh_fit():
     metrics = tracer.metrics(rounds=1)
     for name in ("audit.probes", "erm.fits", "grh.solves", "separability.checks"):
         assert metrics[name]["value"] > 0, name
+    # the L1 fit is strategyproof, so the audit probes every candidate: the
+    # truthful fit plus one probe per candidate that differs from the truth;
+    # the GRH fit adds one more
+    y_true = l1_data.ys[0]
+    moved = sum(c != y_true for c in default_candidates(l1_data, 0))
+    assert metrics["audit.probes"]["value"] == 1 + moved + 1
+
+
+def test_tracer_counts_the_probes_of_a_coalition_audit_and_a_replay():
+    tracing = load_tracing()
+    inst = builtin_instance("crm-disjoint")
+    cert = audit_sp(inst.mechanism, inst.data, inst.deviator)
+    for run in (lambda: audit_gsp(inst.mechanism, inst.data, max_coalition=2, max_evals=50),
+                lambda: verify_certificate(inst.mechanism, inst.data, cert)):
+        tracer = tracing.Tracer()
+        with tracer:
+            run()
+        assert tracer.metrics(rounds=1)["audit.probes"]["value"] >= 2
