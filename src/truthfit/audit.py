@@ -27,6 +27,7 @@ from .crm import CrmConfig, fit_crm
 from .erm import (
     L1Config,
     QuantileConfig,
+    _DualBases,
     _PiecewiseLinearFit,
     _build_l1,
     _build_quantile,
@@ -39,7 +40,14 @@ from .errors import (
     NotPubliclySeparable,
     UnsupportedMechanism,
 )
-from .grh import _GrhSolver, _grl_solver, _interpolation_systems, preset_partition
+from .grh import (
+    _GrhSolver,
+    _centred,
+    _grl_solver,
+    _interpolation_systems,
+    _uncentred,
+    preset_partition,
+)
 from .impartial import ImpartialConfig, fit_impartial, generalized_median
 from .separability import AgentPartition, is_publicly_separable
 
@@ -134,18 +142,13 @@ def _bind_ols(data: DataSet, cfg: None):
 def _bind_piecewise_linear(build, data: DataSet, cfg):
     template = build(data, cfg)
     tail = template.rhs[data.n:]
-    # probes differ only in the dual objective, so each one starts from
-    # the previous probe's optimal basis
-    basis = None
+    # probes differ only in the dual objective, so they share optimal bases
+    cache = _DualBases()
 
     def solve(ys):
-        nonlocal basis
-        prob = _PiecewiseLinearFit(template.xbar, np.concatenate([ys, tail]),
+        return _PiecewiseLinearFit(template.xbar, np.concatenate([ys, tail]),
                                    template.up_w, template.lo_w, template.drift,
-                                   basis=basis)
-        coeffs = prob.fit().coefficients()
-        basis = prob.basis
-        return coeffs
+                                   cache=cache).fit().coefficients()
 
     return solve
 
@@ -373,8 +376,10 @@ def hyperplanes_through_others(data: DataSet, agent: int) -> np.ndarray:
     others = [j for j in range(data.n) if j != agent]
     subsets = np.array(list(itertools.combinations(others, data.d + 1)),
                        dtype=int).reshape(-1, data.d + 1)
-    mats, good = _interpolation_systems(data.xs, subsets)
-    return np.linalg.solve(mats[good], data.ys[subsets[good]][..., None])[..., 0]
+    xc, centre = _centred(data.xs)
+    mats, good = _interpolation_systems(xc, subsets)
+    return _uncentred(np.linalg.solve(mats[good], data.ys[subsets[good]][..., None])[..., 0],
+                      centre)
 
 
 def default_candidates(data: DataSet, agent: int, grid_points: int = 41) -> list[float]:

@@ -6,13 +6,15 @@ of the piecewise-linear risk minimization,
     max rhs . tau  s.t.  xbar^T tau = drift e_p,  -lo_w <= tau <= up_w,
 
 with p = d+1 equality rows and one bounded column per row of data, on the
-bounded-variable simplex; an audit passes each probe the previous probe's
-optimal basis, which stays feasible because only rhs (the dual objective)
-changes.  Stage 2 resolves ties by picking, among all risk minimizers, the
-coefficient vector of smallest Euclidean norm; this strictly convex
-tie-break is what makes the L1 mechanism group strategyproof, so it is
-computed exactly rather than left to whatever vertex the solver happens
-to return.  Complementary slackness with the optimal tau describes the set
+bounded-variable simplex.  The probes of an audit change only rhs (the
+dual objective), so every optimal basis of one probe stays feasible for
+the next: a bound mechanism keeps the last few in a :class:`_DualBases`,
+and a probe for which one of them passes the simplex's optimality test
+reads its fit off that basis without solving an LP.  Stage 2 resolves
+ties by picking, among all risk minimizers, the coefficient vector of
+smallest Euclidean norm; this strictly convex tie-break is what makes the
+L1 mechanism group strategyproof, so it is computed exactly rather than
+left to whatever vertex the solver happens to return.  Complementary slackness with the optimal tau describes the set
 of minimizers exactly, as a face cut out by zero, nonnegative and
 nonpositive residual conditions; when p independent rows have zero
 residual the face is their interpolation, and otherwise a small
@@ -32,7 +34,7 @@ import numpy as np
 
 from .core import DataSet, Hyperplane
 from .errors import ConfigurationError, ContractViolation, InternalInconsistency
-from .simplex import INFEASIBLE, solve_lp
+from .simplex import INFEASIBLE, BasisStack, basis_tableau, solve_lp
 
 
 def fit_ols(data: DataSet) -> Hyperplane:
@@ -109,11 +111,15 @@ class _PiecewiseLinearFit:
     negative ones (equal for plain L1).  ``drift`` multiplies beta0.
 
     ``basis`` warm-starts stage 1 from the dual basis of an earlier fit on
-    the same positions and weights; after :meth:`fit` it holds this fit's
-    optimal dual basis, and ``pivots`` the simplex iterations it took.
+    the same positions and weights.  ``cache`` holds optimal dual bases of
+    earlier fits on them: when one is optimal for this rhs, the fit reads
+    tau and stage 2 from it and solves no LP; otherwise stage 1 starts from
+    its newest basis (unless ``basis`` is given) and the new optimal basis
+    joins it.  After :meth:`fit`, ``basis`` holds this fit's optimal dual
+    basis and ``pivots`` the simplex iterations it took.
     """
 
-    def __init__(self, xbar, rhs, up_w, lo_w, drift, basis=None):
+    def __init__(self, xbar, rhs, up_w, lo_w, drift, basis=None, cache=None):
         self.xbar = np.asarray(xbar, dtype=float)
         self.rhs = np.asarray(rhs, dtype=float)
         self.up_w = np.asarray(up_w, dtype=float)
@@ -121,6 +127,7 @@ class _PiecewiseLinearFit:
         self.drift = float(drift)
         self.p = self.xbar.shape[1]
         self.basis = basis
+        self.cache = cache
         self.pivots = 0
 
     def risk(self, beta) -> float:
@@ -129,14 +136,18 @@ class _PiecewiseLinearFit:
                      + self.lo_w @ np.maximum(-r, 0.0)
                      + self.drift * beta[-1])
 
+    def dual_constraints(self) -> dict:
+        """The constraints of the stage-1 LP as ``solve_lp`` keywords; they
+        depend on positions, weights and drift, never on rhs."""
+        b_eq = np.zeros(self.p)
+        b_eq[-1] = self.drift
+        return {"a_eq": self.xbar.T, "b_eq": b_eq,
+                "bounds": np.column_stack([-self.lo_w, self.up_w])}
+
     def dual(self) -> np.ndarray:
         """Stage 1: an optimal tau of max rhs . tau s.t. xbar^T tau = drift e_p,
         -lo_w <= tau <= up_w (the LP dual of the risk minimization)."""
-        b_eq = np.zeros(self.p)
-        b_eq[-1] = self.drift
-        res = solve_lp(-self.rhs, a_eq=self.xbar.T, b_eq=b_eq,
-                       bounds=np.column_stack([-self.lo_w, self.up_w]),
-                       basis=self.basis)
+        res = solve_lp(-self.rhs, **self.dual_constraints(), basis=self.basis)
         if res.status == INFEASIBLE:
             raise ConfigurationError(
                 "risk is unbounded below; the drift coefficient exceeds the "
@@ -155,20 +166,112 @@ class _PiecewiseLinearFit:
         residual, rows with tau at up_w a nonnegative one and rows with tau
         at -lo_w a nonpositive one.
         """
-        tau = self.dual()
-        edge = 1e-9 * (self.up_w + self.lo_w)
-        inside = (tau > edge - self.lo_w) & (tau < self.up_w - edge)
-        zero = np.flatnonzero(inside)
-        if zero.size == self.p:
-            beta = np.linalg.solve(self.xbar[zero], self.rhs[zero])
+        known = None if self.cache is None else self.cache.find(self.rhs)
+        if known is not None:
+            self.basis, self.pivots = known.tableau.status, 0
+            beta = known.beta(self.rhs)
         else:
-            # rows written as g @ beta >= h: residual >= 0 at the upper
-            # bound, <= 0 at the lower one
-            sign = np.where(tau > 0.0, -1.0, 1.0)[~inside]
-            beta = _min_norm_on_face(self.xbar[zero], self.rhs[zero],
-                                     sign[:, None] * self.xbar[~inside],
-                                     sign * self.rhs[~inside])
+            if self.basis is None and self.cache is not None:
+                self.basis = self.cache.newest()
+            beta = _Face(self, self.dual()).point(self.rhs)
+            if self.cache is not None:
+                self.cache.add(self)
         return Hyperplane(beta[:-1], float(beta[-1]))
+
+
+class _Face:
+    """The optimal face cut out by an optimal tau (see
+    :meth:`_PiecewiseLinearFit.fit`), for any rhs that tau is optimal for."""
+
+    def __init__(self, fit: _PiecewiseLinearFit, tau):
+        edge = 1e-9 * (fit.up_w + fit.lo_w)
+        inside = (tau > edge - fit.lo_w) & (tau < fit.up_w - edge)
+        self.zero, self.rest = np.flatnonzero(inside), np.flatnonzero(~inside)
+        self.a_eq = fit.xbar[self.zero]
+        # rows written as g @ beta >= h: residual >= 0 at the upper bound,
+        # <= 0 at the lower one
+        self.sign = np.where(tau > 0.0, -1.0, 1.0)[self.rest]
+        self.g = self.sign[:, None] * fit.xbar[self.rest]
+        self.square = self.zero.size == fit.p
+
+    def point(self, rhs) -> np.ndarray:
+        """The face's smallest-norm point."""
+        if self.square:
+            return np.linalg.solve(self.a_eq, rhs[self.zero])
+        return _min_norm_on_face(self.a_eq, rhs[self.zero], self.g, self.sign * rhs[self.rest])
+
+
+#: optimal dual bases one :class:`_DualBases` keeps
+DUAL_BASES = 8
+
+
+class _DualBases:
+    """The last optimal dual bases of fits on fixed positions, weights and
+    drift, tried most recently used first.
+
+    Those fits share the dual constraints and differ only in the dual cost
+    -rhs, so a basis stays feasible for every fit.  It is optimal for a new
+    rhs exactly when the simplex's own optimality test passes on the
+    tableau a warm solve from it starts with, so a hit is a warm solve that
+    would make no pivot.  An audit's probes visit few optimal bases, so
+    most of them find theirs here; a probe that does not warm-starts from
+    the newest.  Only bases a warm solve would adopt join: square,
+    nonsingular and feasible.
+    """
+
+    def __init__(self):
+        self.slots: list[_OptimalBasis] = []  # in the order of the stack
+        self.order: list[int] = []            # slots, most recently used first
+        self.stack = None
+
+    def newest(self):
+        return self.slots[self.order[0]].tableau.status if self.order else None
+
+    def find(self, rhs) -> "_OptimalBasis | None":
+        if not self.slots:
+            return None
+        optimal = self.stack.optimal_for(-rhs)
+        for k, slot in enumerate(self.order):
+            if optimal[slot]:
+                self.order.insert(0, self.order.pop(k))
+                return self.slots[slot]
+        return None
+
+    def add(self, fit: _PiecewiseLinearFit) -> None:
+        """Keep the optimal basis of a fit that just solved its LP."""
+        tableau = basis_tableau(-fit.rhs, **fit.dual_constraints(), basis=fit.basis)
+        if tableau is None:
+            return
+        entry = _OptimalBasis(fit, tableau)
+        slot = next((k for k in self.order if self.slots[k].key == entry.key), None)
+        if slot is None:
+            if len(self.slots) < DUAL_BASES:
+                slot = len(self.slots)
+                self.slots.append(entry)
+            else:
+                slot = self.order.pop()
+                self.slots[slot] = entry
+            self.stack = BasisStack([e.tableau for e in self.slots])
+        else:
+            self.order.remove(slot)
+        self.order.insert(0, slot)
+
+
+class _OptimalBasis:
+    """A dual basis with its tableau and the optimal face of its tau, which
+    does not depend on rhs.  A face pinned by p rows keeps their inverse,
+    so its point may differ from a solve's in the last bits."""
+
+    def __init__(self, fit: _PiecewiseLinearFit, tableau):
+        self.tableau = tableau
+        self.key = tableau.status.tobytes()
+        self.face = _Face(fit, tableau.values()[:fit.rhs.size])
+        self.inverse = np.linalg.inv(self.face.a_eq) if self.face.square else None
+
+    def beta(self, rhs) -> np.ndarray:
+        if self.inverse is not None:
+            return self.inverse @ rhs[self.face.zero]
+        return self.face.point(rhs)
 
 
 def _min_norm_on_face(a_eq, b_eq, g, h):

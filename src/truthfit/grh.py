@@ -120,9 +120,30 @@ def _require_transversal_shape(d: int, part: AgentPartition) -> None:
         )
 
 
+def _centred(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The positions moved so that their mean is the origin, and that mean.
+
+    An [x | 1] system far from x = 0 is ill conditioned by its offset
+    alone; centred, its condition reflects only the points' spread.
+    """
+    centre = xs.mean(axis=0)
+    return xs - centre, centre
+
+
+def _uncentred(betas: np.ndarray, centre: np.ndarray) -> np.ndarray:
+    """Coefficient rows (beta1, beta0) over x from rows over x - centre."""
+    out = betas.copy()
+    out[..., -1] -= betas[..., :-1] @ centre
+    return out
+
+
 def _interpolation_systems(xs: np.ndarray, subsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The stacked [x | 1] interpolation system of each row of point indices,
-    and which of them are nonsingular (condition at most CONDITION_LIMIT)."""
+    and which of them are nonsingular (condition at most CONDITION_LIMIT).
+
+    Pass centred positions (see :func:`_centred`): the gate judges the
+    systems as given.
+    """
     d = xs.shape[1]
     mats = np.ones((subsets.shape[0], d + 1, d + 1))
     mats[:, :, :d] = xs[subsets]
@@ -155,7 +176,7 @@ class _GrhSolver:
     Everything that depends only on positions and the partition is set up
     once.  In d = 1 that is the oriented vertical split, in O(n) memory;
     in any other dimension it is the inverted interpolation system of every
-    transversal.  ``candidate_count`` is the product of the set sizes in
+    transversal, in x centred on its mean.  ``candidate_count`` is the product of the set sizes in
     both cases: the transversals the enumeration examines, or the
     transversal space the d = 1 root search covers.
     """
@@ -175,8 +196,9 @@ class _GrhSolver:
             mid = 0.5 * (self._x_left.max() + x_right.min())
             self._xc_left, self._xc_right = self._x_left - mid, x_right - mid
             return
-        self.traversals, self.inv = _transversal_systems(xs, part)
-        self.xbar_t = np.hstack([xs, np.ones((xs.shape[0], 1))]).T
+        xc, self.centre = _centred(xs)
+        self.traversals, self.inv = _transversal_systems(xc, part)
+        self.xbar_t = np.hstack([xc, np.ones((xs.shape[0], 1))]).T
         self.set_idx = [np.fromiter(s, dtype=int) for s in part.sets]
 
     def candidate_count(self) -> int:
@@ -199,9 +221,9 @@ class _GrhSolver:
             raise InternalInconsistency(
                 "no transversal hyperplane satisfies the rank conditions"
             )
-        first = betas[hits[0]]
+        first = _uncentred(betas[hits[0]], self.centre)
         if hits.size > 1:
-            found = betas[hits]
+            found = _uncentred(betas[hits], self.centre)
             same = DEDUP_TOL * (1.0 + float(np.max(np.abs(found))))
             distinct = np.max(np.abs(found - first), axis=1) > same
             if np.any(distinct):
@@ -288,8 +310,9 @@ def traversal_hyperplanes(data: DataSet, part: AgentPartition) -> list[tuple[tup
     """All hyperplanes interpolating one agent from each set, in set order."""
     part.validate_against(data)
     _require_transversal_shape(data.d, part)
-    traversals, inv = _transversal_systems(data.xs, part)
-    betas = np.einsum("cij,cj->ci", inv, data.ys[traversals])
+    xc, centre = _centred(data.xs)
+    traversals, inv = _transversal_systems(xc, part)
+    betas = _uncentred(np.einsum("cij,cj->ci", inv, data.ys[traversals]), centre)
     return [
         (tuple(int(i) for i in trav), Hyperplane(beta[:-1], beta[-1]))
         for trav, beta in zip(traversals, betas)

@@ -23,6 +23,9 @@ A solve returns its final ``basis``: one status code per column, the
 variables first and then one slack per inequality row.  Passing it back as
 ``basis=`` to a problem with the same constraints and any cost vector skips
 phase 1: the old basis is still feasible, and phase 2 starts from it.
+:func:`basis_tableau` returns the tableau such a warm solve starts from, so
+a caller can keep it and test later costs against it (:class:`BasisStack`):
+a basis optimal for a cost is a warm solve that makes no pivot.
 """
 
 from __future__ import annotations
@@ -93,6 +96,83 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, bounds=None,
     an earlier result for the same constraints; one that no longer fits is
     ignored and the solve starts cold.
     """
+    lp = _equality_form(c, a_ub, b_ub, a_eq, b_eq, bounds, tol)
+    if lp is None:
+        return LpResult(INFEASIBLE)
+    if max_iter is None:
+        max_iter = 200 * (lp.ab.shape[0] + lp.ab.shape[1] + 10)
+
+    if basis is None or not lp.warm_start(np.asarray(basis)):
+        if not lp.cold_start(max_iter):
+            return LpResult(INFEASIBLE, pivots=lp.pivots)
+    if lp.run(lp.cost, max_iter) == UNBOUNDED:
+        return LpResult(UNBOUNDED, pivots=lp.pivots)
+    n = lp.ncols - lp.n_ub
+    x = lp.values()[:n]
+    return LpResult(OPTIMAL, x, float(lp.cost[:n] @ x), lp.status, lp.pivots)
+
+
+def basis_tableau(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, bounds=None,
+                  tol: float = 1e-9, *, basis) -> "_Tableau | None":
+    """The tableau a warm :func:`solve_lp` with these arguments starts from.
+
+    None when that solve would refuse ``basis`` and start cold.  The
+    tableau's ``status`` is the basis and ``values()`` its point (the
+    variables first, then the slacks).
+    """
+    lp = _equality_form(c, a_ub, b_ub, a_eq, b_eq, bounds, tol)
+    if lp is None or not lp.warm_start(np.asarray(basis)):
+        return None
+    return lp
+
+
+class BasisStack:
+    """Tableaux from :func:`basis_tableau` of one LP in different bases,
+    stacked so that one pass prices a cost against all of them."""
+
+    def __init__(self, tableaux):
+        self.tab = np.stack([t.tab for t in tableaux])
+        self.basic = np.stack([t.basic for t in tableaux])
+        self.x = np.stack([t.x for t in tableaux])
+        first = tableaux[0]
+        self.lo, self.hi, self.tol, self.n_ub = first.lo, first.hi, first.tol, first.n_ub
+
+    def optimal_for(self, c) -> np.ndarray:
+        """Per tableau, whether a warm solve from its basis with the cost
+        ``c`` of the variables (the slacks cost nothing) would stop before
+        its first pivot: the test that ends :meth:`_Tableau.run`."""
+        cost = np.asarray(c, dtype=float).ravel()
+        if self.n_ub:
+            cost = np.concatenate([cost, np.zeros(self.n_ub)])
+        _, eligible = _pricing(cost, _cost_tol(self.tol, cost),
+                               self.tab, self.basic, self.x, self.lo, self.hi)
+        return ~eligible.any(axis=-1)
+
+
+def _cost_tol(tol, cost) -> float:
+    """Reduced costs at or below this magnitude count as zero."""
+    return tol * (1.0 + float(np.abs(cost).max(initial=0.0)))
+
+
+def _pricing(cost, dtol, tab, basic, x, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced costs under ``cost`` of a tableau B^-1 [A | b] with basic
+    columns ``basic`` and nonbasic values ``x``, and which columns may
+    enter: none means the basis is optimal for that cost.
+
+    Leading axes of ``tab``, ``basic`` and ``x`` stack tableaux of one LP.
+    A product and a sum, not a matrix product, form the reduced costs, so
+    each tableau of a stack rounds exactly as it does alone.
+    """
+    reduced = cost - (cost[basic][..., None] * tab[..., :-1]).sum(axis=-2)
+    # basic columns have zero reduced cost, so only nonbasic ones qualify:
+    # rising below their upper bound or falling above their lower one (a
+    # free column at zero may do either)
+    return reduced, ((reduced < -dtol) & (x < hi)) | ((reduced > dtol) & (x > lo))
+
+
+def _equality_form(c, a_ub, b_ub, a_eq, b_eq, bounds, tol) -> "_Tableau | None":
+    """The LP as a tableau not yet started, with one slack column per
+    inequality row; None when some column's bounds are empty."""
     c = np.asarray(c, dtype=float).ravel()
     n = c.size
     a_ub = _as_matrix(a_ub, n)
@@ -101,7 +181,7 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, bounds=None,
     b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, dtype=float).ravel()
     lo, hi = _as_bounds(bounds, n)
     if np.any(hi < lo):
-        return LpResult(INFEASIBLE)
+        return None
 
     n_ub, n_eq = a_ub.shape[0], a_eq.shape[0]
     # one row per constraint, one column per variable and slack, and b last
@@ -115,17 +195,7 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, bounds=None,
         hi = np.concatenate([hi, np.full(n_ub, np.inf)])
     ab[n_ub:, :n] = a_eq
     ab[n_ub:, -1] = b_eq
-    lp = _Tableau(ab, c, lo, hi, tol)
-    if max_iter is None:
-        max_iter = 200 * (ab.shape[0] + ab.shape[1] + 10)
-
-    if basis is None or not lp.warm_start(np.asarray(basis)):
-        if not lp.cold_start(n_ub, max_iter):
-            return LpResult(INFEASIBLE, pivots=lp.pivots)
-    if lp.run(lp.cost, max_iter) == UNBOUNDED:
-        return LpResult(UNBOUNDED, pivots=lp.pivots)
-    x = lp.values()[:n]
-    return LpResult(OPTIMAL, x, float(c[:n] @ x), lp.status, lp.pivots)
+    return _Tableau(ab, c, lo, hi, tol, n_ub)
 
 
 class _Tableau:
@@ -133,9 +203,9 @@ class _Tableau:
     status of every column and the value of each nonbasic one (basic
     columns hold zero there; their values follow from the tableau)."""
 
-    def __init__(self, ab, cost, lo, hi, tol):
+    def __init__(self, ab, cost, lo, hi, tol, n_ub):
         self.ab, self.cost, self.lo, self.hi = ab, cost, lo, hi
-        self.m, self.ncols = ab.shape[0], ab.shape[1] - 1
+        self.m, self.ncols, self.n_ub = ab.shape[0], ab.shape[1] - 1, n_ub
         self.tol = tol
         scale = np.abs(np.concatenate([lo, hi, ab[:, -1]]))
         self.ftol = tol * (1.0 + float(scale.max(where=np.isfinite(scale), initial=0.0)))
@@ -160,9 +230,9 @@ class _Tableau:
         self.status, self.x, self.basic, self.tab = status.astype(np.int8), x, basic, tab
         return True
 
-    def cold_start(self, n_ub, max_iter) -> bool:
+    def cold_start(self, max_iter) -> bool:
         """Phase 1 from slacks and artificials; False when infeasible."""
-        lo, hi, ncols = self.lo, self.hi, self.ncols
+        lo, hi, ncols, n_ub = self.lo, self.hi, self.ncols, self.n_ub
         # nonbasic variables rest on the finite bound their cost prefers,
         # free ones at zero
         upper = np.isfinite(hi) & ((self.cost < 0.0) | ~np.isfinite(lo))
@@ -240,14 +310,10 @@ class _Tableau:
     def run(self, cost, max_iter) -> str:
         """Bland-rule iterations until optimal or unbounded."""
         lo, hi, x = self.lo, self.hi, self.x
-        dtol = self.tol * (1.0 + float(np.abs(cost).max(initial=0.0)))
+        dtol = _cost_tol(self.tol, cost)
         for _ in range(max_iter):
             tab = self.tab
-            reduced = cost - cost[self.basic] @ tab[:, :-1]
-            # basic columns have zero reduced cost, so only nonbasic ones
-            # qualify: rising below their upper bound or falling above their
-            # lower one (a free column at zero may do either)
-            eligible = ((reduced < -dtol) & (x < hi)) | ((reduced > dtol) & (x > lo))
+            reduced, eligible = _pricing(cost, dtol, tab, self.basic, x, lo, hi)
             if not eligible.any():
                 return OPTIMAL
             col = int(eligible.argmax())  # Bland: lowest eligible index

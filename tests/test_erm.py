@@ -35,6 +35,7 @@ from truthfit import (
     quantile_risk,
     rss,
 )
+from truthfit import erm
 from truthfit.audit import BoundMechanism
 from truthfit.erm import _build_l1, _PiecewiseLinearFit
 from truthfit.random_instances import random_data
@@ -314,10 +315,20 @@ def test_collinear_triple_fits_their_exact_line():
     assert l1_risk(data, L1Config(), fit_l1erm(data)) == pytest.approx(rstar, rel=1e-14)
 
 
-@pytest.mark.parametrize("kind", ["l1", "l1-phantom", "quantile"])
+@pytest.mark.parametrize("kind", ["l1", "l1-phantom", "quantile", "l1-repeated",
+                                  "l1-underdetermined"])
 def test_warm_started_probes_equal_cold_fits(kind, monkeypatch):
-    rng = np.random.default_rng({"l1": 41, "l1-phantom": 42, "quantile": 43}[kind])
-    data = random_data(rng, 5, 1 + (kind == "l1-phantom"))
+    rng = np.random.default_rng({"l1": 41, "l1-phantom": 42, "quantile": 43,
+                                 "l1-repeated": 44, "l1-underdetermined": 45}[kind])
+    if kind == "l1-underdetermined":
+        # n < d+1: the dual drops a redundant row, so no basis is square
+        data = random_data(rng, 2, 2)
+    else:
+        data = random_data(rng, 5, 1 + (kind == "l1-phantom"))
+    if kind == "l1-repeated":
+        xs = data.xs.copy()
+        xs[1], xs[4] = xs[0], xs[2]
+        data = DataSet(xs, data.ys)
     if kind == "quantile":
         spec = MechanismSpec(MechanismKind.QUANTILE, QuantileConfig(0.3))
         cold = lambda d: fit_quantile(d, spec.params)  # noqa: E731
@@ -338,7 +349,8 @@ def test_warm_started_probes_equal_cold_fits(kind, monkeypatch):
 
     monkeypatch.setattr(BoundMechanism, "coefficients", record)
     assert audit_gsp(spec, data, max_coalition=2, max_evals=60, seed=1) is None
-    assert len(probes) > 300
+    # two agents have 42 candidates each, plus 60 sampled joint reports
+    assert len(probes) > (140 if data.n == 2 else 300)
     for ys, warm in probes:
         ref = cold(DataSet(data.xs, ys)).coefficients()
         npt.assert_allclose(warm, ref, rtol=1e-12, atol=1e-12 * (1.0 + np.abs(ref).max()))
@@ -355,6 +367,50 @@ def test_repeated_probe_with_an_unchanged_basis_takes_no_pivots():
     h2 = again.fit()
     assert again.pivots == 0
     npt.assert_array_equal(h1.coefficients(), h2.coefficients())
+
+
+def test_probes_of_a_bound_mechanism_reuse_optimal_bases(monkeypatch):
+    lps, probes = [], []
+    solve_lp, coefficients = erm.solve_lp, BoundMechanism.coefficients
+
+    def counted_lp(*args, **kwargs):
+        lps.append(1)
+        return solve_lp(*args, **kwargs)
+
+    def counted_probe(self, ys=None):
+        probes.append(1)
+        return coefficients(self, ys)
+
+    monkeypatch.setattr(erm, "solve_lp", counted_lp)
+    monkeypatch.setattr(BoundMechanism, "coefficients", counted_probe)
+    data = random_data(np.random.default_rng(46), 6, 2)
+    spec = MechanismSpec(MechanismKind.L1ERM, L1Config())
+    assert audit_gsp(spec, data, max_coalition=2, max_evals=300) is None
+    assert len(lps) * 5 < len(probes)
+    bound = spec.bind(data)
+    ys = data.ys + np.arange(data.n)
+    first = bound.coefficients(ys)
+    solved = len(lps)
+    # a cached basis applies the inverse of its interpolation rows, where
+    # the solve takes np.linalg.solve of them: equal up to rounding
+    npt.assert_allclose(bound.coefficients(ys), first, rtol=1e-12,
+                        atol=1e-12 * (1.0 + np.abs(first).max()))
+    assert len(lps) == solved
+
+
+def test_dual_bases_keep_at_most_eight_in_recency_order():
+    rng = np.random.default_rng(47)
+    data = random_data(rng, 6, 2)
+    w = np.ones(data.n)
+    cache = erm._DualBases()
+    for _ in range(200):
+        fit = _PiecewiseLinearFit(data.xbar(), rng.normal(0.0, 2.0, data.n), w, w, 0.0,
+                                  cache=cache)
+        fit.fit()
+        # a probe's optimal basis is the newest, whether cached or solved
+        npt.assert_array_equal(cache.newest(), fit.basis)
+        assert sorted(cache.order) == list(range(len(cache.slots)))
+    assert len(cache.slots) == erm.DUAL_BASES
 
 
 def test_single_point_returns_projection_of_origin():

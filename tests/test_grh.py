@@ -378,6 +378,19 @@ def test_rank_check_accepts_the_exact_line_far_from_x_zero():
             assert not satisfies_rank_conditions(data, part, Hyperplane(h.beta1, h.beta0 + shift))
 
 
+def test_d2_instances_far_from_x_zero_fit():
+    # the interpolation systems are gated on their condition, which an
+    # offset in x alone must not spoil: an uncentred [x | 1] refused 30 of
+    # these 600 as not publicly separable
+    rng = np.random.default_rng(2)
+    for _ in range(600):
+        data, part = random_separable_instance(rng, 2)
+        offset, scale = 10.0 ** rng.uniform(0, 6), rng.uniform(1e-3, 1.0)
+        moved = DataSet(data.xs * scale + offset, data.ys)
+        h = fit_grh(moved, part).hyperplane
+        assert satisfies_rank_conditions(moved, part, h), (offset, scale)
+
+
 @given(st.integers(min_value=0, max_value=100_000),
        st.floats(-40, 40, allow_nan=False))
 @settings(max_examples=80, deadline=None)

@@ -156,6 +156,40 @@ def test_random_problems_match_scipy(trial):
         warm = solve_lp(c2, a_ub, b_ub, a_eq, b_eq, bounds, basis=ours.basis)
         _check_against_scipy(warm, scipy_solve(c2, a_ub, b_ub, a_eq, b_eq, bounds),
                              a_ub, b_ub, a_eq, b_eq, bounds)
+        # the kept tableau of that basis is optimal for a cost exactly when
+        # a warm solve with that cost makes no pivot, and then holds its x
+        tableau = simplex.basis_tableau(c, a_ub, b_ub, a_eq, b_eq, bounds, basis=ours.basis)
+        for cost, again in ((c, solve_lp(c, a_ub, b_ub, a_eq, b_eq, bounds, basis=ours.basis)),
+                            (c2, warm)):
+            optimal = simplex.BasisStack([tableau]).optimal_for(cost)
+            assert optimal.tolist() == [again.pivots == 0]
+            if again.pivots == 0:
+                npt.assert_array_equal(tableau.values()[:n], again.x)
+
+
+def test_a_stack_of_bases_prices_each_as_a_warm_solve_from_it_would():
+    rng = np.random.default_rng(77)
+    n = 6
+    a_ub, b_ub = rng.normal(size=(3, n)), rng.normal(size=3) + 2.0
+    a_eq, b_eq = rng.normal(size=(1, n)), rng.normal(size=1)
+    bounds = [(-1.0, 2.0)] * n
+    tableaux = {}
+    for _ in range(40):
+        c = rng.normal(size=n)
+        res = solve_lp(c, a_ub, b_ub, a_eq, b_eq, bounds)
+        tableaux[res.basis.tobytes()] = simplex.basis_tableau(
+            c, a_ub, b_ub, a_eq, b_eq, bounds, basis=res.basis)
+    assert len(tableaux) >= 4
+    stack = simplex.BasisStack(list(tableaux.values()))
+    hits = 0
+    for _ in range(40):
+        c = rng.normal(size=n)
+        optimal = stack.optimal_for(c)
+        for tableau, hit in zip(tableaux.values(), optimal):
+            warm = solve_lp(c, a_ub, b_ub, a_eq, b_eq, bounds, basis=tableau.status)
+            assert hit == (warm.pivots == 0)
+            hits += hit
+    assert hits > 0
 
 
 def _check_against_scipy(ours, ref, a_ub, b_ub, a_eq, b_eq, bounds):

@@ -55,6 +55,10 @@ def test_tracer_counts_every_layer_of_an_l1_audit_and_a_grh_fit():
     y_true = l1_data.ys[0]
     moved = sum(c != y_true for c in default_candidates(l1_data, 0))
     assert metrics["audit.probes"]["value"] == 1 + moved + 1
+    # every L1 probe is one fit the tracer sees, cached dual basis or not,
+    # and most probes reuse a basis instead of solving an LP
+    assert metrics["erm.fits"]["value"] == 1 + moved
+    assert metrics["simplex.lp_calls"]["value"] < metrics["erm.fits"]["value"]
 
 
 def test_tracer_counts_the_probes_of_a_coalition_audit_and_a_replay():
