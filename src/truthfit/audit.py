@@ -148,7 +148,7 @@ def _bind_piecewise_linear(build, data: DataSet, cfg):
     def solve(ys):
         return _PiecewiseLinearFit(template.xbar, np.concatenate([ys, tail]),
                                    template.up_w, template.lo_w, template.drift,
-                                   cache=cache).fit().coefficients()
+                                   cache=cache).fit()
 
     return solve
 
@@ -564,10 +564,11 @@ def efficiency_ratio(spec: MechanismSpec, data: DataSet) -> float:
 
 def efficiency_terms(spec: MechanismSpec, data: DataSet) -> tuple[float, float, float]:
     """Mechanism RSS, least-squares RSS, and their ratio: +inf when least
-    squares is exact but the mechanism is not, 1 when both are exact."""
+    squares is exact but the mechanism is not, 1 when both are exact.  An
+    RSS counts as exact below (1e-12 max |y|)^2 n, in the units of y."""
     mech_rss = rss(data, fit_mechanism(spec, data))
     ols_rss = rss(data, fit_ols(data))
-    zero = (1e-12 * (1.0 + float(np.max(np.abs(data.ys))))) ** 2 * data.n
+    zero = (1e-12 * float(np.max(np.abs(data.ys)))) ** 2 * data.n
     if ols_rss <= zero:
         return mech_rss, ols_rss, 1.0 if mech_rss <= zero else math.inf
     return mech_rss, ols_rss, mech_rss / ols_rss

@@ -188,24 +188,31 @@ def _check(lines: list[str], label: str, passed: bool, detail: str) -> bool:
     return passed
 
 
+def _deviation(name: str):
+    """A built-in instance fitted on its truthful reports and under its
+    documented misreport, with the deviator's true |residual| under each:
+    ``(inst, deviated_data, truthful, deviated, before, after)``."""
+    inst = builtin_instance(name)
+    truthful = fit_mechanism(inst.mechanism, inst.data)
+    deviated_data = inst.data.with_reports({inst.deviator: inst.misreport})
+    deviated = fit_mechanism(inst.mechanism, deviated_data)
+    x = inst.data.xs[inst.deviator]
+    y = inst.data.ys[inst.deviator]
+    return (inst, deviated_data, truthful, deviated,
+            abs(y - predict(truthful, x)), abs(y - predict(deviated, x)))
+
+
 def _reproduce_fig1a() -> tuple[bool, list[str]]:
     lines: list[str] = []
-    inst = builtin_instance("crm-disjoint")
-    truthful = fit_mechanism(inst.mechanism, inst.data)
+    _, _, truthful, deviated, before, after = _deviation("crm-disjoint")
     ok = _check(lines, "fig1a truthful line",
                 truthful.close_to(Hyperplane([0.0], 1.0), 1e-9),
                 f"computed ({truthful.beta1[0]:.12g}, {truthful.beta0:.12g}), "
                 "expected (0, 1)")
-    deviated_data = inst.data.with_reports({inst.deviator: inst.misreport})
-    deviated = fit_mechanism(inst.mechanism, deviated_data)
     ok &= _check(lines, "fig1a deviated line",
                  deviated.close_to(Hyperplane([0.1], 1.4), 1e-9),
                  f"computed ({deviated.beta1[0]:.12g}, {deviated.beta0:.12g}), "
                  "expected (0.1, 1.4)")
-    x = inst.data.xs[inst.deviator]
-    y = inst.data.ys[inst.deviator]
-    before = abs(y - predict(truthful, x))
-    after = abs(y - predict(deviated, x))
     ok &= _check(lines, "fig1a manipulation gain",
                  abs(before - 2.0) <= 1e-9 and abs(after - 1.2) <= 1e-9,
                  f"true |residual| {before:.12g} -> {after:.12g}, expected 2 -> 1.2")
@@ -214,14 +221,7 @@ def _reproduce_fig1a() -> tuple[bool, list[str]]:
 
 def _reproduce_fig1b() -> tuple[bool, list[str]]:
     lines: list[str] = []
-    inst = builtin_instance("crm-subset")
-    truthful = fit_mechanism(inst.mechanism, inst.data)
-    deviated_data = inst.data.with_reports({inst.deviator: inst.misreport})
-    deviated = fit_mechanism(inst.mechanism, deviated_data)
-    x = inst.data.xs[inst.deviator]
-    y = inst.data.ys[inst.deviator]
-    before = abs(y - predict(truthful, x))
-    after = abs(y - predict(deviated, x))
+    _, _, truthful, _, before, after = _deviation("crm-subset")
     ok = _check(lines, "fig1b manipulation gain", before - after >= 1e-6,
                 f"true |residual| {before:.12g} -> {after:.12g}")
     figure_line = Hyperplane([0.5], 3.5)
@@ -243,20 +243,13 @@ def _reproduce_fig1b() -> tuple[bool, list[str]]:
 
 def _reproduce_quantile() -> tuple[bool, list[str]]:
     lines: list[str] = []
-    inst = builtin_instance("quantile04")
-    truthful = fit_mechanism(inst.mechanism, inst.data)
+    inst, deviated_data, truthful, deviated, before, after = _deviation("quantile04")
     ref = inst.reference_lines["figure_truthful"]
     ok = _check(lines, "quantile truthful line",
                 abs(truthful.beta1[0] - ref[0]) <= 1e-4
                 and abs(truthful.beta0 - ref[1]) <= 1e-4,
                 f"computed ({truthful.beta1[0]:.6f}, {truthful.beta0:.6f}), "
                 f"figure ({ref[0]}, {ref[1]})")
-    deviated_data = inst.data.with_reports({inst.deviator: inst.misreport})
-    deviated = fit_mechanism(inst.mechanism, deviated_data)
-    x = inst.data.xs[inst.deviator]
-    y = inst.data.ys[inst.deviator]
-    before = abs(y - predict(truthful, x))
-    after = abs(y - predict(deviated, x))
     shift = float(np.max(np.abs(deviated.coefficients() - truthful.coefficients())))
     ok &= _check(
         lines, "quantile misreport leaves the fit unchanged", shift <= 1e-9,
@@ -301,23 +294,20 @@ def _reproduce_lowerbound(n_values) -> tuple[bool, list[str]]:
     return ok, lines
 
 
+#: reproduce target -> the reports it prints, given ``--n`` (which sizes
+#: only the ``lowerbound`` target)
+_REPRODUCE = {
+    "fig1a": lambda n: [_reproduce_fig1a()],
+    "fig1b": lambda n: [_reproduce_fig1b()],
+    "quantile": lambda n: [_reproduce_quantile()],
+    "lowerbound": lambda n: [_reproduce_lowerbound(range(3, 11) if n is None else [n])],
+    "all": lambda n: [_reproduce_fig1a(), _reproduce_fig1b(), _reproduce_quantile(),
+                      _reproduce_lowerbound(range(3, 11))],
+}
+
+
 def cmd_reproduce(args) -> int:
-    if args.target == "lowerbound":
-        n_values = [args.n] if args.n is not None else range(3, 11)
-        runs = [_reproduce_lowerbound(n_values)]
-    elif args.target == "fig1a":
-        runs = [_reproduce_fig1a()]
-    elif args.target == "fig1b":
-        runs = [_reproduce_fig1b()]
-    elif args.target == "quantile":
-        runs = [_reproduce_quantile()]
-    else:
-        runs = [
-            _reproduce_fig1a(),
-            _reproduce_fig1b(),
-            _reproduce_quantile(),
-            _reproduce_lowerbound(range(3, 11)),
-        ]
+    runs = _REPRODUCE[args.target](args.n)
     all_ok = True
     for ok, lines in runs:
         all_ok &= ok
@@ -381,8 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_plot)
 
     p = sub.add_parser("reproduce", help="re-run the documented findings")
-    p.add_argument("target",
-                   choices=["fig1a", "fig1b", "quantile", "lowerbound", "all"])
+    p.add_argument("target", choices=list(_REPRODUCE))
     p.add_argument("--n", type=int, help="lowerbound instance size (default 3..10)")
     p.set_defaults(func=cmd_reproduce)
     return parser

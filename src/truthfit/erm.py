@@ -9,8 +9,11 @@ with p = d+1 equality rows and one bounded column per row of data, on the
 bounded-variable simplex.  The probes of an audit change only rhs (the
 dual objective), so every optimal basis of one probe stays feasible for
 the next: a bound mechanism keeps the last few in a :class:`_DualBases`,
-and a probe for which one of them passes the simplex's optimality test
-reads its fit off that basis without solving an LP.  Stage 2 resolves
+each as the optimal tableau of the solve that found it and the face of
+that solve's tau, and a probe for which one of them passes the simplex's
+optimality test reads its fit off that face without solving an LP.  A
+probe that solves computes beta from the face it builds in the same way,
+so a fit does not depend on whether its basis was cached.  Stage 2 resolves
 ties by picking, among all risk minimizers, the coefficient vector of
 smallest Euclidean norm; this strictly convex tie-break is what makes the
 L1 mechanism group strategyproof, so it is computed exactly rather than
@@ -34,7 +37,7 @@ import numpy as np
 
 from .core import DataSet, Hyperplane
 from .errors import ConfigurationError, ContractViolation, InternalInconsistency
-from .simplex import INFEASIBLE, BasisStack, basis_tableau, solve_lp
+from .simplex import INFEASIBLE, BasisStack, solve_lp
 
 
 def fit_ols(data: DataSet) -> Hyperplane:
@@ -110,25 +113,20 @@ class _PiecewiseLinearFit:
     an asymmetric absolute-value cost: up_w on positive residuals, lo_w on
     negative ones (equal for plain L1).  ``drift`` multiplies beta0.
 
-    ``basis`` warm-starts stage 1 from the dual basis of an earlier fit on
-    the same positions and weights.  ``cache`` holds optimal dual bases of
-    earlier fits on them: when one is optimal for this rhs, the fit reads
-    tau and stage 2 from it and solves no LP; otherwise stage 1 starts from
-    its newest basis (unless ``basis`` is given) and the new optimal basis
-    joins it.  After :meth:`fit`, ``basis`` holds this fit's optimal dual
-    basis and ``pivots`` the simplex iterations it took.
+    ``cache`` holds optimal dual bases of earlier fits on the same
+    positions and weights: when one is optimal for this rhs, the fit reads
+    stage 2 off it and solves no LP; otherwise stage 1 starts from its
+    newest basis and the new optimal basis joins it.
     """
 
-    def __init__(self, xbar, rhs, up_w, lo_w, drift, basis=None, cache=None):
+    def __init__(self, xbar, rhs, up_w, lo_w, drift, cache=None):
         self.xbar = np.asarray(xbar, dtype=float)
         self.rhs = np.asarray(rhs, dtype=float)
         self.up_w = np.asarray(up_w, dtype=float)
         self.lo_w = np.asarray(lo_w, dtype=float)
         self.drift = float(drift)
         self.p = self.xbar.shape[1]
-        self.basis = basis
         self.cache = cache
-        self.pivots = 0
 
     def risk(self, beta) -> float:
         r = self.rhs - self.xbar @ beta
@@ -136,18 +134,14 @@ class _PiecewiseLinearFit:
                      + self.lo_w @ np.maximum(-r, 0.0)
                      + self.drift * beta[-1])
 
-    def dual_constraints(self) -> dict:
-        """The constraints of the stage-1 LP as ``solve_lp`` keywords; they
-        depend on positions, weights and drift, never on rhs."""
+    def dual(self, basis):
+        """Stage 1: max rhs . tau s.t. xbar^T tau = drift e_p,
+        -lo_w <= tau <= up_w (the LP dual of the risk minimization), warm
+        from ``basis``; the optimal ``solve_lp`` result."""
         b_eq = np.zeros(self.p)
         b_eq[-1] = self.drift
-        return {"a_eq": self.xbar.T, "b_eq": b_eq,
-                "bounds": np.column_stack([-self.lo_w, self.up_w])}
-
-    def dual(self) -> np.ndarray:
-        """Stage 1: an optimal tau of max rhs . tau s.t. xbar^T tau = drift e_p,
-        -lo_w <= tau <= up_w (the LP dual of the risk minimization)."""
-        res = solve_lp(-self.rhs, **self.dual_constraints(), basis=self.basis)
+        res = solve_lp(-self.rhs, a_eq=self.xbar.T, b_eq=b_eq,
+                       bounds=np.column_stack([-self.lo_w, self.up_w]), basis=basis)
         if res.status == INFEASIBLE:
             raise ConfigurationError(
                 "risk is unbounded below; the drift coefficient exceeds the "
@@ -155,33 +149,30 @@ class _PiecewiseLinearFit:
             )
         if not res.ok:
             raise InternalInconsistency(f"the bounded dual LP ended {res.status}")
-        self.basis, self.pivots = res.basis, res.pivots
-        return res.x
+        return res
 
-    def fit(self) -> Hyperplane:
-        """Stage 2: the smallest-norm point of the optimal face.
+    def fit(self) -> np.ndarray:
+        """Stage 2: the coefficients of the smallest-norm point of the
+        optimal face.
 
         By complementary slackness with the optimal tau, beta minimizes the
         risk exactly when rows with tau strictly inside its bounds have zero
         residual, rows with tau at up_w a nonnegative one and rows with tau
         at -lo_w a nonpositive one.
         """
-        known = None if self.cache is None else self.cache.find(self.rhs)
-        if known is not None:
-            self.basis, self.pivots = known.tableau.status, 0
-            beta = known.beta(self.rhs)
-        else:
-            if self.basis is None and self.cache is not None:
-                self.basis = self.cache.newest()
-            beta = _Face(self, self.dual()).point(self.rhs)
-            if self.cache is not None:
-                self.cache.add(self)
-        return Hyperplane(beta[:-1], float(beta[-1]))
+        face = None if self.cache is None else self.cache.find(self.rhs)
+        if face is None:
+            res = self.dual(None if self.cache is None else self.cache.newest())
+            face = _Face(self, res.x)
+            if self.cache is not None and res.tableau is not None:
+                self.cache.add(res.tableau, face)
+        return face.point(self.rhs)
 
 
 class _Face:
     """The optimal face cut out by an optimal tau (see
-    :meth:`_PiecewiseLinearFit.fit`), for any rhs that tau is optimal for."""
+    :meth:`_PiecewiseLinearFit.fit`), for any rhs that tau is optimal for.
+    A face pinned by p rows keeps their inverse."""
 
     def __init__(self, fit: _PiecewiseLinearFit, tau):
         edge = 1e-9 * (fit.up_w + fit.lo_w)
@@ -192,12 +183,12 @@ class _Face:
         # <= 0 at the lower one
         self.sign = np.where(tau > 0.0, -1.0, 1.0)[self.rest]
         self.g = self.sign[:, None] * fit.xbar[self.rest]
-        self.square = self.zero.size == fit.p
+        self.inverse = np.linalg.inv(self.a_eq) if self.zero.size == fit.p else None
 
     def point(self, rhs) -> np.ndarray:
         """The face's smallest-norm point."""
-        if self.square:
-            return np.linalg.solve(self.a_eq, rhs[self.zero])
+        if self.inverse is not None:
+            return self.inverse @ rhs[self.zero]
         return _min_norm_on_face(self.a_eq, rhs[self.zero], self.g, self.sign * rhs[self.rest])
 
 
@@ -210,68 +201,49 @@ class _DualBases:
     drift, tried most recently used first.
 
     Those fits share the dual constraints and differ only in the dual cost
-    -rhs, so a basis stays feasible for every fit.  It is optimal for a new
-    rhs exactly when the simplex's own optimality test passes on the
-    tableau a warm solve from it starts with, so a hit is a warm solve that
+    -rhs, so a basis stays feasible for every fit.  An entry is the optimal
+    tableau of the solve that found the basis and the face of that solve's
+    tau.  The basis is optimal for a new rhs exactly when the simplex's own
+    optimality test passes on that tableau, so a hit is a warm solve that
     would make no pivot.  An audit's probes visit few optimal bases, so
     most of them find theirs here; a probe that does not warm-starts from
-    the newest.  Only bases a warm solve would adopt join: square,
-    nonsingular and feasible.
+    the newest, whose tableau it factorises afresh, so rounding does not
+    build up from one solve to the next.
     """
 
     def __init__(self):
-        self.slots: list[_OptimalBasis] = []  # in the order of the stack
-        self.order: list[int] = []            # slots, most recently used first
+        self.slots: list[tuple] = []  # (tableau, face), in the order of the stack
+        self.order: list[int] = []    # slots, most recently used first
         self.stack = None
 
     def newest(self):
-        return self.slots[self.order[0]].tableau.status if self.order else None
+        return self.slots[self.order[0]][0].status if self.order else None
 
-    def find(self, rhs) -> "_OptimalBasis | None":
+    def find(self, rhs) -> "_Face | None":
         if not self.slots:
             return None
         optimal = self.stack.optimal_for(-rhs)
         for k, slot in enumerate(self.order):
             if optimal[slot]:
                 self.order.insert(0, self.order.pop(k))
-                return self.slots[slot]
+                return self.slots[slot][1]
         return None
 
-    def add(self, fit: _PiecewiseLinearFit) -> None:
-        """Keep the optimal basis of a fit that just solved its LP."""
-        tableau = basis_tableau(-fit.rhs, **fit.dual_constraints(), basis=fit.basis)
-        if tableau is None:
-            return
-        entry = _OptimalBasis(fit, tableau)
-        slot = next((k for k in self.order if self.slots[k].key == entry.key), None)
+    def add(self, tableau, face: _Face) -> None:
+        """Keep the optimal tableau of a solve and the face of its tau."""
+        slot = next((k for k in self.order
+                     if np.array_equal(self.slots[k][0].status, tableau.status)), None)
         if slot is None:
             if len(self.slots) < DUAL_BASES:
                 slot = len(self.slots)
-                self.slots.append(entry)
+                self.slots.append((tableau, face))
             else:
                 slot = self.order.pop()
-                self.slots[slot] = entry
-            self.stack = BasisStack([e.tableau for e in self.slots])
+                self.slots[slot] = (tableau, face)
+            self.stack = BasisStack([t for t, _ in self.slots])
         else:
             self.order.remove(slot)
         self.order.insert(0, slot)
-
-
-class _OptimalBasis:
-    """A dual basis with its tableau and the optimal face of its tau, which
-    does not depend on rhs.  A face pinned by p rows keeps their inverse,
-    so its point may differ from a solve's in the last bits."""
-
-    def __init__(self, fit: _PiecewiseLinearFit, tableau):
-        self.tableau = tableau
-        self.key = tableau.status.tobytes()
-        self.face = _Face(fit, tableau.values()[:fit.rhs.size])
-        self.inverse = np.linalg.inv(self.face.a_eq) if self.face.square else None
-
-    def beta(self, rhs) -> np.ndarray:
-        if self.inverse is not None:
-            return self.inverse @ rhs[self.face.zero]
-        return self.face.point(rhs)
 
 
 def _min_norm_on_face(a_eq, b_eq, g, h):
@@ -376,7 +348,8 @@ def _build_l1(data: DataSet, cfg: L1Config) -> _PiecewiseLinearFit:
 
 def fit_l1erm(data: DataSet, cfg: L1Config | None = None) -> Hyperplane:
     """Weighted L1 fit with phantom regularizers and minimum-norm tie-break."""
-    return _build_l1(data, cfg or L1Config()).fit()
+    beta = _build_l1(data, cfg or L1Config()).fit()
+    return Hyperplane(beta[:-1], float(beta[-1]))
 
 
 def l1_risk(data: DataSet, cfg: L1Config, h: Hyperplane) -> float:
@@ -391,7 +364,8 @@ def _build_quantile(data: DataSet, cfg: QuantileConfig) -> _PiecewiseLinearFit:
 
 def fit_quantile(data: DataSet, cfg: QuantileConfig) -> Hyperplane:
     """Quantile fit: weight q above the line, 1-q below, same tie-break."""
-    return _build_quantile(data, cfg).fit()
+    beta = _build_quantile(data, cfg).fit()
+    return Hyperplane(beta[:-1], float(beta[-1]))
 
 
 def quantile_risk(data: DataSet, cfg: QuantileConfig, h: Hyperplane) -> float:

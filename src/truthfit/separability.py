@@ -251,8 +251,9 @@ def compare_hyperplanes(data: DataSet, part: AgentPartition,
     hyperplanes over a publicly separable partition such a set must exist.
     """
     part.validate_against(data)
-    if np.max(np.abs(h1.coefficients() - h2.coefficients())) <= 1e-12:
-        raise ContractViolation("hyperplanes are equal within 1e-12")
+    c1, c2 = h1.coefficients(), h2.coefficients()
+    if np.max(np.abs(c1 - c2)) <= 1e-12 * max(np.max(np.abs(c1)), np.max(np.abs(c2))):
+        raise ContractViolation("hyperplanes are equal to 1e-12 relative")
     diff = predict_all(h1, data) - predict_all(h2, data)
     for t, members in enumerate(part.sets):
         g = diff[list(members)]

@@ -22,10 +22,10 @@ artificials.
 A solve returns its final ``basis``: one status code per column, the
 variables first and then one slack per inequality row.  Passing it back as
 ``basis=`` to a problem with the same constraints and any cost vector skips
-phase 1: the old basis is still feasible, and phase 2 starts from it.
-:func:`basis_tableau` returns the tableau such a warm solve starts from, so
-a caller can keep it and test later costs against it (:class:`BasisStack`):
-a basis optimal for a cost is a warm solve that makes no pivot.
+phase 1: the old basis is still feasible, and phase 2 starts from it.  A
+solve also returns its optimal ``tableau``, so a caller can keep it and test
+later costs against it (:class:`BasisStack`) without factorising the basis
+again: a basis optimal for a cost is a warm solve that makes no pivot.
 """
 
 from __future__ import annotations
@@ -54,6 +54,8 @@ class LpResult:
     ``basis`` holds one status code (``AT_LOWER``, ``AT_UPPER`` or
     ``BASIC``) per variable and then per inequality slack; ``pivots``
     counts simplex iterations, basis changes and bound flips alike.
+    ``tableau`` is the optimal tableau when a warm solve would adopt its
+    basis, and None when phase 1 dropped a redundant equality row.
     """
 
     status: str
@@ -61,6 +63,7 @@ class LpResult:
     objective: float | None = None
     basis: np.ndarray | None = None
     pivots: int = 0
+    tableau: "_Tableau | None" = None
 
     @property
     def ok(self) -> bool:
@@ -91,7 +94,7 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, bounds=None,
     """Solve the LP above; status is "optimal", "infeasible" or "unbounded".
 
     ``tol`` is relative: reduced costs count as zero below
-    tol * (1 + max |c|), and bound violations below tol times the scale of
+    tol * max |c|, and bound violations below tol times the scale of
     the right-hand sides and finite bounds.  ``basis`` is the ``basis`` of
     an earlier result for the same constraints; one that no longer fits is
     ignored and the solve starts cold.
@@ -109,25 +112,13 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, bounds=None,
         return LpResult(UNBOUNDED, pivots=lp.pivots)
     n = lp.ncols - lp.n_ub
     x = lp.values()[:n]
-    return LpResult(OPTIMAL, x, float(lp.cost[:n] @ x), lp.status, lp.pivots)
-
-
-def basis_tableau(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, bounds=None,
-                  tol: float = 1e-9, *, basis) -> "_Tableau | None":
-    """The tableau a warm :func:`solve_lp` with these arguments starts from.
-
-    None when that solve would refuse ``basis`` and start cold.  The
-    tableau's ``status`` is the basis and ``values()`` its point (the
-    variables first, then the slacks).
-    """
-    lp = _equality_form(c, a_ub, b_ub, a_eq, b_eq, bounds, tol)
-    if lp is None or not lp.warm_start(np.asarray(basis)):
-        return None
-    return lp
+    square = lp.m == lp.ab.shape[0]
+    return LpResult(OPTIMAL, x, float(lp.cost[:n] @ x), lp.status, lp.pivots,
+                    lp if square else None)
 
 
 class BasisStack:
-    """Tableaux from :func:`basis_tableau` of one LP in different bases,
+    """Optimal tableaux of solves of one LP, which differ in cost and basis,
     stacked so that one pass prices a cost against all of them."""
 
     def __init__(self, tableaux):
@@ -150,8 +141,10 @@ class BasisStack:
 
 
 def _cost_tol(tol, cost) -> float:
-    """Reduced costs at or below this magnitude count as zero."""
-    return tol * (1.0 + float(np.abs(cost).max(initial=0.0)))
+    """Reduced costs at or below this magnitude count as zero: relative to
+    the cost, so that scaling the cost scales no decision (with a zero cost
+    every basis is optimal)."""
+    return tol * float(np.abs(cost).max(initial=0.0))
 
 
 def _pricing(cost, dtol, tab, basic, x, lo, hi) -> tuple[np.ndarray, np.ndarray]:

@@ -45,6 +45,7 @@ from truthfit import (
     tukey_spec,
     verify_certificate,
 )
+from truthfit.random_instances import random_data
 
 # -- improvement semantics --------------------------------------------------------
 
@@ -359,6 +360,20 @@ def test_efficiency_is_infinite_when_only_least_squares_is_exact():
     zero_line = ImpartialConfig(g=(AffineResponse(a=[0.0], b=[0.0]),) * 3, c=0.0)
     spec = MechanismSpec(MechanismKind.IMPARTIAL, zero_line)
     assert efficiency_ratio(spec, coll) == math.inf
+
+
+@pytest.mark.parametrize("scale", [1e-13, 1.0, 1e6])
+def test_efficiency_ratio_does_not_depend_on_the_units_of_y(scale):
+    data = random_data(np.random.default_rng(3), 9, 1)
+    everyone = tuple(range(data.n))
+    crm = MechanismSpec(MechanismKind.CRM, CrmConfig(s=everyone, sprime=everyone))
+    ratio = efficiency_ratio(crm, DataSet(data.xs, scale * data.ys))
+    assert ratio == pytest.approx(efficiency_ratio(crm, data), rel=1e-9)
+    assert ratio > 1.5
+    line = DataSet(np.array([[0.0], [1.0], [2.0]]), scale * np.array([1.0, 2.0, 3.0]))
+    assert efficiency_ratio(MechanismSpec(MechanismKind.L1ERM, L1Config()), line) == 1.0
+    zero_line = ImpartialConfig(g=(AffineResponse(a=[0.0], b=[0.0]),) * 3, c=0.0)
+    assert efficiency_ratio(MechanismSpec(MechanismKind.IMPARTIAL, zero_line), line) == math.inf
 
 
 def test_lowerbound_instance_doubles_the_optimum():

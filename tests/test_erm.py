@@ -35,7 +35,7 @@ from truthfit import (
     quantile_risk,
     rss,
 )
-from truthfit import erm
+from truthfit import erm, simplex
 from truthfit.audit import BoundMechanism
 from truthfit.erm import _build_l1, _PiecewiseLinearFit
 from truthfit.random_instances import random_data
@@ -356,19 +356,6 @@ def test_warm_started_probes_equal_cold_fits(kind, monkeypatch):
         npt.assert_allclose(warm, ref, rtol=1e-12, atol=1e-12 * (1.0 + np.abs(ref).max()))
 
 
-def test_repeated_probe_with_an_unchanged_basis_takes_no_pivots():
-    rng = np.random.default_rng(9)
-    data = random_data(rng, 7, 2)
-    w = np.ones(data.n)
-    first = _PiecewiseLinearFit(data.xbar(), data.ys, w, w, 0.0)
-    h1 = first.fit()
-    assert first.pivots > 0
-    again = _PiecewiseLinearFit(data.xbar(), data.ys, w, w, 0.0, basis=first.basis)
-    h2 = again.fit()
-    assert again.pivots == 0
-    npt.assert_array_equal(h1.coefficients(), h2.coefficients())
-
-
 def test_probes_of_a_bound_mechanism_reuse_optimal_bases(monkeypatch):
     lps, probes = [], []
     solve_lp, coefficients = erm.solve_lp, BoundMechanism.coefficients
@@ -389,13 +376,35 @@ def test_probes_of_a_bound_mechanism_reuse_optimal_bases(monkeypatch):
     assert len(lps) * 5 < len(probes)
     bound = spec.bind(data)
     ys = data.ys + np.arange(data.n)
+    before = len(lps)
     first = bound.coefficients(ys)
     solved = len(lps)
-    # a cached basis applies the inverse of its interpolation rows, where
-    # the solve takes np.linalg.solve of them: equal up to rounding
-    npt.assert_allclose(bound.coefficients(ys), first, rtol=1e-12,
-                        atol=1e-12 * (1.0 + np.abs(first).max()))
+    assert solved > before
+    # a hit reads beta off the face the solve built, so it is the same
+    npt.assert_array_equal(bound.coefficients(ys), first)
     assert len(lps) == solved
+
+
+def test_an_lp_is_built_once_per_solve(monkeypatch):
+    lps, forms = [], []
+    solve_lp, equality_form = erm.solve_lp, simplex._equality_form
+
+    def counted_lp(*args, **kwargs):
+        lps.append(1)
+        return solve_lp(*args, **kwargs)
+
+    def counted_form(*args, **kwargs):
+        forms.append(1)
+        return equality_form(*args, **kwargs)
+
+    monkeypatch.setattr(erm, "solve_lp", counted_lp)
+    monkeypatch.setattr(simplex, "_equality_form", counted_form)
+    data = random_data(np.random.default_rng(46), 6, 2)
+    spec = MechanismSpec(MechanismKind.L1ERM, L1Config())
+    assert audit_gsp(spec, data, max_coalition=2, max_evals=300) is None
+    # the cache keeps each solve's own tableau instead of building it again
+    assert len(lps) > 1
+    assert len(forms) == len(lps)
 
 
 def test_dual_bases_keep_at_most_eight_in_recency_order():
@@ -404,13 +413,24 @@ def test_dual_bases_keep_at_most_eight_in_recency_order():
     w = np.ones(data.n)
     cache = erm._DualBases()
     for _ in range(200):
-        fit = _PiecewiseLinearFit(data.xbar(), rng.normal(0.0, 2.0, data.n), w, w, 0.0,
-                                  cache=cache)
-        fit.fit()
+        rhs = rng.normal(0.0, 2.0, data.n)
+        _PiecewiseLinearFit(data.xbar(), rhs, w, w, 0.0, cache=cache).fit()
         # a probe's optimal basis is the newest, whether cached or solved
-        npt.assert_array_equal(cache.newest(), fit.basis)
+        assert cache.stack.optimal_for(-rhs)[cache.order[0]]
         assert sorted(cache.order) == list(range(len(cache.slots)))
     assert len(cache.slots) == erm.DUAL_BASES
+
+
+@pytest.mark.parametrize("scale", [1e-13, 1e-9, 1e-6, 1e6, 1e12])
+def test_fits_scale_with_the_reports(scale):
+    # the cost of the dual LP is the reports, so its tolerance must scale too
+    for data in (random_data(np.random.default_rng(3), 9, 1),
+                 random_data(np.random.default_rng(4), 9, 2)):
+        scaled = DataSet(data.xs, scale * data.ys)
+        for fit in (fit_l1erm, lambda d: fit_quantile(d, QuantileConfig(0.3))):
+            ref = scale * fit(data).coefficients()
+            npt.assert_allclose(fit(scaled).coefficients(), ref, rtol=0.0,
+                                atol=1e-12 * np.abs(ref).max())
 
 
 def test_single_point_returns_projection_of_origin():

@@ -323,6 +323,19 @@ def test_compare_equal_hyperplanes_rejected():
         compare_hyperplanes(data, part, h, Hyperplane(np.array([1.0]), 5e-13))
 
 
+@pytest.mark.parametrize("scale", [1e-13, 1.0, 1e6])
+def test_compare_hyperplanes_equality_is_relative(scale):
+    data = DataSet(np.array([[0.0], [1.0], [5.0], [6.0]]), np.zeros(4))
+    part = AgentPartition(((0, 1), (2, 3)), (1, 1))
+    flat = Hyperplane(np.array([0.0]), 0.0)
+    raised = Hyperplane(np.array([0.0]), scale)
+    assert compare_hyperplanes(data, part, flat, raised) == (0, Ordering.ALL_BELOW)
+    h = Hyperplane(np.array([scale]), 0.0)
+    for same in (h, Hyperplane(np.array([scale]), 5e-13 * scale)):
+        with pytest.raises(ContractViolation):
+            compare_hyperplanes(data, part, h, same)
+
+
 @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=3))
 @settings(max_examples=80, deadline=None)
 def test_compare_hyperplanes_verdict_is_sound(seed, d):

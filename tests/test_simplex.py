@@ -154,17 +154,22 @@ def test_random_problems_match_scipy(trial):
         # a new cost on the same constraints, warm-started from this basis
         c2 = rng.normal(size=n)
         warm = solve_lp(c2, a_ub, b_ub, a_eq, b_eq, bounds, basis=ours.basis)
-        _check_against_scipy(warm, scipy_solve(c2, a_ub, b_ub, a_eq, b_eq, bounds),
-                             a_ub, b_ub, a_eq, b_eq, bounds)
-        # the kept tableau of that basis is optimal for a cost exactly when
-        # a warm solve with that cost makes no pivot, and then holds its x
-        tableau = simplex.basis_tableau(c, a_ub, b_ub, a_eq, b_eq, bounds, basis=ours.basis)
+        ref2 = scipy_solve(c2, a_ub, b_ub, a_eq, b_eq, bounds)
+        _check_against_scipy(warm, ref2, a_ub, b_ub, a_eq, b_eq, bounds)
+        # the kept tableau holds the solve's own x, and it is optimal for a
+        # cost exactly when a warm solve with that cost makes no pivot
+        tableau = ours.tableau
+        assert tableau is not None
+        npt.assert_array_equal(tableau.values()[:n], ours.x)
         for cost, again in ((c, solve_lp(c, a_ub, b_ub, a_eq, b_eq, bounds, basis=ours.basis)),
                             (c2, warm)):
             optimal = simplex.BasisStack([tableau]).optimal_for(cost)
             assert optimal.tolist() == [again.pivots == 0]
-            if again.pivots == 0:
-                npt.assert_array_equal(tableau.values()[:n], again.x)
+        if optimal[0]:
+            # a hit reads its point off the kept tableau: optimal for c2 too
+            x = tableau.values()[:n]
+            hit = simplex.LpResult(simplex.OPTIMAL, x, float(c2 @ x))
+            _check_against_scipy(hit, ref2, a_ub, b_ub, a_eq, b_eq, bounds)
 
 
 def test_a_stack_of_bases_prices_each_as_a_warm_solve_from_it_would():
@@ -177,8 +182,7 @@ def test_a_stack_of_bases_prices_each_as_a_warm_solve_from_it_would():
     for _ in range(40):
         c = rng.normal(size=n)
         res = solve_lp(c, a_ub, b_ub, a_eq, b_eq, bounds)
-        tableaux[res.basis.tobytes()] = simplex.basis_tableau(
-            c, a_ub, b_ub, a_eq, b_eq, bounds, basis=res.basis)
+        tableaux[res.basis.tobytes()] = res.tableau
     assert len(tableaux) >= 4
     stack = simplex.BasisStack(list(tableaux.values()))
     hits = 0
