@@ -106,17 +106,38 @@ class BoundMechanism:
 
     Validation that depends only on positions and configuration happens
     once here; ``coefficients`` then maps any report vector to the fitted
-    (beta1, beta0) without re-checking.
+    (beta1, beta0) without re-checking, and ``coefficients_many`` maps a
+    block of them.
     """
 
     def __init__(self, spec: MechanismSpec, data: DataSet):
         self.spec = spec
         self.data = data
-        self._solve = _make_solver(spec, data)
+        self._solve, self._solve_many = _make_solver(spec, data)
 
     def coefficients(self, ys=None) -> np.ndarray:
         ys = self.data.ys if ys is None else np.asarray(ys, dtype=float)
         return self._solve(ys)
+
+    def coefficients_many(self, ys) -> tuple[np.ndarray, dict[int, Exception]]:
+        """The (K, d+1) coefficients of each row of a (K, n) block of
+        reports, and the error each failing row raises (its coefficients
+        NaN).  Row k is what ``coefficients`` returns or raises on it alone.
+
+        Kinds without a batched solver run ``coefficients`` row by row, in
+        order, and every row runs: the caller decides which error counts.
+        """
+        ys = np.asarray(ys, dtype=float)
+        if self._solve_many is not None:
+            return self._solve_many(ys)
+        out = np.full((ys.shape[0], self.data.d + 1), np.nan)
+        failed = {}
+        for k, row in enumerate(ys):
+            try:
+                out[k] = self.coefficients(row)
+            except Exception as exc:  # kept for the caller, who raises it in trial order
+                failed[k] = exc
+        return out, failed
 
     def hyperplane(self, ys=None) -> Hyperplane:
         coeffs = self.coefficients(ys)
@@ -130,13 +151,15 @@ def fit_mechanism(spec: MechanismSpec, data: DataSet) -> Hyperplane:
 
 # --------------------------------------------------------------------------
 # the mechanism table: a binder checks a configuration against the positions
-# once and returns solve(ys) -> coefficients.  Binders look solver classes and
-# checks up as module globals, so that instrumentation rebinding them sees all.
+# once and returns solve(ys) -> coefficients, plus solve_many(block) ->
+# (coefficients, failed rows) where the kind has a batched solver (else None).
+# Binders look solver classes and checks up as module globals, so that
+# instrumentation rebinding them sees all.
 
 
 def _bind_ols(data: DataSet, cfg: None):
     pinv = np.linalg.pinv(data.xbar())
-    return lambda ys: pinv @ ys
+    return (lambda ys: pinv @ ys), None
 
 
 def _bind_piecewise_linear(build, data: DataSet, cfg):
@@ -150,26 +173,29 @@ def _bind_piecewise_linear(build, data: DataSet, cfg):
                                    template.up_w, template.lo_w, template.drift,
                                    cache=cache).fit()
 
-    return solve
+    return solve, None
 
 
 def _bind_refit(fit, data: DataSet, cfg):
     fit(data, cfg)  # surface configuration errors once
     xs = data.xs
-    return lambda ys: fit(DataSet(xs, ys), cfg).coefficients()
+    return (lambda ys: fit(DataSet(xs, ys), cfg).coefficients()), None
+
+
+def _batched(solver: _GrhSolver):
+    """solve and solve_many over one resistant-hyperplane solver."""
+    return (lambda ys: solver.solve(ys)[0]), (lambda ys: solver.solve_many(ys)[:2])
 
 
 def _bind_grl(data: DataSet, cfg: GrlParams):
-    solver = _grl_solver(data, cfg.s, cfg.sprime, cfg.k, cfg.kprime)
-    return lambda ys: solver.solve(ys)[0]
+    return _batched(_grl_solver(data, cfg.s, cfg.sprime, cfg.k, cfg.kprime))
 
 
 def _bind_grh(data: DataSet, cfg: AgentPartition):
     cfg.validate_against(data)
     if not is_publicly_separable(data, cfg):
         raise NotPubliclySeparable("partition is not publicly separable; rejected before solving")
-    solver = _GrhSolver(data.xs, cfg)
-    return lambda ys: solver.solve(ys)[0]
+    return _batched(_GrhSolver(data.xs, cfg))
 
 
 def _bind_generalized_median(data: DataSet, cfg: GenMedParams):
@@ -185,7 +211,7 @@ def _bind_generalized_median(data: DataSet, cfg: GenMedParams):
             raise ConfigurationError("phantom choice pushes the median to infinity")
         return np.array([med])
 
-    return solve
+    return solve, None
 
 
 #: default of a kind that cannot be fitted without an explicit configuration
@@ -196,7 +222,7 @@ class _Mechanism(NamedTuple):
     config: type             # the configuration type the binder accepts
     default: object          # used when a spec carries no configuration
     traversal: bool          # output interpolates d+1 data points
-    bind: Callable           # (data, cfg) -> solve(ys) -> coefficients
+    bind: Callable           # (data, cfg) -> (solve, solve_many or None)
 
 
 _MECHANISMS: dict[MechanismKind, _Mechanism] = {
@@ -233,30 +259,33 @@ def _make_solver(spec: MechanismSpec, data: DataSet):
 # improvement semantics
 
 
-def strictly_better(r_before: float, r_after: float, margin: float = DEFAULT_MARGIN) -> bool:
+def strictly_better(r_before, r_after, margin: float = DEFAULT_MARGIN):
     """Can some single-peaked preference strictly prefer the new outcome?
 
     True when the prediction moved strictly closer to the agent's value, or
     jumped to the other side of it (cross-side moves are unordered by the
     preference class, so some admissible preference strictly gains).
+    Elementwise over residual arrays that broadcast together.
     """
-    if abs(r_after) < abs(r_before) - margin:
-        return True
-    crossed = (r_before > margin and r_after < -margin) or \
-              (r_before < -margin and r_after > margin)
-    return crossed and abs(r_after - r_before) > margin
+    r_before, r_after = np.asarray(r_before), np.asarray(r_after)
+    crossed = (((r_before > margin) & (r_after < -margin))
+               | ((r_before < -margin) & (r_after > margin)))
+    return ((np.abs(r_after) < np.abs(r_before) - margin)
+            | (crossed & (np.abs(r_after - r_before) > margin)))
 
 
-def forced_worse(r_before: float, r_after: float, margin: float = DEFAULT_MARGIN) -> bool:
+def forced_worse(r_before, r_after, margin: float = DEFAULT_MARGIN):
     """Does every single-peaked preference rank the new outcome strictly lower?
 
     Only a same-side move strictly away from the agent's value (or any move
-    off an exactly attained value) is unanimously worse.
+    off an exactly attained value) is unanimously worse.  Elementwise over
+    residual arrays that broadcast together.
     """
-    if abs(r_before) <= margin:
-        return abs(r_after) > margin
-    same_side = (r_before > 0) == (r_after > 0) and abs(r_after) > margin
-    return same_side and abs(r_after) > abs(r_before) + margin
+    r_before, r_after = np.asarray(r_before), np.asarray(r_after)
+    moved_off = np.abs(r_after) > margin
+    farther = (((r_before > 0) == (r_after > 0)) & moved_off
+               & (np.abs(r_after) > np.abs(r_before) + margin))
+    return np.where(np.abs(r_before) <= margin, moved_off, farther)
 
 
 @dataclass(frozen=True)
@@ -293,9 +322,9 @@ class ViolationCertificate:
 
 class _Probe:
     """One mechanism bound to the data, its truthful fit, and the judgement
-    of a joint misreport against it.
+    of joint misreports against it.
 
-    Every probe goes through ``BoundMechanism.coefficients``.
+    Every probe goes through ``BoundMechanism.coefficients_many``.
     """
 
     def __init__(self, spec: MechanismSpec, data: DataSet, margin: float):
@@ -317,30 +346,53 @@ class _Probe:
         A report equal to the truth for every member is no probe.  Errors of
         the mechanism, ``InternalInconsistency`` included, propagate.
         """
+        cert, errors = self.judge_many(coalition, [reports])
+        if errors:
+            raise errors[0]
+        return cert
+
+    def judge_many(self, coalition: tuple[int, ...], reports
+                   ) -> tuple[ViolationCertificate | None, list[Exception]]:
+        """The certificate of the first row of ``reports`` (one joint report
+        per row, in coalition order) that pays off, else None; and, in row
+        order, the errors the mechanism raised on the rows before it (on
+        every row, when none pays off).
+
+        Rows equal to the truth for every member are no probes.  The
+        residuals are formed elementwise, so a row is judged the same in
+        any block.
+        """
         ys = self.data.ys
         members = list(coalition)
-        ys2 = ys.copy()
-        ys2[members] = reports
-        if np.all(ys2[members] == ys[members]):
-            return None
-        coeffs = self.bound.coefficients(ys2)
-        r1 = ys[members] - self.xbar[members] @ coeffs
+        reports = np.asarray(reports, dtype=float)
+        truth = ys[members]
+        probes = np.flatnonzero(np.any(reports != truth, axis=1))
+        if probes.size == 0:
+            return None, []
+        block = np.repeat(ys[None, :], probes.size, axis=0)
+        block[:, members] = reports[probes]
+        coeffs, failed = self.bound.coefficients_many(block)
+        xbar = self.xbar[members]
+        fitted = coeffs[:, None, 0] * xbar[:, 0]
+        for j in range(1, xbar.shape[1]):
+            fitted += coeffs[:, None, j] * xbar[:, j]
+        r1 = truth - fitted
         r0 = self.r0[members]
-        strict = False
-        for b, a in zip(r0, r1):
-            if forced_worse(b, a, self.noise):
-                return None
-            strict = strict or strictly_better(b, a, self.margin)
-        if not strict:
-            return None
+        pays = (~np.any(forced_worse(r0, r1, self.noise), axis=1)
+                & np.any(strictly_better(r0, r1, self.margin), axis=1))
+        pays[list(failed)] = False
+        first = int(np.argmax(pays)) if pays.any() else probes.size
+        errors = [failed[k] for k in sorted(failed) if k < first]
+        if first == probes.size:
+            return None, errors
         return ViolationCertificate(
             coalition=coalition,
-            misreports={m: float(v) for m, v in zip(members, reports)},
+            misreports={m: float(v) for m, v in zip(members, reports[probes[first]])},
             before=tuple(abs(v) for v in r0),
-            after=tuple(abs(v) for v in r1),
+            after=tuple(abs(v) for v in r1[first]),
             truthful=self.truthful,
-            deviated=Hyperplane(coeffs[:-1], float(coeffs[-1])),
-        )
+            deviated=Hyperplane(coeffs[first, :-1], float(coeffs[first, -1])),
+        ), errors
 
 
 def verify_certificate(spec: MechanismSpec, data: DataSet,
@@ -399,20 +451,43 @@ def default_candidates(data: DataSet, agent: int, grid_points: int = 41) -> list
 # audits
 
 
-def _first_certificate(probe: _Probe, trials) -> ViolationCertificate | None:
-    """The first certificate over (coalition, reports) trials, in order.
+#: most joint reports judged in one block; bounds the memory a large
+#: candidate product takes
+BLOCK_TRIALS = 4096
 
-    Probes where the mechanism itself becomes undefined (degenerate-tie
-    errors) are skipped: they witness degeneracy, not manipulation.
+
+def _first_certificate(probe: _Probe, blocks) -> ViolationCertificate | None:
+    """The first certificate over (coalition, reports) blocks, in trial order.
+
+    Each block holds joint reports of one coalition, one per row, and is
+    judged at once.  Probes where the mechanism itself becomes undefined
+    (degenerate-tie errors) are skipped: they witness degeneracy, not
+    manipulation.  Any other error is raised unless an earlier trial paid
+    off.
     """
-    for coalition, reports in trials:
-        try:
-            cert = probe.judge(coalition, reports)
-        except InternalInconsistency:
-            continue
+    for coalition, reports in blocks:
+        cert, errors = probe.judge_many(coalition, reports)
+        for exc in errors:
+            if not isinstance(exc, InternalInconsistency):
+                raise exc
         if cert is not None:
             return cert
     return None
+
+
+def _joint_blocks(coalition: tuple[int, ...], lists: list[np.ndarray], picks=None):
+    """One coalition's joint reports in blocks of at most BLOCK_TRIALS rows:
+    the rows of ``picks`` (one candidate index per member), or else the
+    product of the members' candidate ``lists`` in ``itertools.product``
+    order."""
+    sizes = [len(lst) for lst in lists]
+    count = math.prod(sizes) if picks is None else len(picks)
+    for start in range(0, count, BLOCK_TRIALS):
+        if picks is None:
+            rows = np.unravel_index(np.arange(start, min(start + BLOCK_TRIALS, count)), sizes)
+        else:
+            rows = picks[start:start + BLOCK_TRIALS].T
+        yield coalition, np.column_stack([lst[r] for lst, r in zip(lists, rows)])
 
 
 def audit_sp(spec: MechanismSpec, data: DataSet, agent: int,
@@ -429,7 +504,7 @@ def audit_sp(spec: MechanismSpec, data: DataSet, agent: int,
     probe = _Probe(spec, data, margin)
     if candidates is None:
         candidates = default_candidates(data, agent)
-    return _first_certificate(probe, (((agent,), (cand,)) for cand in candidates))
+    return _first_certificate(probe, _joint_blocks((agent,), [np.fromiter(candidates, float)]))
 
 
 def audit_gsp(spec: MechanismSpec, data: DataSet, max_coalition: int,
@@ -452,19 +527,20 @@ def audit_gsp(spec: MechanismSpec, data: DataSet, max_coalition: int,
     if not 1 <= max_coalition <= n:
         raise ContractViolation(f"max_coalition must lie in 1..{n}")
     probe = _Probe(spec, data, margin)
-    cand_lists = [list(dict.fromkeys([*default_candidates(data, i, candidates_per_agent),
-                                      *(float(v) for j, v in enumerate(data.ys) if j != i)]))
-                  for i in range(n)]
-    trials = _coalition_trials(cand_lists, max_coalition, seed, max_evals, coalition_samples)
-    return _first_certificate(probe, trials)
+    cand_lists = [np.array(list(dict.fromkeys([
+        *default_candidates(data, i, candidates_per_agent),
+        *(float(v) for j, v in enumerate(data.ys) if j != i)]))) for i in range(n)]
+    blocks = _coalition_blocks(cand_lists, max_coalition, seed, max_evals, coalition_samples)
+    return _first_certificate(probe, blocks)
 
 
-def _coalition_trials(cand_lists: list[list[float]], max_coalition: int, seed: int,
+def _coalition_blocks(cand_lists: list[np.ndarray], max_coalition: int, seed: int,
                       max_evals: int | None, coalition_samples: int):
-    """(coalition, reports) in search order, drawing from the seeded rng lazily."""
+    """(coalition, joint reports) blocks in search order, drawing from the
+    seeded rng lazily: a coalition's picks are drawn before its first block."""
     n = len(cand_lists)
-    for agent, cands in enumerate(cand_lists):
-        yield from (((agent,), (cand,)) for cand in cands)
+    for agent in range(n):
+        yield from _joint_blocks((agent,), [cand_lists[agent]])
     rng = np.random.default_rng(seed)
     for size in range(2, max_coalition + 1):
         if n <= 8:
@@ -479,14 +555,10 @@ def _coalition_trials(cand_lists: list[list[float]], max_coalition: int, seed: i
         budget = None if max_evals is None else max(1, max_evals // max(1, len(coalitions)))
         for coalition in coalitions:
             lists = [cand_lists[i] for i in coalition]
-            total = math.prod(len(lst) for lst in lists)
-            if budget is None or total <= budget:
-                joints = itertools.product(*lists)
-            else:
-                picks = [rng.integers(0, len(lst), size=budget) for lst in lists]
-                joints = (tuple(lst[p[k]] for lst, p in zip(lists, picks))
-                          for k in range(budget))
-            yield from ((coalition, reports) for reports in joints)
+            picks = None
+            if budget is not None and math.prod(len(lst) for lst in lists) > budget:
+                picks = np.column_stack([rng.integers(0, len(lst), size=budget) for lst in lists])
+            yield from _joint_blocks(coalition, lists, picks)
 
 
 # --------------------------------------------------------------------------

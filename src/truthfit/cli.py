@@ -295,18 +295,20 @@ def _reproduce_lowerbound(n_values) -> tuple[bool, list[str]]:
 
 
 #: reproduce target -> the reports it prints, given ``--n`` (which sizes
-#: only the ``lowerbound`` target)
+#: the ``lowerbound`` target, alone or as part of ``all``)
 _REPRODUCE = {
     "fig1a": lambda n: [_reproduce_fig1a()],
     "fig1b": lambda n: [_reproduce_fig1b()],
     "quantile": lambda n: [_reproduce_quantile()],
     "lowerbound": lambda n: [_reproduce_lowerbound(range(3, 11) if n is None else [n])],
-    "all": lambda n: [_reproduce_fig1a(), _reproduce_fig1b(), _reproduce_quantile(),
-                      _reproduce_lowerbound(range(3, 11))],
 }
+_REPRODUCE["all"] = lambda n: [run for target in ("fig1a", "fig1b", "quantile", "lowerbound")
+                               for run in _REPRODUCE[target](n)]
 
 
 def cmd_reproduce(args) -> int:
+    if args.n is not None and args.target not in ("lowerbound", "all"):
+        raise InputError(f"--n sizes the lowerbound instances; {args.target} has none")
     runs = _REPRODUCE[args.target](args.n)
     all_ok = True
     for ok, lines in runs:
@@ -372,7 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce", help="re-run the documented findings")
     p.add_argument("target", choices=list(_REPRODUCE))
-    p.add_argument("--n", type=int, help="lowerbound instance size (default 3..10)")
+    p.add_argument("--n", type=int,
+                   help="lowerbound instance size, also within all (default 3..10)")
     p.set_defaults(func=cmd_reproduce)
     return parser
 

@@ -189,8 +189,9 @@ def median_with_side(values, side: MedianSide = MedianSide.LEFT) -> float:
 
 def residual_zero_tol(data: DataSet, h: Hyperplane) -> float:
     """Absolute tolerance used when a residual of h on the data must be zero:
-    solver noise in y units, plus a few ulps of |beta0| + max |x . beta1| for
-    the rounding of y - (x . beta1 + beta0), whose terms cancel far from x = 0."""
+    solver noise, 1e-9 of max |y|, plus a few ulps of |beta0| + max |x . beta1|
+    for the rounding of y - (x . beta1 + beta0), whose terms cancel far from
+    x = 0.  Both scale with y."""
     terms = abs(h.beta0) + float(np.max(np.abs(data.xs @ h.beta1)))
-    return (1e-9 * (1.0 + float(np.max(np.abs(data.ys))))
+    return (1e-9 * float(np.max(np.abs(data.ys)))
             + 8.0 * np.finfo(float).eps * terms)

@@ -16,7 +16,13 @@ with median ranks, Tukey the outer x-thirds.
 In any other dimension the solver enumerates all transversal hyperplanes
 (interpolating one agent per set), keeps those passing the rank conditions
 with a tie-robust count, and insists on uniqueness after coefficientwise
-deduplication.  That holds a residual matrix of candidates times n.
+deduplication.  That holds residuals for rows times candidates times n,
+in chunks of rows capped by BLOCK_CELLS (one row at least).
+
+Both solvers take a block of report vectors, one per row, and solve every
+row in the same numpy calls; an audit judges a coalition's joint reports
+this way.  Residual signs are judged against 1e-9 of each row's largest
+|y|, so a fit of s*y is s times the fit of y.
 """
 
 from __future__ import annotations
@@ -41,8 +47,12 @@ from .separability import AgentPartition, is_publicly_separable
 CONDITION_LIMIT = 1e12
 
 #: Hyperplanes equal coefficientwise within this many times
-#: 1 + max |beta| over the satisfying candidates are the same candidate.
+#: max |beta| over the satisfying candidates are the same candidate.
 DEDUP_TOL = 1e-12
+
+#: A d >= 2 block solve is chunked so that rows x transversals x points
+#: stays under this many float64 cells (8 MB per array).
+BLOCK_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -164,10 +174,39 @@ def _transversal_systems(xs: np.ndarray, part: AgentPartition) -> tuple[np.ndarr
     return traversals, np.linalg.inv(mats)
 
 
-def _meets_rank(resid: np.ndarray, k: int, tol: float) -> bool:
-    """Tie-robust check that the k-th smallest of ``resid`` is zero."""
-    return (np.count_nonzero(resid < -tol) <= k - 1
-            and np.count_nonzero(resid <= tol) >= k)
+def _meets_ranks(resid: np.ndarray, sets: np.ndarray, ranks: np.ndarray, tol) -> np.ndarray:
+    """Tie-robust check that the ranks[t]-th smallest residual of every set
+    t is zero.  The last axis of ``resid`` runs over the set members, and
+    column t of ``sets`` marks the members of set t (see :func:`_set_layout`);
+    ``tol`` broadcasts against the other axes."""
+    neg = np.matmul(resid < -tol, sets)
+    nonpos = np.matmul(resid <= tol, sets)
+    return ((neg < ranks) & (nonpos >= ranks)).all(axis=-1)
+
+
+def _set_layout(sets) -> tuple[np.ndarray, np.ndarray]:
+    """The agents of the sets one after another, and the 0/1 matrix whose
+    column t marks the members of set t.  It is float32, so that a
+    product with a boolean matrix counts exactly (below 2**24 per set) and
+    casts the booleans to half the bytes that float64 would take."""
+    sizes = [len(s) for s in sets]
+    members = np.concatenate([np.asarray(s, dtype=int) for s in sets])
+    marks = np.zeros((members.size, len(sets)), dtype=np.float32)
+    marks[np.arange(members.size), np.repeat(np.arange(len(sets)), sizes)] = 1.0
+    return members, marks
+
+
+def _line_residuals(y, x, y_i, x_i, slope) -> np.ndarray:
+    """Residuals over x of the line through (x_i, y_i) with the given slope,
+    one line per row of y, in this order of operations so that a point on
+    the line through its own report gets exactly zero."""
+    return (y - y_i[:, None]) - slope[:, None] * (x - x_i[:, None])
+
+
+def _rank_tolerance(ys: np.ndarray) -> np.ndarray:
+    """The residual-sign tolerance of each row of reports: 1e-9 of its
+    largest |y|, so that a fit of s*y is s times the fit of y."""
+    return 1e-9 * np.max(np.abs(ys), axis=-1)
 
 
 class _GrhSolver:
@@ -179,62 +218,128 @@ class _GrhSolver:
     transversal, in x centred on its mean.  ``candidate_count`` is the product of the set sizes in
     both cases: the transversals the enumeration examines, or the
     transversal space the d = 1 root search covers.
+
+    :meth:`solve_many` solves a block of report vectors, one per row, in
+    the same numpy calls.  Coefficients are summed elementwise in a fixed
+    order, and each row's residuals come from a matrix product of its own,
+    so a row gets the same bits in any block, alone included.
     """
 
     def __init__(self, xs: np.ndarray, part: AgentPartition):
         d = xs.shape[1]
         _require_transversal_shape(d, part)
-        self.part = part
         self._count = math.prod(len(s) for s in part.sets)
         self._split = None
         if d == 1:
-            self._split = _vertical_split(xs, part)
-            self._x_left = xs[self._split.left, 0]
-            x_right = xs[self._split.right, 0]
+            split = self._split = _vertical_split(xs, part)
+            self._members, self._sets = _set_layout((split.left, split.right))
+            self._ranks = np.array([split.k_left, split.k_right])
+            self._x = xs[self._members, 0]
             # g is the same function of the slope in any x-origin; one in
             # the gap keeps y - b*x free of cancellation far from x = 0
-            mid = 0.5 * (self._x_left.max() + x_right.min())
-            self._xc_left, self._xc_right = self._x_left - mid, x_right - mid
+            nl = split.left.size
+            self._xc = self._x - 0.5 * (self._x[:nl].max() + self._x[nl:].min())
             return
         xc, self.centre = _centred(xs)
         self.traversals, self.inv = _transversal_systems(xc, part)
-        self.xbar_t = np.hstack([xc, np.ones((xs.shape[0], 1))]).T
-        self.set_idx = [np.fromiter(s, dtype=int) for s in part.sets]
+        self._members, self._sets = _set_layout(part.sets)
+        self._ranks = np.array(part.ranks)
+        self.xbar_t = np.hstack([xc, np.ones((xs.shape[0], 1))]).T[:, self._members]
 
     def candidate_count(self) -> int:
         return self._count
 
     def solve(self, ys: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
-        if self._split is not None:
-            return self._solve_line(ys)
-        betas = np.einsum("cij,cj->ci", self.inv, ys[self.traversals])
-        resid = ys[None, :] - betas @ self.xbar_t
-        tol = 1e-9 * (1.0 + float(np.max(np.abs(ys))))
-        ok = np.ones(betas.shape[0], dtype=bool)
-        for idx, k in zip(self.set_idx, self.part.ranks):
-            block = resid[:, idx]
-            strictly_neg = (block < -tol).sum(axis=1)
-            nonpos = (block <= tol).sum(axis=1)
-            ok &= (strictly_neg <= k - 1) & (nonpos >= k)
-        hits = np.where(ok)[0]
-        if hits.size == 0:
-            raise InternalInconsistency(
-                "no transversal hyperplane satisfies the rank conditions"
-            )
-        first = _uncentred(betas[hits[0]], self.centre)
-        if hits.size > 1:
-            found = _uncentred(betas[hits], self.centre)
-            same = DEDUP_TOL * (1.0 + float(np.max(np.abs(found))))
-            distinct = np.max(np.abs(found - first), axis=1) > same
-            if np.any(distinct):
-                raise UniquenessViolation(
-                    f"{int(distinct.sum()) + 1} coefficientwise distinct hyperplanes "
-                    "satisfy the rank conditions"
-                )
-        return first, tuple(int(i) for i in self.traversals[hits[0]])
+        """The coefficients (beta1, beta0) for one report vector, and the
+        first satisfying transversal in product order."""
+        ys = ys[None, :]
+        betas, failed, witness = self.solve_many(ys)
+        if failed:
+            raise failed[0]
+        if self._split is None:
+            return betas[0], tuple(int(i) for i in self.traversals[witness[0]])
+        # as enumeration reports it: the first member of each set, in set
+        # order, that lies on the line
+        split = self._split
+        nl = split.left.size
+        y, i = ys[:, self._members], witness
+        on = np.abs(_line_residuals(y, self._xc, y[0, i], self._xc[i], betas[:, 0])[0]) \
+            <= _rank_tolerance(ys[0])
+        first_left = int(split.left[np.argmax(on[:nl])])
+        first_right = int(split.right[np.argmax(on[nl:])])
+        traversal = (first_right, first_left) if split.flipped else (first_left, first_right)
+        return betas[0], traversal
 
-    def _solve_line(self, ys: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
-        """Root of the rank gap g(b) by Newton steps kept inside a bracket.
+    def solve_many(self, ys: np.ndarray) -> tuple[np.ndarray, dict[int, InternalInconsistency],
+                                                 np.ndarray]:
+        """Solve each row of a (K, n) block of report vectors.
+
+        Returns the (K, d+1) coefficients, the error of each row on which
+        the method fails (``InternalInconsistency`` or
+        ``UniquenessViolation``, with NaN coefficients), and each row's
+        witness: the index of its first satisfying transversal (d >= 2) or
+        the left agent its line passes through, in split order (d = 1).
+        """
+        tol = _rank_tolerance(ys)
+        if self._split is not None:
+            return self._solve_lines(ys, tol)
+        step = max(1, BLOCK_CELLS // (self.traversals.shape[0] * self._members.size))
+        betas, failed, witness = [], {}, []
+        for start in range(0, ys.shape[0], step):
+            chunk = self._solve_planes(ys[start:start + step], tol[start:start + step])
+            betas.append(chunk[0])
+            failed.update((start + k, exc) for k, exc in chunk[1].items())
+            witness.append(chunk[2])
+        return np.concatenate(betas), failed, np.concatenate(witness)
+
+    def _solve_planes(self, ys: np.ndarray, tol: np.ndarray):
+        """Every transversal's hyperplane for every row of a chunk, one
+        (rows, transversals, set members) tie-robust rank count, each row's
+        first hit, and coefficientwise deduplication of its hits."""
+        d = self.xbar_t.shape[0] - 1
+        yt = ys[:, self.traversals]                      # (K, C, d+1)
+        betas = self.inv[:, :, 0] * yt[:, :, None, 0]    # over x - centre, (K, C, d+1)
+        for j in range(1, d + 1):
+            betas += self.inv[:, :, j] * yt[:, :, None, j]
+        del yt
+        # one matrix product per row, all of the same shape: a row's
+        # residuals do not depend on the block around it
+        resid = np.matmul(betas, self.xbar_t)
+        np.subtract(ys[:, None, self._members], resid, out=resid)
+        ok = _meets_ranks(resid, self._sets, self._ranks, tol[:, None, None])
+        del resid
+        first = np.argmax(ok, axis=1)
+        chosen = self._over_x(betas[np.arange(ys.shape[0]), first])
+        hits = np.count_nonzero(ok, axis=1)
+        failed = {int(k): InternalInconsistency(
+                      "no transversal hyperplane satisfies the rank conditions")
+                  for k in np.flatnonzero(hits == 0)}
+        multi = np.flatnonzero(hits > 1)
+        if multi.size:
+            found, ok = self._over_x(betas[multi]), ok[multi]
+            same = DEDUP_TOL * np.max(np.abs(np.where(ok[..., None], found, 0.0)), axis=(1, 2))
+            distinct = np.count_nonzero(
+                ok & (np.max(np.abs(found - chosen[multi, None]), axis=2) > same[:, None]), axis=1)
+            failed.update((int(k), UniquenessViolation(
+                               f"{count + 1} coefficientwise distinct hyperplanes "
+                               "satisfy the rank conditions"))
+                          for k, count in zip(multi, distinct) if count)
+        chosen[list(failed)] = np.nan
+        return chosen, failed, first
+
+    def _over_x(self, betas: np.ndarray) -> np.ndarray:
+        """Coefficient rows over x from rows over x - centre, as
+        :func:`_uncentred` computes them but summed elementwise in a fixed
+        order, so that a row gets the same bits in any block."""
+        shift = betas[..., 0] * self.centre[0]
+        for j in range(1, self.centre.size):
+            shift += betas[..., j] * self.centre[j]
+        out = betas.copy()
+        out[..., -1] -= shift
+        return out
+
+    def _solve_lines(self, ys: np.ndarray, tol: np.ndarray):
+        """Root of the rank gap g(b), per row, by Newton steps kept inside a bracket.
 
         For a slope b, g(b) is the k-th smallest of y - b*x over the left
         set minus the k'-th smallest over the right set.  Two argpartitions
@@ -249,7 +354,7 @@ class _GrhSolver:
         not from enumerating and deduplicating candidates.
 
         Each evaluation first checks the active pair's line with the
-        tie-robust rank count and returns it when it passes.  Otherwise
+        tie-robust rank count and accepts it when it passes.  Otherwise
         the sign of g(b) moves one end of the bracket [lo, hi] to b, and
         the search goes to the Newton step if it lies strictly inside the
         bracket, else to the bracket's midpoint.
@@ -262,48 +367,58 @@ class _GrhSolver:
         at the root the active pair is a pair whose line is the resistant
         line, so the search stops once it evaluates a slope there.  In
         floating point, a bracket that can no longer be halved, or a step
-        that leaves an unbounded bracket, raises InternalInconsistency.
+        that leaves an unbounded bracket, fails the row with
+        InternalInconsistency.
 
-        The traversal reported is the one enumeration would report: the
-        first member of each set, in set order, that lies on the line.
+        The rows search together, one evaluation of every searching row per
+        step; a row leaves when its line passes the rank count or it fails.
         """
-        split = self._split
-        xl, xr = self._xc_left, self._xc_right
-        yl, yr = ys[split.left], ys[split.right]
-        kl, kr = split.k_left - 1, split.k_right - 1
-        tol = 1e-9 * (1.0 + float(np.max(np.abs(ys))))
-        lo, hi = -math.inf, math.inf
-        b = 0.0
-        while True:
-            ul, ur = yl - b * xl, yr - b * xr
-            i = np.argpartition(ul, kl)[kl]
-            j = np.argpartition(ur, kr)[kr]
-            slope = (yr[j] - yl[i]) / (xr[j] - xl[i])
-            rl = (yl - yl[i]) - slope * (xl - xl[i])
-            rr = (yr - yl[i]) - slope * (xr - xl[i])
-            if _meets_rank(rl, kl + 1, tol) and _meets_rank(rr, kr + 1, tol):
-                break
-            gap = ul[i] - ur[j]
-            if gap < 0.0:
-                lo = b
-            elif gap > 0.0:
-                hi = b
-            else:
-                raise InternalInconsistency(
-                    "the rank gap vanishes on a line that fails the rank conditions"
-                )
-            if lo < slope < hi:
-                b = slope
+        nl = self._split.left.size
+        kl, kr = self._ranks - 1
+        x = self._xc
+        count = ys.shape[0]
+        betas = np.full((count, 2), np.nan)
+        anchor = np.zeros(count, dtype=int)
+        failed: dict[int, InternalInconsistency] = {}
+        live = rows = np.arange(count)           # live: the original row of each searching row
+        y, tol = ys[:, self._members], tol[:, None]
+        lo, hi, b = np.full(count, -np.inf), np.full(count, np.inf), np.zeros(count)
+        while live.size:
+            u = y - b[:, None] * x
+            i = u[:, :nl].argpartition(kl, axis=1)[:, kl]
+            j = u[:, nl:].argpartition(kr, axis=1)[:, kr] + nl
+            y_i, x_i = y[rows, i], x[i]
+            slope = (y[rows, j] - y_i) / (x[j] - x_i)
+            done = _meets_ranks(_line_residuals(y, x, y_i, x_i, slope),
+                                self._sets, self._ranks, tol)
+            gap = u[rows, i] - u[rows, j]
+            below, above = gap < 0.0, gap > 0.0
+            lo = np.where(below, b, lo)
+            hi = np.where(above, b, hi)
+            newton = (lo < slope) & (slope < hi)
+            b = np.where(newton, slope, b)
+            flat = ~(below | above)              # g(b) is zero, or NaN on infinite reports
+            leave = done | flat
+            halve = ~(leave | newton)
+            if halve.any():
+                with np.errstate(invalid="ignore"):   # -inf + inf on an unbounded bracket
+                    b[halve] = lo[halve] + 0.5 * (hi[halve] - lo[halve])
+                leave |= halve & ~((lo < b) & (b < hi))
+            if not leave.any():
                 continue
-            b = lo + 0.5 * (hi - lo)
-            if not lo < b < hi:
-                raise InternalInconsistency(
-                    "the rank-gap root search found no line meeting the rank conditions"
-                )
-        first_left = int(split.left[np.flatnonzero(np.abs(rl) <= tol)[0]])
-        first_right = int(split.right[np.flatnonzero(np.abs(rr) <= tol)[0]])
-        traversal = (first_right, first_left) if split.flipped else (first_left, first_right)
-        return np.array([slope, yl[i] - slope * self._x_left[i]]), traversal
+            for k in np.flatnonzero(leave & ~done):
+                failed[int(live[k])] = InternalInconsistency(
+                    "the rank gap vanishes on a line that fails the rank conditions"
+                    if flat[k] else
+                    "the rank-gap root search found no line meeting the rank conditions")
+            found = live[done]
+            betas[found, 0] = slope[done]
+            betas[found, 1] = y_i[done] - slope[done] * self._x[i[done]]
+            anchor[found] = i[done]
+            keep = ~leave
+            live, y, tol, lo, hi, b = live[keep], y[keep], tol[keep], lo[keep], hi[keep], b[keep]
+            rows = np.arange(live.size)
+        return betas, failed, anchor
 
 
 def traversal_hyperplanes(data: DataSet, part: AgentPartition) -> list[tuple[tuple[int, ...], Hyperplane]]:
@@ -322,9 +437,10 @@ def traversal_hyperplanes(data: DataSet, part: AgentPartition) -> list[tuple[tup
 def fit_grh(data: DataSet, part: AgentPartition) -> GrhResult:
     """The unique hyperplane with zero k_t-th smallest residual in every set.
 
-    Residual-sign counts use the tolerance 1e-9 * (1 + max |y|): a residual
+    Residual-sign counts use the tolerance 1e-9 * max |y|: a residual
     counts as negative below -tol and as nonpositive up to +tol, so exact
-    ties cannot disqualify the true solution.
+    ties cannot disqualify the true solution.  The tolerance scales with
+    y, and so does the fit.
     """
     part.validate_against(data)
     if not is_publicly_separable(data, part):
@@ -372,5 +488,5 @@ def satisfies_rank_conditions(data: DataSet, part: AgentPartition,
     if tol is None:
         tol = residual_zero_tol(data, h)
     resid = data.ys - (data.xs @ h.beta1 + h.beta0)
-    return all(_meets_rank(resid[list(members)], k, tol)
-               for members, k in zip(part.sets, part.ranks))
+    members, sets = _set_layout(part.sets)
+    return bool(_meets_ranks(resid[members], sets, np.array(part.ranks), tol))

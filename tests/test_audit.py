@@ -45,7 +45,10 @@ from truthfit import (
     tukey_spec,
     verify_certificate,
 )
-from truthfit.random_instances import random_data
+from truthfit import audit, grh
+from truthfit.audit import DEFAULT_MARGIN
+from truthfit.errors import InternalInconsistency
+from truthfit.random_instances import random_data, random_separable_instance
 
 # -- improvement semantics --------------------------------------------------------
 
@@ -500,3 +503,155 @@ def test_named_resistant_line_presets_wrap_the_partition():
         direct = MechanismSpec(MechanismKind.GRH, preset_partition(data, preset))
         npt.assert_allclose(fit_mechanism(spec, data).coefficients(),
                             fit_mechanism(direct, data).coefficients(), atol=1e-12)
+
+
+# -- judging a block of probes ------------------------------------------------------
+
+
+def _one_of_each_kind():
+    """(spec, data) for every mechanism kind, with GRH in d = 1 and d = 2."""
+    rng = np.random.default_rng(21)
+    line = random_data(rng, 6, 1)
+    order = tuple(int(i) for i in np.argsort(line.xs[:, 0]))
+    plane, part = random_separable_instance(rng, 2, sizes=(2, 3, 2))
+    pair = DataSet(np.array([[0.0], [2.0]]), np.array([5.0, 7.0]))
+    d0 = DataSet(np.zeros((3, 0)), np.array([4.0, -1.0, 2.5]))
+    return [
+        (MechanismSpec(MechanismKind.OLS), line),
+        (MechanismSpec(MechanismKind.L1ERM, L1Config()), plane),
+        (MechanismSpec(MechanismKind.QUANTILE, QuantileConfig(0.3)), line),
+        (MechanismSpec(MechanismKind.CRM, CrmConfig(s=order[:3], sprime=order[3:])), line),
+        (MechanismSpec(MechanismKind.GRL, GrlParams(order[:3], order[3:], 2, 1)), line),
+        (brown_mood_spec(line), line),
+        (MechanismSpec(MechanismKind.GRH, part), plane),
+        (MechanismSpec(MechanismKind.IMPARTIAL, swap_config(pair)), pair),
+        (MechanismSpec(MechanismKind.GENERALIZED_MEDIAN,
+                       GenMedParams((-math.inf, 0.0, 3.0, math.inf))), d0),
+    ]
+
+
+def _report_block(data, rng, rows=24):
+    """Row 0 is the truth; every other row moves up to three reports."""
+    block = np.repeat(data.ys[None, :], rows, axis=0)
+    for row in block[1:]:
+        movers = rng.choice(data.n, size=min(3, data.n), replace=False)
+        row[movers] += rng.normal(0.0, 3.0, movers.size)
+    return block
+
+
+def _assert_rows_as_alone(spec, data, block):
+    """Row k of a batched solve is bit for bit what a solve of row k alone
+    gives, or fails with the error the row alone raises."""
+    many, failed = spec.bind(data).coefficients_many(block)
+    alone = spec.bind(data)  # a fresh binding sees the rows in the same order
+    for k, row in enumerate(block):
+        if k in failed:
+            with pytest.raises(type(failed[k])) as info:
+                alone.coefficients(row)
+            assert str(info.value) == str(failed[k])
+        else:
+            assert many[k].tobytes() == alone.coefficients(row).tobytes(), k
+    return failed
+
+
+def test_the_kinds_cover_the_mechanism_table():
+    assert {spec.kind for spec, _ in _one_of_each_kind()} == set(MechanismKind)
+
+
+@pytest.mark.parametrize("case", range(9))
+def test_batched_coefficients_are_the_single_row_coefficients(case):
+    spec, data = _one_of_each_kind()[case]
+    assert not _assert_rows_as_alone(spec, data, _report_block(data, np.random.default_rng(case)))
+
+
+def test_batched_grh_fails_rows_as_alone_across_chunks(monkeypatch):
+    # rows 1 and 3 are near ties at their own scale: two distinct planes
+    # meet the rank conditions there
+    xs = np.array([[0.0, 0.0], [0.1, 0.0], [6.0, 0.0], [0.0, 6.0]])
+    data = DataSet(xs, np.array([1.0, 2.0, 3.0, 4.0]))
+    spec = MechanismSpec(MechanismKind.GRH, AgentPartition(((0, 1), (2,), (3,)), (1, 1, 1)))
+    tie = np.array([1.0, 1.0 + 1e-10, 1.0, 1.0])
+    block = np.array([data.ys, tie, data.ys + 1.0, 3.0 * tie, -data.ys, data.ys ** 2, [0.0] * 4])
+    # 2 transversals x 4 points: three rows per chunk, so chunks of 3, 3 and 1
+    monkeypatch.setattr(grh, "BLOCK_CELLS", 3 * 2 * 4)
+    failed = _assert_rows_as_alone(spec, data, block)
+    assert sorted(failed) == [1, 3]
+    assert all(isinstance(exc, grh.UniquenessViolation) for exc in failed.values())
+
+
+def _sequential_first_certificate(probe, blocks):
+    """The search one trial at a time: the reference for judging in blocks."""
+    for coalition, block in blocks:
+        for reports in block:
+            try:
+                cert = probe.judge(coalition, reports)
+            except InternalInconsistency:
+                continue
+            if cert is not None:
+                return cert
+    return None
+
+
+def _certificate_fields(cert):
+    if cert is None:
+        return None
+    return (cert.coalition, cert.misreports, cert.before, cert.after,
+            cert.truthful.coefficients().tobytes(), cert.deviated.coefficients().tobytes())
+
+
+def _finding_audits():
+    rng = np.random.default_rng(31)
+    for name in ("crm-disjoint", "crm-subset"):
+        inst = builtin_instance(name)
+        yield inst.mechanism, inst.data, 0
+    for seed in range(4):
+        data = random_data(rng, 5, 1 + seed % 2)
+        yield MechanismSpec(MechanismKind.OLS), data, seed
+        yield MechanismSpec(MechanismKind.QUANTILE, QuantileConfig(0.3)), data, seed
+
+
+def test_block_judging_finds_the_certificate_the_sequential_search_finds(monkeypatch):
+    found = 0
+    for spec, data, seed in _finding_audits():
+        runs = []
+        for first_certificate in (audit._first_certificate, _sequential_first_certificate):
+            with monkeypatch.context() as patch:
+                patch.setattr(audit, "_first_certificate", first_certificate)
+                runs.append([audit_gsp(spec, data, 3, seed=seed, max_evals=200),
+                             audit_sp(spec, data, data.n - 1)])
+        assert [_certificate_fields(c) for c in runs[0]] == \
+            [_certificate_fields(c) for c in runs[1]]
+        found += sum(c is not None for c in runs[0])
+    assert found >= 10
+
+
+def test_block_raises_an_error_only_before_the_first_paying_trial():
+    data = random_data(np.random.default_rng(3), 5, 1)
+    ols = MechanismSpec(MechanismKind.OLS)
+    pay = audit_sp(ols, data, 0).misreports[0]
+
+    def stub_probe():
+        """OLS, except that a report of 998 or 999 for agent 0 fails."""
+        probe = audit._Probe(ols, data, DEFAULT_MARGIN)
+        solve = probe.bound._solve
+
+        def flaky(ys):
+            if ys[0] == 998.0:
+                raise InternalInconsistency("stub degenerate tie")
+            if ys[0] == 999.0:
+                raise ConfigurationError("stub failure")
+            return solve(ys)
+
+        probe.bound._solve = flaky
+        return probe
+
+    def trials(*reports):
+        return [((0,), np.array(reports)[:, None])]
+
+    # one block: an error after the paying trial is not raised
+    assert audit._first_certificate(stub_probe(), trials(pay, 999.0)).misreports == {0: pay}
+    # a degenerate probe before it is skipped
+    assert audit._first_certificate(stub_probe(), trials(998.0, pay)).misreports == {0: pay}
+    # any other error before it is raised
+    with pytest.raises(ConfigurationError, match="stub failure"):
+        audit._first_certificate(stub_probe(), trials(998.0, 999.0, pay))

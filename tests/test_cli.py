@@ -248,6 +248,21 @@ def test_reproduce_lowerbound_with_explicit_size(capsys):
     assert "n=5" not in out
 
 
+def test_reproduce_all_sizes_its_lowerbound_part(capsys):
+    code, out, _ = run(capsys, "reproduce", "all", "--n", "4")
+    assert code == 0
+    assert "PASS fig1a truthful line" in out and "PASS quantile truthful line" in out
+    assert "lowerbound n=4 ratio" in out
+    assert "n=3" not in out and "n=5" not in out
+
+
+@pytest.mark.parametrize("target", ["fig1a", "fig1b", "quantile"])
+def test_reproduce_size_on_a_target_without_one_exits_two(capsys, target):
+    code, out, err = run(capsys, "reproduce", target, "--n", "4")
+    assert code == 2 and out == ""
+    assert err.startswith("input error: --n") and err.count("\n") == 1, err
+
+
 # -- exit code 2: malformed input ------------------------------------------------------
 
 
@@ -351,9 +366,10 @@ def test_contract_violations_exit_three(line_csv, tmp_path, capsys):
 
 def test_internal_inconsistency_exits_four_with_one_line(tmp_path, capsys):
     # a near tie in d = 2: two distinct hyperplanes pass the rank conditions
+    # within their tolerance, 1e-9 of max |y|
     path = tmp_path / "near_tie.csv"
     write_dataset(path, DataSet(np.array([[0.0, 0.0], [0.1, 0.0], [6.0, 0.0], [0.0, 6.0]]),
-                                np.array([0.0, 1e-10, 0.0, 0.0])))
+                                np.array([1.0, 1.0 + 1e-10, 1.0, 1.0])))
     cfg = tmp_path / "grh.json"
     cfg.write_text(json.dumps({"kind": "grh", "sets": [[0, 1], [2], [3]],
                                "ranks": [1, 1, 1]}))

@@ -24,7 +24,11 @@ from truthfit import (
     traversal_hyperplanes,
 )
 from truthfit.grh import in_weak_general_position, median_rank, satisfies_rank_conditions
-from truthfit.random_instances import random_separable_instance, random_split_line_instance
+from truthfit.random_instances import (
+    random_data,
+    random_separable_instance,
+    random_split_line_instance,
+)
 
 
 def oracle_satisfying(data, part):
@@ -85,11 +89,31 @@ def test_collinear_data_at_large_scale_fits_the_exact_hyperplane(d):
 
 def test_near_tie_line_returns_the_exact_root():
     # the line through agents 1 and 2 also meets the rank conditions within
-    # the 1e-9 tolerance; the exact root of the rank gap is y = 0
-    data = DataSet(np.array([[0.0], [1.0], [2.0]]), np.array([0.0, 1e-10, 0.0]))
+    # the tolerance, 1e-9 of max |y|; the exact root of the rank gap is y = 1
+    data = DataSet(np.array([[0.0], [1.0], [2.0]]), np.array([1.0, 1.0 + 1e-10, 1.0]))
     result = fit_grh(data, AgentPartition(((0, 1), (2,)), (1, 1)))
-    assert result.hyperplane.coefficients().tolist() == [0.0, 0.0]
+    assert result.hyperplane.coefficients().tolist() == [0.0, 1.0]
     assert result.traversal == (0, 2)
+
+
+@pytest.mark.parametrize("scale", [1e-13, 1e-9, 1e-4, 1.0, 1e6, 1e12])
+def test_fit_of_scaled_reports_is_the_scaled_fit(scale):
+    # residual signs are judged relative to the scale of y: at 1e-9, an
+    # absolute tolerance returned a wrong Brown-Mood line and, in d = 2,
+    # raised UniquenessViolation
+    line = random_data(np.random.default_rng(3), 9, 1)
+    plane, part = random_separable_instance(np.random.default_rng(5), 2, sizes=(3, 3, 3))
+    for data, part in ((line, preset_partition(line, "brown-mood")), (plane, part)):
+        base = fit_grh(data, part).hyperplane.coefficients()
+        moved = DataSet(data.xs, scale * data.ys)
+        scaled = fit_grh(moved, part).hyperplane
+        npt.assert_allclose(scaled.coefficients(), scale * base, rtol=1e-9,
+                            atol=1e-12 * scale * np.max(np.abs(data.ys)))
+        # the rank check is relative too: a shift of 1e-6 of max |y| fails it
+        shift = 1e-6 * scale * np.max(np.abs(data.ys))
+        assert satisfies_rank_conditions(moved, part, scaled)
+        shifted = Hyperplane(scaled.beta1, scaled.beta0 + shift)
+        assert not satisfies_rank_conditions(moved, part, shifted)
 
 
 def exact_resistant_line(data, part):
