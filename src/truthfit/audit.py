@@ -27,7 +27,6 @@ from .crm import CrmConfig, fit_crm
 from .erm import (
     L1Config,
     QuantileConfig,
-    _DualBases,
     _PiecewiseLinearFit,
     _build_l1,
     _build_quantile,
@@ -165,15 +164,18 @@ def _bind_ols(data: DataSet, cfg: None):
 def _bind_piecewise_linear(build, data: DataSet, cfg):
     template = build(data, cfg)
     tail = template.rhs[data.n:]
-    # probes differ only in the dual objective, so they share optimal bases
-    cache = _DualBases()
+    # probes differ only in the dual objective, so they share the optimal
+    # bases the template's cache keeps
 
     def solve(ys):
         return _PiecewiseLinearFit(template.xbar, np.concatenate([ys, tail]),
                                    template.up_w, template.lo_w, template.drift,
-                                   cache=cache).fit()
+                                   cache=template.cache).fit()
 
-    return solve, None
+    def solve_many(ys):
+        return template.fit_many(np.hstack([ys, np.broadcast_to(tail, (len(ys), tail.size))]))
+
+    return solve, solve_many
 
 
 def _bind_refit(fit, data: DataSet, cfg):

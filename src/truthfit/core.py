@@ -78,9 +78,12 @@ class DataSet:
         return DataSet(self.xs, ys)
 
     def is_admissible(self) -> bool:
-        """True when all x_i are pairwise distinct (exact comparison)."""
-        seen = {tuple(row) for row in self.xs}
-        return len(seen) == self.n
+        """True when all x_i are pairwise distinct (exact comparison, so
+        0.0 equals -0.0); with d = 0 every agent sits at the empty position."""
+        if self.d == 0:
+            return self.n <= 1
+        rows = self.xs[np.lexsort(self.xs.T[::-1])]
+        return not np.any(np.all(rows[1:] == rows[:-1], axis=1))
 
 
 @dataclass(frozen=True)

@@ -8,12 +8,17 @@ of the piecewise-linear risk minimization,
 with p = d+1 equality rows and one bounded column per row of data, on the
 bounded-variable simplex.  The probes of an audit change only rhs (the
 dual objective), so every optimal basis of one probe stays feasible for
-the next: a bound mechanism keeps the last few in a :class:`_DualBases`,
+the next: a bound mechanism keeps the last 32 in a :class:`_DualBases`,
 each as the optimal tableau of the solve that found it and the face of
 that solve's tau, and a probe for which one of them passes the simplex's
-optimality test reads its fit off that face without solving an LP.  A
-probe that solves computes beta from the face it builds in the same way,
-so a fit does not depend on whether its basis was cached.  Stage 2 resolves
+optimality test reads its fit off that face without solving an LP.  An
+audit hands over a block of probes at once
+(:meth:`_PiecewiseLinearFit.fit_many`): one pass prices every probe
+against every cached tableau, the probes then meet the cache in order,
+and only those that no cached basis fits solve.  A probe that solves
+computes beta from the face it builds in the same way, so a fit does not
+depend on whether its basis was cached, nor on the block it came in.
+Stage 2 resolves
 ties by picking, among all risk minimizers, the coefficient vector of
 smallest Euclidean norm; this strictly convex tie-break is what makes the
 L1 mechanism group strategyproof, so it is computed exactly rather than
@@ -114,9 +119,9 @@ class _PiecewiseLinearFit:
     negative ones (equal for plain L1).  ``drift`` multiplies beta0.
 
     ``cache`` holds optimal dual bases of earlier fits on the same
-    positions and weights: when one is optimal for this rhs, the fit reads
-    stage 2 off it and solves no LP; otherwise stage 1 starts from its
-    newest basis and the new optimal basis joins it.
+    positions and weights (a fresh one when None): when one is optimal for
+    an rhs, the fit reads stage 2 off it and solves no LP; otherwise stage 1
+    starts from its newest basis and the new optimal basis joins it.
     """
 
     def __init__(self, xbar, rhs, up_w, lo_w, drift, cache=None):
@@ -126,7 +131,7 @@ class _PiecewiseLinearFit:
         self.lo_w = np.asarray(lo_w, dtype=float)
         self.drift = float(drift)
         self.p = self.xbar.shape[1]
-        self.cache = cache
+        self.cache = _DualBases() if cache is None else cache
 
     def risk(self, beta) -> float:
         r = self.rhs - self.xbar @ beta
@@ -134,13 +139,13 @@ class _PiecewiseLinearFit:
                      + self.lo_w @ np.maximum(-r, 0.0)
                      + self.drift * beta[-1])
 
-    def dual(self, basis):
+    def dual(self, basis, rhs):
         """Stage 1: max rhs . tau s.t. xbar^T tau = drift e_p,
         -lo_w <= tau <= up_w (the LP dual of the risk minimization), warm
         from ``basis``; the optimal ``solve_lp`` result."""
         b_eq = np.zeros(self.p)
         b_eq[-1] = self.drift
-        res = solve_lp(-self.rhs, a_eq=self.xbar.T, b_eq=b_eq,
+        res = solve_lp(-rhs, a_eq=self.xbar.T, b_eq=b_eq,
                        bounds=np.column_stack([-self.lo_w, self.up_w]), basis=basis)
         if res.status == INFEASIBLE:
             raise ConfigurationError(
@@ -152,27 +157,86 @@ class _PiecewiseLinearFit:
         return res
 
     def fit(self) -> np.ndarray:
-        """Stage 2: the coefficients of the smallest-norm point of the
-        optimal face.
+        """The coefficients of the fit to ``rhs``: :meth:`fit_many` on one row."""
+        beta, failed = self.fit_many(self.rhs[None])
+        if failed:
+            raise failed[0]
+        return beta[0]
+
+    def fit_many(self, rhs) -> tuple[np.ndarray, dict[int, Exception]]:
+        """Stage 2 for each row of a (K, rows) block of right-hand sides: the
+        coefficients of the smallest-norm point of the optimal face, and the
+        error each failing row raises (its coefficients NaN).  Row k is what a
+        fit of row k alone returns or raises, the cache included: the rows
+        meet it in order.
 
         By complementary slackness with the optimal tau, beta minimizes the
         risk exactly when rows with tau strictly inside its bounds have zero
         residual, rows with tau at up_w a nonnegative one and rows with tau
         at -lo_w a nonpositive one.
         """
-        face = None if self.cache is None else self.cache.find(self.rhs)
-        if face is None:
-            res = self.dual(None if self.cache is None else self.cache.newest())
-            face = _Face(self, res.x)
-            if self.cache is not None and res.tableau is not None:
-                self.cache.add(res.tableau, face)
-        return face.point(self.rhs)
+        rhs = np.asarray(rhs, dtype=float)
+        beta = np.full((rhs.shape[0], self.p), np.nan)
+        rows_of, failed = self._faces(rhs)
+        for face, rows in rows_of.items():
+            if face.inverse is not None:
+                pinned = rhs[np.ix_(rows, face.zero)][..., None]
+                beta[rows] = np.matmul(face.inverse, pinned)[..., 0]
+                continue
+            for k in rows:
+                try:
+                    beta[k] = _min_norm_on_face(face.a_eq, rhs[k, face.zero], face.g,
+                                                face.sign * rhs[k, face.rest])
+                except InternalInconsistency as exc:
+                    failed[k] = exc
+        return beta, failed
+
+    def _faces(self, rhs) -> tuple[dict["_Face", list[int]], dict[int, Exception]]:
+        """The rows of each optimal face, found in the cache where one of a
+        row's bases is optimal and by a solve warm from the newest otherwise;
+        and the error of each row whose solve fails.
+
+        Rows are priced against the cache in chunks, and each row then takes
+        the most recently used basis that is optimal for it, as it would
+        alone.  A solve changes at most one slot, so the rest of the chunk is
+        priced again against that slot only.
+        """
+        cache = self.cache
+        rows_of: dict[_Face, list[int]] = {}
+        failed: dict[int, Exception] = {}
+        step = max(1, BLOCK_CELLS // (DUAL_BASES * self.xbar.size))
+        for start in range(0, rhs.shape[0], step):
+            chunk = rhs[start:start + step]
+            optimal = cache.optimal(-chunk)
+            # per row: how many bases are optimal, and the lowest such slot;
+            # of several, a row takes the most recently used, as alone
+            count, first = optimal.sum(axis=1).tolist(), optimal.argmax(axis=1).tolist()
+            for j, row in enumerate(chunk):
+                if count[j]:
+                    slot = first[j] if count[j] == 1 else min(
+                        np.flatnonzero(optimal[j]).tolist(), key=cache.order.index)
+                    rows_of.setdefault(cache.use(slot), []).append(start + j)
+                    continue
+                try:
+                    res = self.dual(cache.newest(), row)
+                    face = _Face(self, res.x)
+                except (ConfigurationError, InternalInconsistency) as exc:
+                    failed[start + j] = exc
+                    continue
+                rows_of[face] = [start + j]
+                slot = cache.add(res.tableau, face)
+                if slot is not None and j + 1 < len(chunk):
+                    rest = optimal[j + 1:]
+                    rest[:, slot] = cache.stack.optimal_for(-chunk[j + 1:], slot)[:, 0]
+                    count[j + 1:] = rest.sum(axis=1).tolist()
+                    first[j + 1:] = rest.argmax(axis=1).tolist()
+        return rows_of, failed
 
 
 class _Face:
     """The optimal face cut out by an optimal tau (see
-    :meth:`_PiecewiseLinearFit.fit`), for any rhs that tau is optimal for.
-    A face pinned by p rows keeps their inverse."""
+    :meth:`_PiecewiseLinearFit.fit_many`), for any rhs that tau is optimal
+    for.  A face pinned by p rows keeps their inverse."""
 
     def __init__(self, fit: _PiecewiseLinearFit, tau):
         edge = 1e-9 * (fit.up_w + fit.lo_w)
@@ -185,15 +249,12 @@ class _Face:
         self.g = self.sign[:, None] * fit.xbar[self.rest]
         self.inverse = np.linalg.inv(self.a_eq) if self.zero.size == fit.p else None
 
-    def point(self, rhs) -> np.ndarray:
-        """The face's smallest-norm point."""
-        if self.inverse is not None:
-            return self.inverse @ rhs[self.zero]
-        return _min_norm_on_face(self.a_eq, rhs[self.zero], self.g, self.sign * rhs[self.rest])
-
 
 #: optimal dual bases one :class:`_DualBases` keeps
-DUAL_BASES = 8
+DUAL_BASES = 32
+
+#: cells (rows x bases x tableau entries) one pass of pricing may form
+BLOCK_CELLS = 1 << 20
 
 
 class _DualBases:
@@ -202,48 +263,61 @@ class _DualBases:
 
     Those fits share the dual constraints and differ only in the dual cost
     -rhs, so a basis stays feasible for every fit.  An entry is the optimal
-    tableau of the solve that found the basis and the face of that solve's
-    tau.  The basis is optimal for a new rhs exactly when the simplex's own
-    optimality test passes on that tableau, so a hit is a warm solve that
-    would make no pivot.  An audit's probes visit few optimal bases, so
-    most of them find theirs here; a probe that does not warm-starts from
-    the newest, whose tableau it factorises afresh, so rounding does not
-    build up from one solve to the next.
+    tableau of the solve that found the basis, held in a slot of one
+    :class:`BasisStack`, and the face of that solve's tau.  The basis is
+    optimal for a new rhs exactly when the simplex's own optimality test
+    passes on that tableau, so a hit is a warm solve that would make no
+    pivot; one pass prices a whole block of rhs against every entry.  An
+    audit visits about ten optimal bases, so most of its probes find theirs
+    among the 32 kept here; a probe that does not warm-starts from the
+    newest, whose tableau it factorises afresh, so rounding does not build
+    up from one solve to the next.
     """
 
     def __init__(self):
-        self.slots: list[tuple] = []  # (tableau, face), in the order of the stack
+        self.faces: list[_Face] = []  # by slot of the stack
         self.order: list[int] = []    # slots, most recently used first
-        self.stack = None
+        self.stack: BasisStack | None = None
 
     def newest(self):
-        return self.slots[self.order[0]][0].status if self.order else None
+        return self.stack.status[self.order[0]] if self.order else None
 
-    def find(self, rhs) -> "_Face | None":
-        if not self.slots:
-            return None
-        optimal = self.stack.optimal_for(-rhs)
-        for k, slot in enumerate(self.order):
-            if optimal[slot]:
-                self.order.insert(0, self.order.pop(k))
-                return self.slots[slot][1]
-        return None
+    def optimal(self, costs) -> np.ndarray:
+        """(K, DUAL_BASES): whether each slot's basis is optimal for each row
+        of a block of dual costs (False for empty slots)."""
+        out = np.zeros((costs.shape[0], DUAL_BASES), dtype=bool)
+        if self.faces:
+            out[:, :len(self.faces)] = self.stack.optimal_for(costs)
+        return out
 
-    def add(self, tableau, face: _Face) -> None:
-        """Keep the optimal tableau of a solve and the face of its tau."""
-        slot = next((k for k in self.order
-                     if np.array_equal(self.slots[k][0].status, tableau.status)), None)
-        if slot is None:
-            if len(self.slots) < DUAL_BASES:
-                slot = len(self.slots)
-                self.slots.append((tableau, face))
-            else:
-                slot = self.order.pop()
-                self.slots[slot] = (tableau, face)
-            self.stack = BasisStack([t for t, _ in self.slots])
-        else:
+    def use(self, slot: int) -> _Face:
+        """The face of a slot, which becomes the most recently used."""
+        if self.order[0] != slot:
             self.order.remove(slot)
+            self.order.insert(0, slot)
+        return self.faces[slot]
+
+    def add(self, tableau, face: _Face) -> int | None:
+        """Keep the optimal tableau of a solve and the face of its tau; the
+        slot written, or None when its basis was kept already (or has no
+        tableau to keep)."""
+        if tableau is None:
+            return None
+        if self.stack is None:
+            self.stack = BasisStack(DUAL_BASES, tableau)
+        kept = self.stack.holding(tableau.status)
+        if kept is not None:
+            self.use(kept)
+            return None
+        if len(self.faces) < DUAL_BASES:
+            slot = len(self.faces)
+            self.faces.append(face)
+        else:
+            slot = self.order.pop()
+            self.faces[slot] = face
+        self.stack.put(slot, tableau)
         self.order.insert(0, slot)
+        return slot
 
 
 def _min_norm_on_face(a_eq, b_eq, g, h):

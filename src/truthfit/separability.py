@@ -121,13 +121,19 @@ def strictly_separates(a_points, b_points) -> SeparatorWitness | None:
     if d == 1:
         return _separate_on_line(a_points[:, 0], b_points[:, 0])
 
+    # The LP runs on the union centred at its mean and scaled to unit size:
+    # with b free and m scaling with the cloud, the optimal normal is the
+    # same, and the simplex's tolerances meet numbers of order one.
+    union = np.vstack([a_points, b_points])
+    centre = union.mean(axis=0)
+    scale = float(np.max(np.abs(union - centre))) or 1.0
     # variables: (a_1..a_d, b, m); maximize m
     na, nb = a_points.shape[0], b_points.shape[0]
     a_ub = np.zeros((na + nb, d + 2))
-    a_ub[:na, :d] = -a_points
+    a_ub[:na, :d] = -(a_points - centre) / scale
     a_ub[:na, d] = 1.0
     a_ub[:na, d + 1] = 1.0
-    a_ub[na:, :d] = b_points
+    a_ub[na:, :d] = (b_points - centre) / scale
     a_ub[na:, d] = -1.0
     a_ub[na:, d + 1] = 1.0
     b_ub = np.zeros(na + nb)
@@ -137,9 +143,9 @@ def strictly_separates(a_points, b_points) -> SeparatorWitness | None:
     res = solve_lp(c, a_ub=a_ub, b_ub=b_ub, bounds=bounds)
     if not res.ok:
         raise InternalInconsistency(f"separation LP ended with status {res.status}")
-    # Recompute offset and margin exactly for the returned normal: the LP
-    # satisfies its constraints only to solver tolerance, while a witness
-    # must certify its own claim.
+    # Recompute offset and margin exactly for the returned normal, in the
+    # original units: the LP satisfies its constraints only to solver
+    # tolerance, while a witness must certify its own claim.
     normal = res.x[:d]
     lo = float(np.min(a_points @ normal))
     hi = float(np.max(b_points @ normal))

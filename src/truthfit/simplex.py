@@ -118,45 +118,63 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, bounds=None,
 
 
 class BasisStack:
-    """Optimal tableaux of solves of one LP, which differ in cost and basis,
-    stacked so that one pass prices a cost against all of them."""
+    """Up to ``size`` optimal tableaux of solves of one LP, which differ in
+    cost and basis, stacked so that one pass prices a block of costs against
+    all of them.  Slots fill in order and are then overwritten in place."""
 
-    def __init__(self, tableaux):
-        self.tab = np.stack([t.tab for t in tableaux])
-        self.basic = np.stack([t.basic for t in tableaux])
-        self.x = np.stack([t.x for t in tableaux])
-        first = tableaux[0]
-        self.lo, self.hi, self.tol, self.n_ub = first.lo, first.hi, first.tol, first.n_ub
+    def __init__(self, size: int, like: "_Tableau"):
+        self.tab = np.empty((size,) + like.tab.shape)
+        self.basic = np.empty((size, like.m), dtype=like.basic.dtype)
+        self.x = np.empty((size, like.ncols))
+        self.status = np.empty((size, like.ncols), dtype=like.status.dtype)
+        self.lo, self.hi, self.tol, self.n_ub = like.lo, like.hi, like.tol, like.n_ub
+        self.filled = 0
 
-    def optimal_for(self, c) -> np.ndarray:
-        """Per tableau, whether a warm solve from its basis with the cost
-        ``c`` of the variables (the slacks cost nothing) would stop before
-        its first pivot: the test that ends :meth:`_Tableau.run`."""
-        cost = np.asarray(c, dtype=float).ravel()
+    def put(self, slot: int, tableau: "_Tableau") -> None:
+        """Write an optimal tableau into ``slot``, the next empty one at most."""
+        self.tab[slot], self.basic[slot] = tableau.tab, tableau.basic
+        self.x[slot], self.status[slot] = tableau.x, tableau.status
+        self.filled = max(self.filled, slot + 1)
+
+    def holding(self, status) -> int | None:
+        """The slot whose basis has these column statuses, if any."""
+        same = np.flatnonzero((self.status[:self.filled] == status).all(axis=1))
+        return int(same[0]) if same.size else None
+
+    def optimal_for(self, c, slot: int | None = None) -> np.ndarray:
+        """For each row of a (K, variables) block of costs ``c`` (the slacks
+        cost nothing) and each filled slot, or the one ``slot``: whether a
+        warm solve from that basis would stop before its first pivot, the
+        test that ends :meth:`_Tableau.run`.  Shape (K, slots)."""
+        cost = np.asarray(c, dtype=float)
         if self.n_ub:
-            cost = np.concatenate([cost, np.zeros(self.n_ub)])
-        _, eligible = _pricing(cost, _cost_tol(self.tol, cost),
-                               self.tab, self.basic, self.x, self.lo, self.hi)
+            cost = np.concatenate([cost, np.zeros((cost.shape[0], self.n_ub))], axis=1)
+        slots = slice(self.filled) if slot is None else slice(slot, slot + 1)
+        _, eligible = _pricing(cost[:, None, :], cost[:, self.basic[slots]],
+                               _cost_tol(self.tol, cost)[:, None], self.tab[slots],
+                               self.x[slots], self.lo, self.hi)
         return ~eligible.any(axis=-1)
 
 
-def _cost_tol(tol, cost) -> float:
+def _cost_tol(tol, cost) -> np.ndarray:
     """Reduced costs at or below this magnitude count as zero: relative to
-    the cost, so that scaling the cost scales no decision (with a zero cost
-    every basis is optimal)."""
-    return tol * float(np.abs(cost).max(initial=0.0))
+    the cost (per cost, along the last axis), so that scaling the cost
+    scales no decision (with a zero cost every basis is optimal)."""
+    return tol * np.abs(cost).max(axis=-1, keepdims=True, initial=0.0)
 
 
-def _pricing(cost, dtol, tab, basic, x, lo, hi) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced costs under ``cost`` of a tableau B^-1 [A | b] with basic
-    columns ``basic`` and nonbasic values ``x``, and which columns may
-    enter: none means the basis is optimal for that cost.
+def _pricing(cost, basic_cost, dtol, tab, x, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced costs under ``cost`` of a tableau B^-1 [A | b] whose basic
+    columns cost ``basic_cost`` and whose nonbasic values are ``x``, and
+    which columns may enter: none means the basis is optimal for that cost.
 
-    Leading axes of ``tab``, ``basic`` and ``x`` stack tableaux of one LP.
-    A product and a sum, not a matrix product, form the reduced costs, so
-    each tableau of a stack rounds exactly as it does alone.
+    Leading axes of ``tab``, ``basic_cost`` and ``x`` stack tableaux of one
+    LP, and leading axes of ``cost``, ``basic_cost`` and ``dtol`` stack
+    costs, broadcast against them.  A product and a sum, not a matrix
+    product, form the reduced costs, so each pair of cost and tableau
+    rounds exactly as it does alone.
     """
-    reduced = cost - (cost[basic][..., None] * tab[..., :-1]).sum(axis=-2)
+    reduced = cost - (basic_cost[..., None] * tab[..., :-1]).sum(axis=-2)
     # basic columns have zero reduced cost, so only nonbasic ones qualify:
     # rising below their upper bound or falling above their lower one (a
     # free column at zero may do either)
@@ -306,7 +324,7 @@ class _Tableau:
         dtol = _cost_tol(self.tol, cost)
         for _ in range(max_iter):
             tab = self.tab
-            reduced, eligible = _pricing(cost, dtol, tab, self.basic, x, lo, hi)
+            reduced, eligible = _pricing(cost, cost[self.basic], dtol, tab, x, lo, hi)
             if not eligible.any():
                 return OPTIMAL
             col = int(eligible.argmax())  # Bland: lowest eligible index

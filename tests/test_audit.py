@@ -1,6 +1,7 @@
 """Manipulation audits, certificates, influence envelopes, and efficiency."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -23,6 +24,7 @@ from truthfit import (
     MechanismKind,
     MechanismSpec,
     NotPubliclySeparable,
+    PhantomTerm,
     QuantileConfig,
     UnsupportedMechanism,
     ViolationCertificate,
@@ -45,7 +47,7 @@ from truthfit import (
     tukey_spec,
     verify_certificate,
 )
-from truthfit import audit, grh
+from truthfit import audit, erm, grh
 from truthfit.audit import DEFAULT_MARGIN
 from truthfit.errors import InternalInconsistency
 from truthfit.random_instances import random_data, random_separable_instance
@@ -577,6 +579,77 @@ def test_batched_grh_fails_rows_as_alone_across_chunks(monkeypatch):
     failed = _assert_rows_as_alone(spec, data, block)
     assert sorted(failed) == [1, 3]
     assert all(isinstance(exc, grh.UniquenessViolation) for exc in failed.values())
+
+
+def _piecewise_linear_cases():
+    """L1 with weights, phantoms and drift; L1 with fewer points than
+    coefficients (no square basis, so nothing is cached); quantile q = 0.3."""
+    rng = np.random.default_rng(23)
+    dense, few, quantile = random_data(rng, 10, 2), random_data(rng, 2, 2), random_data(rng, 10, 2)
+    phantoms = (PhantomTerm(np.zeros(2), 0.0, 2.0), PhantomTerm(np.ones(2), 1.0, 0.5))
+    weighted = L1Config(weights=tuple(rng.uniform(0.5, 2.0, 10)), phantoms=phantoms, drift=0.5)
+    return [(MechanismSpec(MechanismKind.L1ERM, weighted), dense),
+            (MechanismSpec(MechanismKind.L1ERM, L1Config()), few),
+            (MechanismSpec(MechanismKind.QUANTILE, QuantileConfig(0.3)), quantile)]
+
+
+@pytest.mark.parametrize("cells", ["default", "one row per chunk"])
+@pytest.mark.parametrize("case", range(3))
+def test_batched_piecewise_linear_rows_meet_the_cache_as_alone(case, cells, monkeypatch):
+    spec, data = _piecewise_linear_cases()[case]
+    if cells != "default":
+        monkeypatch.setattr(erm, "BLOCK_CELLS", 1)
+    rng = np.random.default_rng(case)
+    block = _report_block(data, rng, rows=160)
+    block[80:] = rng.normal(0.0, 3.0, (80, data.n))  # far moves: new bases mid-block
+    solves = []
+    solve_lp = erm.solve_lp
+
+    def counted(*args, **kwargs):
+        res = solve_lp(*args, **kwargs)
+        solves.append(None if res.tableau is None else res.basis.tobytes())
+        return res
+
+    monkeypatch.setattr(erm, "solve_lp", counted)
+    bound = spec.bind(data)
+    bound.coefficients()
+    truthful = len(solves)
+    bound.coefficients_many(block)
+    # the block misses mid-block; where bases are cached, it solves more
+    # distinct ones than the cache keeps, so some are evicted mid-block
+    assert len(solves) > truthful + 1
+    cached = {basis for basis in solves if basis is not None}
+    assert len(cached) > erm.DUAL_BASES or (case == 1 and not cached)
+    assert not _assert_rows_as_alone(spec, data, block)
+
+
+def test_batched_piecewise_linear_fits_fail_rows_as_alone():
+    data = random_data(np.random.default_rng(24), 4, 1)
+    # drift beyond the total weight: the risk is unbounded for every report
+    spec = MechanismSpec(MechanismKind.L1ERM, L1Config(drift=5.0))
+    failed = _assert_rows_as_alone(spec, data, _report_block(data, np.random.default_rng(24), 5))
+    assert sorted(failed) == list(range(5))
+    assert all(isinstance(exc, ConfigurationError) for exc in failed.values())
+
+
+def test_batched_piecewise_linear_pricing_memory_is_bounded():
+    rng = np.random.default_rng(25)
+    data = random_data(rng, 300, 2)
+    bound = MechanismSpec(MechanismKind.L1ERM, L1Config()).bind(data)
+    bound.coefficients()
+    block = np.repeat(data.ys[None, :], 4096, axis=0)
+    block[np.arange(4096), rng.integers(0, data.n, 4096)] += rng.normal(0.0, 0.01, 4096)
+    tracemalloc.start()
+    try:
+        coeffs, failed = bound.coefficients_many(block)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not failed and np.isfinite(coeffs).all()
+    # priced in one pass, the block would form 4096 x 32 bases x 3 x 300
+    # doubles (about 0.9 GB); in chunks the peak stays near the block itself
+    # (4096 x 300 doubles, 9.8 MB)
+    assert peak < 48 * 2 ** 20, peak
 
 
 def _sequential_first_certificate(probe, blocks):

@@ -86,6 +86,32 @@ def test_is_admissible_exact_duplicates_only():
     ).is_admissible()
 
 
+@st.composite
+def positions(draw):
+    """Rows drawn from a few values, so that duplicates, 0.0 against -0.0
+    and d = 0 all come up."""
+    d = draw(st.integers(0, 3))
+    n = draw(st.integers(1, 7))
+    value = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]) | finite
+    rows = draw(st.lists(st.lists(value, min_size=d, max_size=d), min_size=n, max_size=n))
+    if n > 1 and draw(st.booleans()):
+        rows[-1] = list(rows[draw(st.integers(0, n - 2))])
+    return np.array(rows, dtype=float).reshape(n, d)
+
+
+@given(positions())
+@settings(max_examples=300, deadline=None)
+def test_is_admissible_equals_the_set_of_rows_reference(xs):
+    data = DataSet(xs, np.zeros(xs.shape[0]))
+    assert data.is_admissible() == (len({tuple(row) for row in xs}) == xs.shape[0])
+
+
+def test_is_admissible_treats_signed_zeros_and_d0_exactly():
+    assert not DataSet(np.array([[0.0, 1.0], [-0.0, 1.0]]), np.zeros(2)).is_admissible()
+    assert DataSet(np.zeros((1, 0)), np.zeros(1)).is_admissible()
+    assert not DataSet(np.zeros((2, 0)), np.zeros(2)).is_admissible()
+
+
 # -- Hyperplane --------------------------------------------------------------
 
 

@@ -339,15 +339,7 @@ def test_warm_started_probes_equal_cold_fits(kind, monkeypatch):
                            phantoms=(PhantomTerm(np.zeros(2), 0.0, 2.0),))
         spec = MechanismSpec(MechanismKind.L1ERM, cfg)
         cold = lambda d: fit_l1erm(d, cfg)  # noqa: E731
-    probes = []
-    coefficients = BoundMechanism.coefficients
-
-    def record(self, ys=None):
-        out = coefficients(self, ys)
-        probes.append((self.data.ys if ys is None else np.array(ys), out))
-        return out
-
-    monkeypatch.setattr(BoundMechanism, "coefficients", record)
+    probes = record_probes(monkeypatch)
     assert audit_gsp(spec, data, max_coalition=2, max_evals=60, seed=1) is None
     # two agents have 42 candidates each, plus 60 sampled joint reports
     assert len(probes) > (140 if data.n == 2 else 300)
@@ -356,20 +348,44 @@ def test_warm_started_probes_equal_cold_fits(kind, monkeypatch):
         npt.assert_allclose(warm, ref, rtol=1e-12, atol=1e-12 * (1.0 + np.abs(ref).max()))
 
 
-def test_probes_of_a_bound_mechanism_reuse_optimal_bases(monkeypatch):
-    lps, probes = [], []
-    solve_lp, coefficients = erm.solve_lp, BoundMechanism.coefficients
+def record_probes(monkeypatch):
+    """The (reports, coefficients) of every fit of a bound L1 or quantile
+    mechanism: its truthful fit, then every row of the blocks an audit
+    probes (these kinds solve a block without a call per row)."""
+    probes = []
+    coefficients, coefficients_many = BoundMechanism.coefficients, BoundMechanism.coefficients_many
+
+    def record(self, ys=None):
+        out = coefficients(self, ys)
+        probes.append((self.data.ys if ys is None else np.array(ys), out))
+        return out
+
+    def record_many(self, ys):
+        out, failed = coefficients_many(self, ys)
+        probes.extend((row.copy(), out[k]) for k, row in enumerate(np.asarray(ys))
+                      if k not in failed)
+        return out, failed
+
+    monkeypatch.setattr(BoundMechanism, "coefficients", record)
+    monkeypatch.setattr(BoundMechanism, "coefficients_many", record_many)
+    return probes
+
+
+def count_lps(monkeypatch):
+    """The list that each later ``erm.solve_lp`` call appends to."""
+    lps = []
+    solve_lp = erm.solve_lp
 
     def counted_lp(*args, **kwargs):
         lps.append(1)
         return solve_lp(*args, **kwargs)
 
-    def counted_probe(self, ys=None):
-        probes.append(1)
-        return coefficients(self, ys)
-
     monkeypatch.setattr(erm, "solve_lp", counted_lp)
-    monkeypatch.setattr(BoundMechanism, "coefficients", counted_probe)
+    return lps
+
+
+def test_probes_of_a_bound_mechanism_reuse_optimal_bases(monkeypatch):
+    lps, probes = count_lps(monkeypatch), record_probes(monkeypatch)
     data = random_data(np.random.default_rng(46), 6, 2)
     spec = MechanismSpec(MechanismKind.L1ERM, L1Config())
     assert audit_gsp(spec, data, max_coalition=2, max_evals=300) is None
@@ -386,18 +402,13 @@ def test_probes_of_a_bound_mechanism_reuse_optimal_bases(monkeypatch):
 
 
 def test_an_lp_is_built_once_per_solve(monkeypatch):
-    lps, forms = [], []
-    solve_lp, equality_form = erm.solve_lp, simplex._equality_form
-
-    def counted_lp(*args, **kwargs):
-        lps.append(1)
-        return solve_lp(*args, **kwargs)
+    lps, forms = count_lps(monkeypatch), []
+    equality_form = simplex._equality_form
 
     def counted_form(*args, **kwargs):
         forms.append(1)
         return equality_form(*args, **kwargs)
 
-    monkeypatch.setattr(erm, "solve_lp", counted_lp)
     monkeypatch.setattr(simplex, "_equality_form", counted_form)
     data = random_data(np.random.default_rng(46), 6, 2)
     spec = MechanismSpec(MechanismKind.L1ERM, L1Config())
@@ -407,18 +418,24 @@ def test_an_lp_is_built_once_per_solve(monkeypatch):
     assert len(forms) == len(lps)
 
 
-def test_dual_bases_keep_at_most_eight_in_recency_order():
+def test_dual_bases_keep_at_most_thirty_two_in_recency_order(monkeypatch):
     rng = np.random.default_rng(47)
-    data = random_data(rng, 6, 2)
+    data = random_data(rng, 10, 2)
     w = np.ones(data.n)
     cache = erm._DualBases()
+    lps = count_lps(monkeypatch)
+    seen = set()
     for _ in range(200):
         rhs = rng.normal(0.0, 2.0, data.n)
         _PiecewiseLinearFit(data.xbar(), rhs, w, w, 0.0, cache=cache).fit()
         # a probe's optimal basis is the newest, whether cached or solved
-        assert cache.stack.optimal_for(-rhs)[cache.order[0]]
-        assert sorted(cache.order) == list(range(len(cache.slots)))
-    assert len(cache.slots) == erm.DUAL_BASES
+        assert cache.optimal(-rhs[None])[0, cache.order[0]]
+        assert sorted(cache.order) == list(range(len(cache.faces)))
+        seen.add(cache.newest().tobytes())
+    # more optimal bases than the cache keeps, so some were evicted
+    assert len(seen) > erm.DUAL_BASES
+    assert len(cache.faces) == cache.stack.filled == erm.DUAL_BASES
+    assert len(lps) > erm.DUAL_BASES
 
 
 @pytest.mark.parametrize("scale", [1e-13, 1e-9, 1e-6, 1e6, 1e12])

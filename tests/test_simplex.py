@@ -163,7 +163,7 @@ def test_random_problems_match_scipy(trial):
         npt.assert_array_equal(tableau.values()[:n], ours.x)
         for cost, again in ((c, solve_lp(c, a_ub, b_ub, a_eq, b_eq, bounds, basis=ours.basis)),
                             (c2, warm)):
-            optimal = simplex.BasisStack([tableau]).optimal_for(cost)
+            optimal = _stack([tableau]).optimal_for(cost[None])[0]
             assert optimal.tolist() == [again.pivots == 0]
         if optimal[0]:
             # a hit reads its point off the kept tableau: optimal for c2 too
@@ -184,16 +184,26 @@ def test_a_stack_of_bases_prices_each_as_a_warm_solve_from_it_would():
         res = solve_lp(c, a_ub, b_ub, a_eq, b_eq, bounds)
         tableaux[res.basis.tobytes()] = res.tableau
     assert len(tableaux) >= 4
-    stack = simplex.BasisStack(list(tableaux.values()))
+    stack = _stack(list(tableaux.values()))
+    costs = rng.normal(size=(40, n))
+    block = stack.optimal_for(costs)
     hits = 0
-    for _ in range(40):
-        c = rng.normal(size=n)
-        optimal = stack.optimal_for(c)
-        for tableau, hit in zip(tableaux.values(), optimal):
+    for c, row in zip(costs, block):
+        # a row of a block is priced as that cost alone, slot by slot
+        assert stack.optimal_for(c[None])[0].tolist() == row.tolist()
+        for slot, (tableau, hit) in enumerate(zip(tableaux.values(), row)):
+            assert stack.optimal_for(c[None], slot).tolist() == [[hit]]
             warm = solve_lp(c, a_ub, b_ub, a_eq, b_eq, bounds, basis=tableau.status)
             assert hit == (warm.pivots == 0)
             hits += hit
     assert hits > 0
+
+
+def _stack(tableaux):
+    stack = simplex.BasisStack(len(tableaux), tableaux[0])
+    for slot, tableau in enumerate(tableaux):
+        stack.put(slot, tableau)
+    return stack
 
 
 def _check_against_scipy(ours, ref, a_ub, b_ub, a_eq, b_eq, bounds):

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+from truthfit import erm, separability
 from truthfit import (
     L1Config,
     MechanismKind,
@@ -36,11 +37,18 @@ def load_tracing() -> types.ModuleType:
     return module
 
 
-def test_tracer_counts_every_layer_of_an_l1_audit_and_a_grh_fit():
+def test_tracer_counts_every_layer_of_an_l1_audit_and_a_grh_fit(monkeypatch):
     tracing = load_tracing()
     rng = np.random.default_rng(11)
     l1_data = random_data(rng, 5, 1)
     grh_data, part = random_separable_instance(rng, 2, sizes=(2, 2, 3))
+    lps = {erm: [], separability: []}
+    for module, calls in lps.items():
+        def counted(*args, _solve=module.solve_lp, _calls=calls, **kwargs):
+            _calls.append(1)
+            return _solve(*args, **kwargs)
+
+        monkeypatch.setattr(module, "solve_lp", counted)
     tracer = tracing.Tracer()
     with tracer:
         audit_sp(MechanismSpec(MechanismKind.L1ERM, L1Config()), l1_data, 0)
@@ -49,16 +57,15 @@ def test_tracer_counts_every_layer_of_an_l1_audit_and_a_grh_fit():
     metrics = tracer.metrics(rounds=1)
     for name in ("audit.probes", "erm.fits", "grh.solves", "separability.checks"):
         assert metrics[name]["value"] > 0, name
-    # the L1 fit is strategyproof, so the audit probes every candidate: the
-    # truthful fit plus one probe per candidate that differs from the truth;
-    # the GRH fit adds one more
-    y_true = l1_data.ys[0]
-    moved = sum(c != y_true for c in default_candidates(l1_data, 0))
-    assert metrics["audit.probes"]["value"] == 1 + moved + 1
-    # every L1 probe is one fit the tracer sees, cached dual basis or not,
-    # and most probes reuse a basis instead of solving an LP
-    assert metrics["erm.fits"]["value"] == 1 + moved
-    assert metrics["simplex.lp_calls"]["value"] < metrics["erm.fits"]["value"]
+    # the audit probes the L1 fit in one block through coefficients_many,
+    # which the tracer does not wrap: it sees the truthful L1 fit and the GRH
+    # fit as probes, and the truthful L1 fit as the one fit
+    assert metrics["audit.probes"]["value"] == 2
+    assert metrics["erm.fits"]["value"] == 1
+    # every LP of the block's misses is still traced, and only those
+    assert len(lps[erm]) > 0
+    assert metrics["simplex.lp_calls"]["value"] == len(lps[erm]) + len(lps[separability])
+    assert metrics["separability.lp_calls"]["value"] == len(lps[separability])
 
 
 def test_tracer_counts_the_probes_of_a_coalition_audit_and_a_replay():
