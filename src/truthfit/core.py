@@ -18,6 +18,10 @@ import numpy as np
 
 from .errors import ContractViolation
 
+#: A batched solve is chunked so that one pass forms at most this many
+#: float64 cells in one array (8 MB), and never less than one row.
+BLOCK_CELLS = 1 << 20
+
 
 class MedianSide(Enum):
     """Which middle element an even-length median selects."""

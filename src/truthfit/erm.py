@@ -40,6 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import core
 from .core import DataSet, Hyperplane
 from .errors import ConfigurationError, ContractViolation, InternalInconsistency
 from .simplex import INFEASIBLE, BasisStack, solve_lp
@@ -204,7 +205,7 @@ class _PiecewiseLinearFit:
         cache = self.cache
         rows_of: dict[_Face, list[int]] = {}
         failed: dict[int, Exception] = {}
-        step = max(1, BLOCK_CELLS // (DUAL_BASES * self.xbar.size))
+        step = max(1, core.BLOCK_CELLS // (DUAL_BASES * self.xbar.size))
         for start in range(0, rhs.shape[0], step):
             chunk = rhs[start:start + step]
             optimal = cache.optimal(-chunk)
@@ -253,9 +254,6 @@ class _Face:
 #: optimal dual bases one :class:`_DualBases` keeps
 DUAL_BASES = 32
 
-#: cells (rows x bases x tableau entries) one pass of pricing may form
-BLOCK_CELLS = 1 << 20
-
 
 class _DualBases:
     """The last optimal dual bases of fits on fixed positions, weights and
@@ -275,8 +273,8 @@ class _DualBases:
     """
 
     def __init__(self):
-        self.faces: list[_Face] = []  # by slot of the stack
-        self.order: list[int] = []    # slots, most recently used first
+        self.faces: list[_Face | None] = [None] * DUAL_BASES  # by slot of the stack
+        self.order: list[int] = []  # filled slots, most recently used first
         self.stack: BasisStack | None = None
 
     def newest(self):
@@ -286,8 +284,8 @@ class _DualBases:
         """(K, DUAL_BASES): whether each slot's basis is optimal for each row
         of a block of dual costs (False for empty slots)."""
         out = np.zeros((costs.shape[0], DUAL_BASES), dtype=bool)
-        if self.faces:
-            out[:, :len(self.faces)] = self.stack.optimal_for(costs)
+        if self.order:
+            out[:, :self.stack.filled] = self.stack.optimal_for(costs)
         return out
 
     def use(self, slot: int) -> _Face:
@@ -309,12 +307,8 @@ class _DualBases:
         if kept is not None:
             self.use(kept)
             return None
-        if len(self.faces) < DUAL_BASES:
-            slot = len(self.faces)
-            self.faces.append(face)
-        else:
-            slot = self.order.pop()
-            self.faces[slot] = face
+        slot = self.stack.filled if self.stack.filled < DUAL_BASES else self.order.pop()
+        self.faces[slot] = face
         self.stack.put(slot, tableau)
         self.order.insert(0, slot)
         return slot

@@ -17,7 +17,7 @@ In any other dimension the solver enumerates all transversal hyperplanes
 (interpolating one agent per set), keeps those passing the rank conditions
 with a tie-robust count, and insists on uniqueness after coefficientwise
 deduplication.  That holds residuals for rows times candidates times n,
-in chunks of rows capped by BLOCK_CELLS (one row at least).
+in chunks of rows capped by ``core.BLOCK_CELLS`` (one row at least).
 
 Both solvers take a block of report vectors, one per row, and solve every
 row in the same numpy calls; an audit judges a coalition's joint reports
@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import core
 from .core import DataSet, Hyperplane, MedianSide, median_rank, residual_zero_tol
 from .errors import (
     AdmissibilityError,
@@ -49,10 +50,6 @@ CONDITION_LIMIT = 1e12
 #: Hyperplanes equal coefficientwise within this many times
 #: max |beta| over the satisfying candidates are the same candidate.
 DEDUP_TOL = 1e-12
-
-#: A d >= 2 block solve is chunked so that rows x transversals x points
-#: stays under this many float64 cells (8 MB per array).
-BLOCK_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -283,7 +280,7 @@ class _GrhSolver:
         tol = _rank_tolerance(ys)
         if self._split is not None:
             return self._solve_lines(ys, tol)
-        step = max(1, BLOCK_CELLS // (self.traversals.shape[0] * self._members.size))
+        step = max(1, core.BLOCK_CELLS // (self.traversals.shape[0] * self._members.size))
         betas, failed, witness = [], {}, []
         for start in range(0, ys.shape[0], step):
             chunk = self._solve_planes(ys[start:start + step], tol[start:start + step])

@@ -47,7 +47,7 @@ from truthfit import (
     tukey_spec,
     verify_certificate,
 )
-from truthfit import audit, erm, grh
+from truthfit import audit, core, erm, grh
 from truthfit.audit import DEFAULT_MARGIN
 from truthfit.errors import InternalInconsistency
 from truthfit.random_instances import random_data, random_separable_instance
@@ -575,7 +575,7 @@ def test_batched_grh_fails_rows_as_alone_across_chunks(monkeypatch):
     tie = np.array([1.0, 1.0 + 1e-10, 1.0, 1.0])
     block = np.array([data.ys, tie, data.ys + 1.0, 3.0 * tie, -data.ys, data.ys ** 2, [0.0] * 4])
     # 2 transversals x 4 points: three rows per chunk, so chunks of 3, 3 and 1
-    monkeypatch.setattr(grh, "BLOCK_CELLS", 3 * 2 * 4)
+    monkeypatch.setattr(core, "BLOCK_CELLS", 3 * 2 * 4)
     failed = _assert_rows_as_alone(spec, data, block)
     assert sorted(failed) == [1, 3]
     assert all(isinstance(exc, grh.UniquenessViolation) for exc in failed.values())
@@ -598,7 +598,7 @@ def _piecewise_linear_cases():
 def test_batched_piecewise_linear_rows_meet_the_cache_as_alone(case, cells, monkeypatch):
     spec, data = _piecewise_linear_cases()[case]
     if cells != "default":
-        monkeypatch.setattr(erm, "BLOCK_CELLS", 1)
+        monkeypatch.setattr(core, "BLOCK_CELLS", 1)
     rng = np.random.default_rng(case)
     block = _report_block(data, rng, rows=160)
     block[80:] = rng.normal(0.0, 3.0, (80, data.n))  # far moves: new bases mid-block

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from truthfit import erm, separability
+from truthfit.audit import BoundMechanism
 from truthfit import (
     L1Config,
     MechanismKind,
@@ -49,6 +50,14 @@ def test_tracer_counts_every_layer_of_an_l1_audit_and_a_grh_fit(monkeypatch):
             return _solve(*args, **kwargs)
 
         monkeypatch.setattr(module, "solve_lp", counted)
+    blocks = []
+    coefficients_many = BoundMechanism.coefficients_many
+
+    def counted_rows(self, ys):
+        blocks.append(np.array(ys))
+        return coefficients_many(self, ys)
+
+    monkeypatch.setattr(BoundMechanism, "coefficients_many", counted_rows)
     tracer = tracing.Tracer()
     with tracer:
         audit_sp(MechanismSpec(MechanismKind.L1ERM, L1Config()), l1_data, 0)
@@ -57,9 +66,16 @@ def test_tracer_counts_every_layer_of_an_l1_audit_and_a_grh_fit(monkeypatch):
     metrics = tracer.metrics(rounds=1)
     for name in ("audit.probes", "erm.fits", "grh.solves", "separability.checks"):
         assert metrics[name]["value"] > 0, name
-    # the audit probes the L1 fit in one block through coefficients_many,
-    # which the tracer does not wrap: it sees the truthful L1 fit and the GRH
-    # fit as probes, and the truthful L1 fit as the one fit
+    # the L1 fit is strategyproof, so the audit probes every candidate: the
+    # truthful fit plus one block row per candidate that differs from the
+    # truth.  The block goes through coefficients_many, which the tracer does
+    # not wrap: it sees the truthful L1 fit and the GRH fit as probes, and
+    # the truthful L1 fit as the one fit
+    y_true = l1_data.ys[0]
+    moved = [c for c in default_candidates(l1_data, 0) if c != y_true]
+    rows = np.concatenate(blocks)
+    assert (rows[:, 1:] == l1_data.ys[1:]).all()
+    assert sorted(rows[:, 0]) == sorted(moved)
     assert metrics["audit.probes"]["value"] == 2
     assert metrics["erm.fits"]["value"] == 1
     # every LP of the block's misses is still traced, and only those
