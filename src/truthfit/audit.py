@@ -42,7 +42,7 @@ from .errors import (
 from .grh import (
     _GrhSolver,
     _centred,
-    _grl_solver,
+    _grl_partition,
     _interpolation_systems,
     _uncentred,
     preset_partition,
@@ -184,20 +184,17 @@ def _bind_refit(fit, data: DataSet, cfg):
     return (lambda ys: fit(DataSet(xs, ys), cfg).coefficients()), None
 
 
-def _batched(solver: _GrhSolver):
-    """solve and solve_many over one resistant-hyperplane solver."""
-    return (lambda ys: solver.solve(ys)[0]), (lambda ys: solver.solve_many(ys)[:2])
-
-
 def _bind_grl(data: DataSet, cfg: GrlParams):
-    return _batched(_grl_solver(data, cfg.s, cfg.sprime, cfg.k, cfg.kprime))
+    return _bind_grh(data, _grl_partition(data, cfg.s, cfg.sprime, cfg.k, cfg.kprime))
 
 
 def _bind_grh(data: DataSet, cfg: AgentPartition):
+    # in d = 1 the solver's vertical split is the exact separability test
     cfg.validate_against(data)
-    if not is_publicly_separable(data, cfg):
+    if data.d != 1 and not is_publicly_separable(data, cfg):
         raise NotPubliclySeparable("partition is not publicly separable; rejected before solving")
-    return _batched(_GrhSolver(data.xs, cfg))
+    solver = _GrhSolver(data.xs, cfg)
+    return (lambda ys: solver.solve(ys)[0]), (lambda ys: solver.solve_many(ys)[:2])
 
 
 def _bind_generalized_median(data: DataSet, cfg: GenMedParams):
@@ -457,6 +454,9 @@ def default_candidates(data: DataSet, agent: int, grid_points: int = 41) -> list
 #: candidate product takes
 BLOCK_TRIALS = 4096
 
+#: coalitions of each size that audit_gsp samples when n > 8
+COALITION_SAMPLES = 64
+
 
 def _first_certificate(probe: _Probe, blocks) -> ViolationCertificate | None:
     """The first certificate over (coalition, reports) blocks, in trial order.
@@ -511,17 +511,18 @@ def audit_sp(spec: MechanismSpec, data: DataSet, agent: int,
 
 def audit_gsp(spec: MechanismSpec, data: DataSet, max_coalition: int,
               candidates_per_agent: int = 41, seed: int = 0,
-              margin: float = DEFAULT_MARGIN, max_evals: int | None = None,
-              coalition_samples: int = 64) -> ViolationCertificate | None:
+              margin: float = DEFAULT_MARGIN,
+              max_evals: int | None = None) -> ViolationCertificate | None:
     """Coalition misreport search: weak improvement for all, strict for one.
 
     ``margin`` is the strict-gain threshold; the no-member-worse condition
     is always judged at solver-noise scale (never looser than the default
     margin).  Singleton coalitions are searched exhaustively first
-    (identical to :func:`audit_sp` over the same candidate lists).  Larger coalitions are
-    enumerated exhaustively for n <= 8 and sampled otherwise; each agent's
-    candidate list is the default grid-plus-crossings set extended with the
-    other agents' reported values.  When ``max_evals`` caps the budget, the
+    (identical to :func:`audit_sp` over the same candidate lists).  Larger
+    coalitions are enumerated exhaustively for n <= 8, else
+    ``COALITION_SAMPLES`` of each size are sampled; each agent's candidate
+    list is the default grid-plus-crossings set extended with the other
+    agents' reported values.  When ``max_evals`` caps the budget, the
     joint-report product of each larger coalition is sampled with the given
     seed instead of fully enumerated.  Deterministic for fixed arguments.
     """
@@ -532,12 +533,12 @@ def audit_gsp(spec: MechanismSpec, data: DataSet, max_coalition: int,
     cand_lists = [np.array(list(dict.fromkeys([
         *default_candidates(data, i, candidates_per_agent),
         *(float(v) for j, v in enumerate(data.ys) if j != i)]))) for i in range(n)]
-    blocks = _coalition_blocks(cand_lists, max_coalition, seed, max_evals, coalition_samples)
+    blocks = _coalition_blocks(cand_lists, max_coalition, seed, max_evals)
     return _first_certificate(probe, blocks)
 
 
 def _coalition_blocks(cand_lists: list[np.ndarray], max_coalition: int, seed: int,
-                      max_evals: int | None, coalition_samples: int):
+                      max_evals: int | None):
     """(coalition, joint reports) blocks in search order, drawing from the
     seeded rng lazily: a coalition's picks are drawn before its first block."""
     n = len(cand_lists)
@@ -548,7 +549,7 @@ def _coalition_blocks(cand_lists: list[np.ndarray], max_coalition: int, seed: in
         if n <= 8:
             coalitions = list(itertools.combinations(range(n), size))
         else:
-            count = min(coalition_samples, math.comb(n, size))
+            count = min(COALITION_SAMPLES, math.comb(n, size))
             seen: set[tuple[int, ...]] = set()
             while len(seen) < count:
                 pick = tuple(sorted(rng.choice(n, size=size, replace=False).tolist()))

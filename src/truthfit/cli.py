@@ -17,6 +17,7 @@ import sys
 import numpy as np
 
 from .audit import (
+    BuiltinInstance,
     MechanismSpec,
     ViolationCertificate,
     audit_gsp,
@@ -68,19 +69,17 @@ def _certificate_jsonable(cert: ViolationCertificate) -> dict:
     }
 
 
-def _load_inputs(args) -> tuple[DataSet, MechanismSpec]:
-    builtin = getattr(args, "builtin", None)
-    if builtin is not None:
-        if getattr(args, "data", None) or getattr(args, "config", None):
+def _load_inputs(args) -> tuple[DataSet, MechanismSpec, BuiltinInstance | None]:
+    """The data and mechanism, plus the built-in instance they came from."""
+    if args.builtin is not None:
+        if args.data or args.config or args.mechanism:
             raise InputError("--builtin already carries data and mechanism")
-        inst = builtin_instance(builtin)
-        return inst.data, inst.mechanism
-    if not getattr(args, "data", None):
+        inst = builtin_instance(args.builtin)
+        return inst.data, inst.mechanism, inst
+    if not args.data:
         raise InputError("need --data (or --builtin)")
     data = read_dataset(args.data)
-    spec = resolve_mechanism(getattr(args, "mechanism", None),
-                             getattr(args, "config", None), data)
-    return data, spec
+    return data, resolve_mechanism(args.mechanism, args.config, data), None
 
 
 # --------------------------------------------------------------------------
@@ -88,7 +87,7 @@ def _load_inputs(args) -> tuple[DataSet, MechanismSpec]:
 
 
 def cmd_fit(args) -> int:
-    data, spec = _load_inputs(args)
+    data, spec, _ = _load_inputs(args)
     h = fit_mechanism(spec, data)
     record = outcomes(h, data)
     _print_json({
@@ -102,15 +101,13 @@ def cmd_fit(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    data, spec = _load_inputs(args)
+    data, spec, inst = _load_inputs(args)
     if args.mode == "sp":
         agents = [args.agent] if args.agent is not None else list(range(data.n))
-        builtin = getattr(args, "builtin", None)
         cert = None
         for agent in agents:
             candidates = None
-            if builtin is not None:
-                inst = builtin_instance(builtin)
+            if inst is not None:
                 candidates = default_candidates(data, agent)
                 if agent == inst.deviator:
                     candidates = [inst.misreport] + candidates
@@ -129,7 +126,7 @@ def cmd_audit(args) -> int:
 
 
 def cmd_influence(args) -> int:
-    data, spec = _load_inputs(args)
+    data, spec, _ = _load_inputs(args)
     agents = [args.agent] if args.agent is not None else list(range(data.n))
     bounds = []
     for agent in agents:
@@ -142,7 +139,7 @@ def cmd_influence(args) -> int:
 
 
 def cmd_efficiency(args) -> int:
-    data, spec = _load_inputs(args)
+    data, spec, _ = _load_inputs(args)
     mech_rss, ols_rss, ratio = efficiency_terms(spec, data)
     _print_json({"mechanism_rss": mech_rss, "ols_rss": ols_rss,
                  "ratio": extended_jsonable(ratio)})
@@ -150,18 +147,14 @@ def cmd_efficiency(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    builtin = getattr(args, "builtin", None)
-    if builtin is not None:
-        inst = builtin_instance(builtin)
-        data, spec = inst.data, inst.mechanism
-        deviation = (inst.deviator, inst.misreport)
-    else:
-        data, spec = _load_inputs(args)
-        deviation = None
-        if args.deviate_agent is not None or args.deviate_value is not None:
-            if args.deviate_agent is None or args.deviate_value is None:
-                raise InputError("--deviate-agent and --deviate-value go together")
-            deviation = (args.deviate_agent, args.deviate_value)
+    data, spec, inst = _load_inputs(args)
+    deviation = None if inst is None else (inst.deviator, inst.misreport)
+    if args.deviate_agent is not None or args.deviate_value is not None:
+        if inst is not None:
+            raise InputError("--builtin already carries its deviation")
+        if args.deviate_agent is None or args.deviate_value is None:
+            raise InputError("--deviate-agent and --deviate-value go together")
+        deviation = (args.deviate_agent, args.deviate_value)
     truthful = fit_mechanism(spec, data)
     lines = [("truthful fit", truthful, "solid")]
     if deviation is not None:
@@ -169,7 +162,7 @@ def cmd_plot(args) -> int:
         deviated = fit_mechanism(spec, deviated_data)
         lines.append(("after deviation", deviated, "dashed"))
     svg = render_plot(data, lines, deviation=deviation,
-                      title=builtin or args.data)
+                      title=args.builtin or args.data)
     try:
         with open(args.out, "w") as fh:
             fh.write(svg)
@@ -322,12 +315,11 @@ def cmd_reproduce(args) -> int:
 # argument parsing
 
 
-def _add_common(parser, with_mechanism=True) -> None:
+def _add_common(parser) -> None:
     parser.add_argument("--data", help="CSV file with header x1,...,xd,y")
-    if with_mechanism:
-        parser.add_argument("--mechanism",
-                            help=f"mechanism kind or preset ({MECHANISM_NAMES})")
-        parser.add_argument("--config", help="JSON mechanism config file")
+    parser.add_argument("--mechanism",
+                        help=f"mechanism kind or preset ({MECHANISM_NAMES})")
+    parser.add_argument("--config", help="JSON mechanism config file")
     parser.add_argument("--builtin",
                         choices=["crm-disjoint", "crm-subset", "quantile04"],
                         help="use a built-in instance instead of --data/--config")

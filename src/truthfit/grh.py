@@ -437,10 +437,11 @@ def fit_grh(data: DataSet, part: AgentPartition) -> GrhResult:
     Residual-sign counts use the tolerance 1e-9 * max |y|: a residual
     counts as negative below -tol and as nonpositive up to +tol, so exact
     ties cannot disqualify the true solution.  The tolerance scales with
-    y, and so does the fit.
+    y, and so does the fit.  In d = 1 the solver's vertical split decides
+    public separability exactly, from the x-ranges of the two sets.
     """
     part.validate_against(data)
-    if not is_publicly_separable(data, part):
+    if data.d != 1 and not is_publicly_separable(data, part):
         raise NotPubliclySeparable(
             "partition is not publicly separable; rejected before solving"
         )
@@ -449,13 +450,11 @@ def fit_grh(data: DataSet, part: AgentPartition) -> GrhResult:
     return GrhResult(Hyperplane(beta[:-1], beta[-1]), traversal, solver.candidate_count())
 
 
-def _grl_solver(data: DataSet, s, sprime, k: int, kprime: int) -> _GrhSolver:
-    """Solver for the resistant line of S and S' (d = 1, vertically split)."""
+def _grl_partition(data: DataSet, s, sprime, k: int, kprime: int) -> AgentPartition:
+    """The two-set partition of the resistant line of S and S' (d = 1)."""
     if data.d != 1:
         raise ContractViolation("resistant lines require d = 1")
-    part = AgentPartition((s, sprime), (k, kprime))
-    part.validate_against(data)
-    return _GrhSolver(data.xs, part)
+    return AgentPartition((s, sprime), (k, kprime))
 
 
 def fit_grl(data: DataSet, s, sprime, k: int, kprime: int) -> Hyperplane:
@@ -463,8 +462,7 @@ def fit_grl(data: DataSet, s, sprime, k: int, kprime: int) -> Hyperplane:
 
     S and S' must be separated by a vertical line (d = 1).
     """
-    beta, _ = _grl_solver(data, s, sprime, k, kprime).solve(data.ys)
-    return Hyperplane(beta[:-1], beta[-1])
+    return fit_grh(data, _grl_partition(data, s, sprime, k, kprime)).hyperplane
 
 
 def in_weak_general_position(data: DataSet, part: AgentPartition) -> bool:
@@ -478,12 +476,11 @@ def in_weak_general_position(data: DataSet, part: AgentPartition) -> bool:
     return has_weak_general_position([graph[list(s)] for s in part.sets])
 
 
-def satisfies_rank_conditions(data: DataSet, part: AgentPartition,
-                              h: Hyperplane, tol: float | None = None) -> bool:
-    """Tie-robust check that h meets every set's rank condition on data."""
+def satisfies_rank_conditions(data: DataSet, part: AgentPartition, h: Hyperplane) -> bool:
+    """Tie-robust check that h meets every set's rank condition on data,
+    with residuals within ``core.residual_zero_tol`` counted as zero."""
     part.validate_against(data)
-    if tol is None:
-        tol = residual_zero_tol(data, h)
     resid = data.ys - (data.xs @ h.beta1 + h.beta0)
     members, sets = _set_layout(part.sets)
-    return bool(_meets_ranks(resid[members], sets, np.array(part.ranks), tol))
+    return bool(_meets_ranks(resid[members], sets, np.array(part.ranks),
+                             residual_zero_tol(data, h)))

@@ -46,6 +46,10 @@ AT_LOWER, AT_UPPER, BASIC = 0, 1, 2
 #: Pivot elements at or below this magnitude are treated as zero.
 PIVOT_TOL = 1e-10
 
+#: Reduced costs count as zero below TOL * max |c|, and bound violations
+#: below TOL times the scale of the right-hand sides and finite bounds.
+TOL = 1e-9
+
 
 @dataclass
 class LpResult:
@@ -89,26 +93,20 @@ def _as_bounds(bounds, n):
 
 
 def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, bounds=None,
-             tol: float = 1e-9, max_iter: int | None = None,
              basis=None) -> LpResult:
     """Solve the LP above; status is "optimal", "infeasible" or "unbounded".
 
-    ``tol`` is relative: reduced costs count as zero below
-    tol * max |c|, and bound violations below tol times the scale of
-    the right-hand sides and finite bounds.  ``basis`` is the ``basis`` of
+    Tolerances are relative (see ``TOL``).  ``basis`` is the ``basis`` of
     an earlier result for the same constraints; one that no longer fits is
     ignored and the solve starts cold.
     """
-    lp = _equality_form(c, a_ub, b_ub, a_eq, b_eq, bounds, tol)
+    lp = _equality_form(c, a_ub, b_ub, a_eq, b_eq, bounds)
     if lp is None:
         return LpResult(INFEASIBLE)
-    if max_iter is None:
-        max_iter = 200 * (lp.ab.shape[0] + lp.ab.shape[1] + 10)
-
     if basis is None or not lp.warm_start(np.asarray(basis)):
-        if not lp.cold_start(max_iter):
+        if not lp.cold_start():
             return LpResult(INFEASIBLE, pivots=lp.pivots)
-    if lp.run(lp.cost, max_iter) == UNBOUNDED:
+    if lp.run(lp.cost) == UNBOUNDED:
         return LpResult(UNBOUNDED, pivots=lp.pivots)
     n = lp.ncols - lp.n_ub
     x = lp.values()[:n]
@@ -127,7 +125,7 @@ class BasisStack:
         self.basic = np.empty((size, like.m), dtype=like.basic.dtype)
         self.x = np.empty((size, like.ncols))
         self.status = np.empty((size, like.ncols), dtype=like.status.dtype)
-        self.lo, self.hi, self.tol, self.n_ub = like.lo, like.hi, like.tol, like.n_ub
+        self.lo, self.hi, self.n_ub = like.lo, like.hi, like.n_ub
         self.filled = 0
 
     def put(self, slot: int, tableau: "_Tableau") -> None:
@@ -151,16 +149,16 @@ class BasisStack:
             cost = np.concatenate([cost, np.zeros((cost.shape[0], self.n_ub))], axis=1)
         slots = slice(self.filled) if slot is None else slice(slot, slot + 1)
         _, eligible = _pricing(cost[:, None, :], cost[:, self.basic[slots]],
-                               _cost_tol(self.tol, cost)[:, None], self.tab[slots],
+                               _cost_tol(cost)[:, None], self.tab[slots],
                                self.x[slots], self.lo, self.hi)
         return ~eligible.any(axis=-1)
 
 
-def _cost_tol(tol, cost) -> np.ndarray:
+def _cost_tol(cost) -> np.ndarray:
     """Reduced costs at or below this magnitude count as zero: relative to
     the cost (per cost, along the last axis), so that scaling the cost
     scales no decision (with a zero cost every basis is optimal)."""
-    return tol * np.abs(cost).max(axis=-1, keepdims=True, initial=0.0)
+    return TOL * np.abs(cost).max(axis=-1, keepdims=True, initial=0.0)
 
 
 def _pricing(cost, basic_cost, dtol, tab, x, lo, hi) -> tuple[np.ndarray, np.ndarray]:
@@ -181,7 +179,7 @@ def _pricing(cost, basic_cost, dtol, tab, x, lo, hi) -> tuple[np.ndarray, np.nda
     return reduced, ((reduced < -dtol) & (x < hi)) | ((reduced > dtol) & (x > lo))
 
 
-def _equality_form(c, a_ub, b_ub, a_eq, b_eq, bounds, tol) -> "_Tableau | None":
+def _equality_form(c, a_ub, b_ub, a_eq, b_eq, bounds) -> "_Tableau | None":
     """The LP as a tableau not yet started, with one slack column per
     inequality row; None when some column's bounds are empty."""
     c = np.asarray(c, dtype=float).ravel()
@@ -206,7 +204,7 @@ def _equality_form(c, a_ub, b_ub, a_eq, b_eq, bounds, tol) -> "_Tableau | None":
         hi = np.concatenate([hi, np.full(n_ub, np.inf)])
     ab[n_ub:, :n] = a_eq
     ab[n_ub:, -1] = b_eq
-    return _Tableau(ab, c, lo, hi, tol, n_ub)
+    return _Tableau(ab, c, lo, hi, n_ub)
 
 
 class _Tableau:
@@ -214,12 +212,12 @@ class _Tableau:
     status of every column and the value of each nonbasic one (basic
     columns hold zero there; their values follow from the tableau)."""
 
-    def __init__(self, ab, cost, lo, hi, tol, n_ub):
+    def __init__(self, ab, cost, lo, hi, n_ub):
         self.ab, self.cost, self.lo, self.hi = ab, cost, lo, hi
         self.m, self.ncols, self.n_ub = ab.shape[0], ab.shape[1] - 1, n_ub
-        self.tol = tol
+        self.max_iter = 200 * (ab.shape[0] + ab.shape[1] + 10)  # per phase
         scale = np.abs(np.concatenate([lo, hi, ab[:, -1]]))
-        self.ftol = tol * (1.0 + float(scale.max(where=np.isfinite(scale), initial=0.0)))
+        self.ftol = TOL * (1.0 + float(scale.max(where=np.isfinite(scale), initial=0.0)))
         self.pivots = 0
 
     def warm_start(self, status) -> bool:
@@ -241,7 +239,7 @@ class _Tableau:
         self.status, self.x, self.basic, self.tab = status.astype(np.int8), x, basic, tab
         return True
 
-    def cold_start(self, max_iter) -> bool:
+    def cold_start(self) -> bool:
         """Phase 1 from slacks and artificials; False when infeasible."""
         lo, hi, ncols, n_ub = self.lo, self.hi, self.ncols, self.n_ub
         # nonbasic variables rest on the finite bound their cost prefers,
@@ -272,7 +270,7 @@ class _Tableau:
         self.lo = np.concatenate([lo, np.zeros(n_art)])
         self.hi = np.concatenate([hi, np.full(n_art, np.inf)])
         if n_art:
-            self.run(np.concatenate([np.zeros(ncols), np.ones(n_art)]), max_iter)
+            self.run(np.concatenate([np.zeros(ncols), np.ones(n_art)]))
             if self.values()[ncols:].sum() > 1e-8 * (1.0 + float(np.abs(resid).sum())):
                 return False
             self._drive_out_artificials(ncols)
@@ -318,11 +316,11 @@ class _Tableau:
         self.status[col] = BASIC
         self.x[col] = 0.0
 
-    def run(self, cost, max_iter) -> str:
+    def run(self, cost) -> str:
         """Bland-rule iterations until optimal or unbounded."""
         lo, hi, x = self.lo, self.hi, self.x
-        dtol = _cost_tol(self.tol, cost)
-        for _ in range(max_iter):
+        dtol = _cost_tol(cost)
+        for _ in range(self.max_iter):
             tab = self.tab
             reduced, eligible = _pricing(cost, cost[self.basic], dtol, tab, x, lo, hi)
             if not eligible.any():

@@ -310,10 +310,13 @@ def test_criterion_07_prediction_is_the_median_of_report_and_bounds():
             lo = min([float(data.ys.min()), *finite]) - 2.0
             hi = max([float(data.ys.max()), *finite]) + 2.0
             x_aug = np.append(data.xs[agent], 1.0)
-            for report in np.linspace(lo, hi, 201):
-                ys2 = data.ys.copy()
-                ys2[agent] = report
-                pred = float(bound.coefficients(ys2) @ x_aug)
+            reports = np.linspace(lo, hi, 201)
+            block = np.tile(data.ys, (reports.size, 1))
+            block[:, agent] = reports
+            coeffs, failed = bound.coefficients_many(block)
+            assert not failed, (agent, failed)
+            for report, beta in zip(reports, coeffs):
+                pred = float(beta @ x_aug)
                 assert abs(pred - b.clamp(report)) <= 1e-9, (agent, report)
 
     for _ in range(20):

@@ -31,6 +31,7 @@ from truthfit import (
     fit_ols,
     mechanism_jsonable,
     parse_mechanism,
+    preset_partition,
     read_dataset,
     resolve_mechanism,
     write_dataset,
@@ -274,11 +275,17 @@ def test_input_errors_exit_two(line_csv, tmp_path, capsys):
         ("fit", "--data", line_csv, "--mechanism", "quantile"),  # needs config
         ("fit", "--data", str(tmp_path / "missing.csv"), "--mechanism", "ols"),
         ("fit", "--builtin", "quantile04", "--data", line_csv),  # both sources
+        ("fit", "--builtin", "quantile04", "--mechanism", "ols"),
+        ("plot", "--builtin", "crm-disjoint", "--data", line_csv,
+         "--out", str(tmp_path / "both.svg")),
+        ("plot", "--builtin", "crm-disjoint", "--deviate-agent", "1",  # a second deviation
+         "--out", str(tmp_path / "deviation.svg")),
     ]
     for argv in cases:
         code, _, err = run(capsys, *argv)
         assert code == 2, argv
-        assert err.startswith("input error:"), argv
+        assert err.startswith("input error:") and err.count("\n") == 1, argv
+    assert list(tmp_path.glob("*.svg")) == []
 
 
 def test_malformed_files_exit_two(tmp_path, capsys):
@@ -359,6 +366,48 @@ def test_contract_violations_exit_three(line_csv, tmp_path, capsys):
     code, _, err = run(capsys, "influence", "--data", line_csv,
                        "--config", str(grl), "--agent", "7")
     assert code == 3 and "out of range" in err
+
+
+@pytest.mark.parametrize("xs", [[0.0, 1.0, 1.0, 2.0], [0.0, 2.0, 1.0, 3.0]],
+                         ids=["touching", "interleaved"])
+def test_unseparated_line_sets_exit_three_for_grh_and_grl(tmp_path, capsys, xs):
+    csv = tmp_path / "line.csv"
+    write_dataset(csv, DataSet(np.reshape(xs, (-1, 1)), np.arange(4.0)))
+    cfg = tmp_path / "cfg.json"
+    for spec in (MechanismSpec(MechanismKind.GRH, AgentPartition(((0, 1), (2, 3)), (1, 1))),
+                 MechanismSpec(MechanismKind.GRL, GrlParams((0, 1), (2, 3), 1, 1))):
+        cfg.write_text(json.dumps(mechanism_jsonable(spec)))
+        code, out, err = run(capsys, "fit", "--data", str(csv), "--config", str(cfg))
+        assert code == 3 and out == "", spec
+        assert err == "contract violation: S and S' are not separated by a vertical line\n"
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1e-10, 1.0, 1e6])
+def test_line_fits_agree_bitwise_at_any_scale_of_x(tmp_path, capsys, scale):
+    # at scale 1e-10, an absolute separation margin of 1e-9 once refused
+    # --mechanism brown-mood with exit 3 while the matching grl config fitted
+    ys = np.random.default_rng(12).normal(0.0, 2.0, 10)
+    base = DataSet(np.arange(10.0).reshape(-1, 1), ys)
+    data = DataSet(scale * base.xs, ys)
+    csv = tmp_path / "scaled.csv"
+    write_dataset(csv, data)
+    for preset in ("brown-mood", "tukey"):
+        part = preset_partition(data, preset)
+        fits = []
+        for spec in (MechanismSpec(MechanismKind.GRH, part),
+                     MechanismSpec(MechanismKind.GRL, GrlParams(*part.sets, *part.ranks))):
+            cfg = tmp_path / f"{spec.kind.value}.json"
+            cfg.write_text(json.dumps(mechanism_jsonable(spec)))
+            fits.append(("--config", str(cfg)))
+        lines = []
+        for source in (("--mechanism", preset), *fits):
+            code, out, err = run(capsys, "fit", "--data", str(csv), *source)
+            assert code == 0, (preset, source, err)
+            payload = json.loads(out)
+            lines.append((payload["beta1"][0], payload["beta0"]))
+        assert lines[0] == lines[1] == lines[2], preset
+        unscaled = fit_mechanism(MechanismSpec(MechanismKind.GRH, part), base)
+        assert lines[0][0] == pytest.approx(unscaled.beta1[0] / scale, rel=1e-12), preset
 
 
 # -- exit code 4: a guarantee of the method failed numerically --------------------------

@@ -2,9 +2,8 @@
 
 Independent routes check the two-stage fit: scipy's HiGHS solver
 recomputes the optimal risk, an enumeration of zero-residual row subsets
-recomputes the exact minimum-norm tie-break for p <= 3, a cvxopt quadratic
-program recomputes it over the optimal slab where cvxopt is installed, and
-a sorted-list weighted median handles the d = 0 reduction exactly.
+recomputes the exact minimum-norm tie-break for p <= 3, and a sorted-list
+weighted median handles the d = 0 reduction exactly.
 """
 
 import itertools
@@ -39,15 +38,6 @@ from truthfit import erm, simplex
 from truthfit.audit import BoundMechanism
 from truthfit.erm import _build_l1, _PiecewiseLinearFit
 from truthfit.random_instances import random_data
-
-try:
-    from cvxopt import matrix as cvx_matrix
-    from cvxopt import solvers as cvx_solvers
-
-    cvx_solvers.options["show_progress"] = False
-    HAVE_CVXOPT = True
-except ImportError:  # pragma: no cover
-    HAVE_CVXOPT = False
 
 
 # -- oracles -------------------------------------------------------------------
@@ -102,41 +92,6 @@ def enumerated_min_norm(xbar, rhs, up, lo, drift):
     rstar = min(risk for risk, _, _ in cands)
     near = [b for risk, size, b in cands if risk <= rstar + 1e-12 * (abs(rstar) + size)]
     return min(near, key=lambda b: float(b @ b))
-
-
-def cvxopt_min_norm(xbar, rhs, up, lo, drift, cap):
-    """Smallest-norm coefficient vector subject to risk <= cap, via QP.
-
-    A 1e-9 ridge on the residual-split variables keeps the Hessian strictly
-    positive definite (cvxopt is unreliable on singular P); it perturbs the
-    minimizer well below the comparison tolerance.  Returns None when the
-    interior-point method fails to certify optimality.
-    """
-    m, p = xbar.shape
-    nv = p + 2 * m
-    big_p = 2e-9 * np.eye(nv)
-    big_p[:p, :p] = 2.0 * np.eye(p)
-    g = np.zeros((2 * m + 1, nv))
-    g[:m, p:p + m] = -np.eye(m)
-    g[m:2 * m, p + m:] = -np.eye(m)
-    g[2 * m, p:p + m] = up
-    g[2 * m, p + m:] = lo
-    g[2 * m, p - 1] += drift
-    h = np.zeros(2 * m + 1)
-    h[2 * m] = cap
-    a = np.zeros((m, nv))
-    a[:, :p] = xbar
-    a[:, p:p + m] = np.eye(m)
-    a[:, p + m:] = -np.eye(m)
-    opts = {"show_progress": False, "abstol": 1e-10, "reltol": 1e-10,
-            "feastol": 1e-9, "maxiters": 200}
-    sol = cvx_solvers.qp(cvx_matrix(big_p), cvx_matrix(np.zeros(nv)),
-                         cvx_matrix(g), cvx_matrix(h),
-                         cvx_matrix(a), cvx_matrix(np.asarray(rhs, dtype=float)),
-                         options=opts)
-    if sol["status"] != "optimal":
-        return None
-    return np.asarray(sol["x"]).ravel()[:p]
 
 
 def weighted_median_interval(values, weights):
@@ -220,37 +175,7 @@ def test_fit_beats_random_alternatives(case, rnd):
         assert l1_risk(data, cfg, other) >= base - 3e-9 * (1.0 + abs(base))
 
 
-# -- stage 2: minimum-norm tie-break against the QP oracle ----------------------
-
-
-@pytest.mark.skipif(not HAVE_CVXOPT, reason="cvxopt not installed")
-@given(l1_cases())
-@settings(max_examples=60, deadline=None)
-def test_l1_tie_break_matches_qp_oracle(case):
-    data, cfg = case
-    h = fit_l1erm(data, cfg)
-    w = np.asarray(cfg.weights, dtype=float)
-    rstar = scipy_optimal_risk(data.xbar(), data.ys, w, w, 0.0)
-    cap = rstar + 1e-9 * (1.0 + abs(rstar))
-    ref = cvxopt_min_norm(data.xbar(), data.ys, w, w, 0.0, cap)
-    assume(ref is not None)
-    npt.assert_allclose(h.coefficients(), ref, atol=2e-4)
-
-
-@pytest.mark.skipif(not HAVE_CVXOPT, reason="cvxopt not installed")
-@given(l1_cases(), st.floats(min_value=0.1, max_value=0.9))
-@settings(max_examples=40, deadline=None)
-def test_quantile_tie_break_matches_qp_oracle(case, q):
-    data, _ = case
-    cfg = QuantileConfig(q)
-    h = fit_quantile(data, cfg)
-    up = np.full(data.n, q)
-    lo = np.full(data.n, 1.0 - q)
-    rstar = scipy_optimal_risk(data.xbar(), data.ys, up, lo, 0.0)
-    cap = rstar + 1e-9 * (1.0 + abs(rstar))
-    ref = cvxopt_min_norm(data.xbar(), data.ys, up, lo, 0.0, cap)
-    assume(ref is not None)
-    npt.assert_allclose(h.coefficients(), ref, atol=2e-4)
+# -- stage 2: minimum-norm tie-break against the enumeration oracle ---------------
 
 
 @st.composite
@@ -287,10 +212,9 @@ def _fit_problem(data, cfg):
     return fit_l1erm, prob.xbar, prob.rhs, prob.up_w, prob.lo_w, prob.drift
 
 
-@given(face_cases())
-@settings(max_examples=300, deadline=None)
-def test_tie_break_matches_enumeration_oracle(case):
-    data, cfg = case
+def check_tie_break(data, cfg):
+    """The fit is the enumeration oracle's smallest-norm minimizer, or a
+    ConfigurationError where the risk is unbounded."""
     fit, xbar, rhs, up, lo, drift = _fit_problem(data, cfg)
     if scipy_optimal_risk(xbar, rhs, up, lo, drift, allow_unbounded=True) is None:
         with pytest.raises(ConfigurationError):
@@ -299,6 +223,24 @@ def test_tie_break_matches_enumeration_oracle(case):
     ours = fit(data, cfg).coefficients()
     ref = enumerated_min_norm(xbar, rhs, up, lo, drift)
     npt.assert_allclose(ours, ref, rtol=0, atol=1e-9 * (1.0 + np.abs(ref).max()))
+
+
+@given(face_cases())
+@settings(max_examples=300, deadline=None)
+def test_tie_break_matches_enumeration_oracle(case):
+    check_tie_break(*case)
+
+
+@given(l1_cases())
+@settings(max_examples=60, deadline=None)
+def test_l1_tie_break_matches_enumeration_oracle(case):
+    check_tie_break(*case)
+
+
+@given(l1_cases(), st.floats(min_value=0.1, max_value=0.9))
+@settings(max_examples=40, deadline=None)
+def test_quantile_tie_break_matches_enumeration_oracle(case, q):
+    check_tie_break(case[0], QuantileConfig(q))
 
 
 def test_collinear_triple_fits_their_exact_line():

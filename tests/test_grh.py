@@ -197,6 +197,17 @@ def test_grh_set_count_must_be_d_plus_one():
         fit_grh(data, AgentPartition(((0,), (1,), (2,)), (1, 1, 1)))
 
 
+@pytest.mark.parametrize("xs", [[0.0, 1.0, 1.0, 2.0], [0.0, 2.0, 1.0, 3.0]],
+                         ids=["touching", "interleaved"])
+def test_unseparated_line_sets_are_refused_by_grh_and_grl(xs):
+    # in d = 1 the vertical split is the whole separability test
+    data = DataSet(np.reshape(xs, (-1, 1)), np.arange(4.0))
+    with pytest.raises(NotPubliclySeparable, match="vertical line"):
+        fit_grh(data, AgentPartition(((0, 1), (2, 3)), (1, 1)))
+    with pytest.raises(NotPubliclySeparable, match="vertical line"):
+        fit_grl(data, (0, 1), (2, 3), 1, 1)
+
+
 def test_grh_rejects_inseparable_partitions():
     data = DataSet(np.array([[0.0], [1.0], [2.0], [3.0]]), np.zeros(4))
     with pytest.raises(NotPubliclySeparable):

@@ -1,5 +1,7 @@
 """Strict separation, well separability, and hyperplane comparison."""
 
+import itertools
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -14,6 +16,8 @@ from truthfit import (
     ContractViolation,
     DataSet,
     Hyperplane,
+    MechanismKind,
+    MechanismSpec,
     Ordering,
     compare_hyperplanes,
     has_weak_general_position,
@@ -185,7 +189,58 @@ def test_line_separation_and_d1_instances_solve_no_lp(monkeypatch):
     assert is_publicly_separable(data, part)
 
 
+@pytest.mark.parametrize("d, lps", [(1, 0), (2, 3), (3, 7)])
+def test_a_resistant_hyperplane_bind_solves_one_lp_per_two_group_split(monkeypatch, d, lps):
+    data, part = random_separable_instance(np.random.default_rng(4), d, sizes=(2,) * (d + 1))
+    calls = []
+
+    def counted(*args, _solve=separability.solve_lp, **kwargs):
+        calls.append(1)
+        return _solve(*args, **kwargs)
+
+    monkeypatch.setattr(separability, "solve_lp", counted)
+    MechanismSpec(MechanismKind.GRH, part).bind(data)
+    assert len(calls) == lps
+
+
 # -- is_well_separable / is_publicly_separable -------------------------------
+
+
+def all_pairs_well_separable(point_sets) -> bool:
+    """The definition itself: every two disjoint nonempty groups of sets
+    are strictly separable, tested pair by pair."""
+    for assignment in itertools.product((0, 1, 2), repeat=len(point_sets)):
+        left = [i for i, a in enumerate(assignment) if a == 1]
+        right = [i for i, a in enumerate(assignment) if a == 2]
+        if not left or not right or min(left) > min(right):
+            continue
+        if strictly_separates(np.vstack([point_sets[i] for i in left]),
+                              np.vstack([point_sets[j] for j in right])) is None:
+            return False
+    return True
+
+
+@st.composite
+def set_families(draw):
+    """t <= d+1 sets of 1..4 points in R^d, d <= 3, each around a centre on
+    a coarse grid: points on an integer grid (shared points and touching
+    hulls abound) or spread continuously."""
+    d = draw(st.integers(1, 3))
+    t = draw(st.integers(1, d + 1))
+    grid = draw(st.booleans())
+    offset = st.integers(-1, 1).map(float) if grid else st.floats(-1.5, 1.5)
+    family = []
+    for _ in range(t):
+        centre = 2.0 * np.array(draw(st.tuples(*[st.integers(-1, 1)] * d)), dtype=float)
+        points = draw(st.lists(st.tuples(*[offset] * d), min_size=1, max_size=4))
+        family.append(centre + np.array(points, dtype=float))
+    return family
+
+
+@given(set_families())
+@settings(max_examples=400, deadline=None)
+def test_well_separability_from_the_splits_is_the_all_pairs_definition(family):
+    assert is_well_separable(family) == all_pairs_well_separable(family)
 
 
 def test_interleaved_intervals_are_not_well_separable():
