@@ -127,7 +127,7 @@ class BoundMechanism:
         order, and every row runs: the caller decides which error counts.
         """
         ys = np.asarray(ys, dtype=float)
-        if self._solve_many is not None:
+        if self.batched:
             return self._solve_many(ys)
         out = np.full((ys.shape[0], self.data.d + 1), np.nan)
         failed = {}
@@ -137,6 +137,11 @@ class BoundMechanism:
             except Exception as exc:  # kept for the caller, who raises it in trial order
                 failed[k] = exc
         return out, failed
+
+    @property
+    def batched(self) -> bool:
+        """Whether ``coefficients_many`` solves a block in one call."""
+        return self._solve_many is not None
 
     def hyperplane(self, ys=None) -> Hyperplane:
         coeffs = self.coefficients(ys)
@@ -345,50 +350,61 @@ class _Probe:
         A report equal to the truth for every member is no probe.  Errors of
         the mechanism, ``InternalInconsistency`` included, propagate.
         """
-        cert, errors = self.judge_many(coalition, [reports])
+        cert, errors = self.judge_many([(coalition, [reports])])
         if errors:
             raise errors[0]
         return cert
 
-    def judge_many(self, coalition: tuple[int, ...], reports
-                   ) -> tuple[ViolationCertificate | None, list[Exception]]:
-        """The certificate of the first row of ``reports`` (one joint report
-        per row, in coalition order) that pays off, else None; and, in row
-        order, the errors the mechanism raised on the rows before it (on
-        every row, when none pays off).
+    def judge_many(self, stack) -> tuple[ViolationCertificate | None, list[Exception]]:
+        """Judge a stack of ``(coalition, reports)`` blocks, each holding one
+        joint report per row in coalition order, with one
+        ``coefficients_many`` call.
 
-        Rows equal to the truth for every member are no probes.  The
-        residuals are formed elementwise, so a row is judged the same in
-        any block.
+        Returns the certificate of the first row, in stack order, that pays
+        off, else None; and, in row order, the errors the mechanism raised
+        on the rows before it (on every row, when none pays off).  Rows
+        equal to the truth for every member are no probes.  Residuals are
+        formed elementwise over the agents of the stack's coalitions and
+        masked to each row's coalition, so a row is judged the same in any
+        stack.
         """
         ys = self.data.ys
-        members = list(coalition)
-        reports = np.asarray(reports, dtype=float)
-        truth = ys[members]
-        probes = np.flatnonzero(np.any(reports != truth, axis=1))
+        blocks = [(coalition, np.asarray(reports, dtype=float)) for coalition, reports in stack]
+        ends = np.cumsum([len(reports) for _, reports in blocks])
+        reported = np.repeat(ys[None, :], ends[-1], axis=0)
+        member = np.zeros(reported.shape, dtype=bool)
+        for (coalition, reports), stop in zip(blocks, ends):
+            rows, cols = slice(stop - len(reports), stop), list(coalition)
+            reported[rows, cols] = reports
+            member[rows, cols] = True
+        # only the columns of agents in some coalition of the stack are judged
+        agents = np.flatnonzero(member.any(axis=0))
+        member, xbar, r0 = member[:, agents], self.xbar[agents], self.r0[agents]
+        probes = np.flatnonzero(np.any((reported[:, agents] != ys[agents]) & member, axis=1))
         if probes.size == 0:
             return None, []
-        block = np.repeat(ys[None, :], probes.size, axis=0)
-        block[:, members] = reports[probes]
-        coeffs, failed = self.bound.coefficients_many(block)
-        xbar = self.xbar[members]
+        if probes.size < len(reported):
+            reported, member = reported[probes], member[probes]
+        coeffs, failed = self.bound.coefficients_many(reported)
         fitted = coeffs[:, None, 0] * xbar[:, 0]
         for j in range(1, xbar.shape[1]):
             fitted += coeffs[:, None, j] * xbar[:, j]
-        r1 = truth - fitted
-        r0 = self.r0[members]
-        pays = (~np.any(forced_worse(r0, r1, self.noise), axis=1)
-                & np.any(strictly_better(r0, r1, self.margin), axis=1))
+        r1 = ys[agents] - fitted
+        pays = (~np.any(forced_worse(r0, r1, self.noise) & member, axis=1)
+                & np.any(strictly_better(r0, r1, self.margin) & member, axis=1))
         pays[list(failed)] = False
         first = int(np.argmax(pays)) if pays.any() else probes.size
         errors = [failed[k] for k in sorted(failed) if k < first]
         if first == probes.size:
             return None, errors
+        coalition = blocks[int(np.searchsorted(ends, probes[first], side="right"))][0]
+        cols = list(coalition)
+        at = np.searchsorted(agents, cols)
         return ViolationCertificate(
             coalition=coalition,
-            misreports={m: float(v) for m, v in zip(members, reports[probes[first]])},
-            before=tuple(abs(v) for v in r0),
-            after=tuple(abs(v) for v in r1[first]),
+            misreports={m: float(v) for m, v in zip(cols, reported[first, cols])},
+            before=tuple(abs(v) for v in r0[at]),
+            after=tuple(abs(v) for v in r1[first, at]),
             truthful=self.truthful,
             deviated=Hyperplane(coeffs[first, :-1], float(coeffs[first, -1])),
         ), errors
@@ -461,20 +477,38 @@ COALITION_SAMPLES = 64
 def _first_certificate(probe: _Probe, blocks) -> ViolationCertificate | None:
     """The first certificate over (coalition, reports) blocks, in trial order.
 
-    Each block holds joint reports of one coalition, one per row, and is
-    judged at once.  Probes where the mechanism itself becomes undefined
+    A kind with a batched solver judges consecutive blocks as one stack of
+    at most BLOCK_TRIALS rows, with one solve; a kind solved row by row
+    judges one block at a time, so that no row past the paying coalition's
+    block is solved.  Probes where the mechanism itself becomes undefined
     (degenerate-tie errors) are skipped: they witness degeneracy, not
     manipulation.  Any other error is raised unless an earlier trial paid
     off.
     """
-    for coalition, reports in blocks:
-        cert, errors = probe.judge_many(coalition, reports)
+    for stack in _stacks(blocks, probe.bound.batched):
+        cert, errors = probe.judge_many(stack)
         for exc in errors:
             if not isinstance(exc, InternalInconsistency):
                 raise exc
         if cert is not None:
             return cert
     return None
+
+
+def _stacks(blocks, batched: bool):
+    """Consecutive blocks in stacks of at most BLOCK_TRIALS rows (one block
+    per stack unless ``batched``).  A block is drawn before the stack ahead
+    of it is judged; the draws do not depend on outcomes, so no trial
+    changes."""
+    stack, rows = [], 0
+    for block in blocks:
+        if stack and (not batched or rows + len(block[1]) > BLOCK_TRIALS):
+            yield stack
+            stack, rows = [], 0
+        stack.append(block)
+        rows += len(block[1])
+    if stack:
+        yield stack
 
 
 def _joint_blocks(coalition: tuple[int, ...], lists: list[np.ndarray], picks=None):

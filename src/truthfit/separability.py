@@ -21,7 +21,8 @@ from .core import DataSet, Hyperplane, predict_all
 from .errors import ContractViolation, InternalInconsistency, NotPubliclySeparable
 from .simplex import solve_lp
 
-#: Margins below this are treated as failure to separate strictly.
+#: Margins at or below this, relative to half the largest coordinate range
+#: of the points, are treated as failure to separate strictly.
 SEPARATION_MARGIN = 1e-9
 
 
@@ -105,9 +106,11 @@ def strictly_separates(a_points, b_points) -> SeparatorWitness | None:
     """Witness hyperplane strictly separating two nonempty point clouds.
 
     Solves  max m  s.t.  a . x >= b + m (x in A),  a . x <= b - m (x in B),
-    |a_k| <= 1,  and accepts only margins above ``SEPARATION_MARGIN``.
-    Returns None when no such hyperplane exists.  In d = 1 the optimum is
-    read off directly: normal +1 or -1 and half the gap as margin.
+    |a_k| <= 1,  and accepts only margins above ``SEPARATION_MARGIN``
+    times half the union's largest coordinate range, so the answer does
+    not depend on the units of the points.  Returns None when no such
+    hyperplane exists.  In d = 1 the optimum is read off directly: normal
+    +1 or -1 and half the gap as margin.
     """
     a_points = np.atleast_2d(np.asarray(a_points, dtype=float))
     b_points = np.atleast_2d(np.asarray(b_points, dtype=float))
@@ -150,19 +153,29 @@ def strictly_separates(a_points, b_points) -> SeparatorWitness | None:
     lo = float(np.min(a_points @ normal))
     hi = float(np.max(b_points @ normal))
     margin = (lo - hi) / 2.0
-    if margin <= SEPARATION_MARGIN:
+    if margin <= SEPARATION_MARGIN * _margin_unit(union):
         return None
     return SeparatorWitness(normal, (lo + hi) / 2.0, margin)
 
 
+def _margin_unit(union: np.ndarray) -> float:
+    """Half the largest coordinate range of the points: the unit a
+    separation margin is judged in.  It cannot grow when points are
+    removed, so a split that is separated leaves every pair of groups
+    within it separated (``is_well_separable`` relies on this)."""
+    return float(np.ptp(union, axis=0).max()) / 2.0
+
+
 def _separate_on_line(a_values: np.ndarray, b_values: np.ndarray) -> SeparatorWitness | None:
     """The separation LP's optimum in d = 1: under |a| <= 1 the best normal
-    is +1 or -1, with the midpoint of the gap as offset."""
+    is +1 or -1, with the midpoint of the gap as offset.  The margin is
+    judged in the same unit as the LP's."""
     normal = 1.0 if a_values.min() > b_values.max() else -1.0
     lo = float(np.min(normal * a_values))
     hi = float(np.max(normal * b_values))
     margin = (lo - hi) / 2.0
-    if margin <= SEPARATION_MARGIN:
+    union = np.concatenate([a_values, b_values])
+    if margin <= SEPARATION_MARGIN * _margin_unit(union):
         return None
     return SeparatorWitness(np.array([normal]), (lo + hi) / 2.0, margin)
 
@@ -180,7 +193,8 @@ def is_well_separable(point_sets) -> bool:
 
     Only the 2**(t-1) - 1 splits into two groups are tested (3 LPs for t = 3,
     7 for t = 4): a hyperplane that separates a group from the union of the
-    other sets separates it from any part of that union.
+    other sets separates it from any part of that union, by at least the
+    same margin, and the unit that margin is judged in only shrinks.
 
     ``point_sets`` is a sequence of nonempty arrays in a common R^k with
     at most k+1 sets; more sets than k+1 cannot be well separable and is

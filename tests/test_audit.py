@@ -1,5 +1,6 @@
 """Manipulation audits, certificates, influence envelopes, and efficiency."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -683,7 +684,52 @@ def _finding_audits():
         yield MechanismSpec(MechanismKind.QUANTILE, QuantileConfig(0.3)), data, seed
 
 
+def _in_one_call(solve, d):
+    """A batched solve that runs ``solve`` on each row of a block, in order."""
+    def solve_many(block):
+        out, failed = np.full((len(block), d + 1), np.nan), {}
+        for k, ys in enumerate(block):
+            try:
+                out[k] = solve(ys)
+            except Exception as exc:
+                failed[k] = exc
+        return out, failed
+    return solve_many
+
+
+def _bound_in_one_call(bind):
+    """A binder like ``bind`` whose kind also solves a block in one call."""
+    def batched(data, cfg):
+        solve, _ = bind(data, cfg)
+        return solve, _in_one_call(solve, data.d)
+    return batched
+
+
 def test_block_judging_finds_the_certificate_the_sequential_search_finds(monkeypatch):
+    for trials, solved in itertools.product((1, 7, 4096), ("as bound", "CRM and OLS batched")):
+        with monkeypatch.context() as patch:
+            _assert_stacks_find_what_the_sequential_search_finds(patch, trials, solved)
+
+
+def _assert_stacks_find_what_the_sequential_search_finds(monkeypatch, trials, solved):
+    monkeypatch.setattr(audit, "BLOCK_TRIALS", trials)
+    if solved != "as bound":
+        # the batched kinds are group strategyproof, so stacks that pay need
+        # manipulable kinds with a batched solve
+        for kind in (MechanismKind.CRM, MechanismKind.OLS):
+            row = audit._MECHANISMS[kind]
+            monkeypatch.setitem(audit._MECHANISMS, kind,
+                                row._replace(bind=_bound_in_one_call(row.bind)))
+    judge_many = audit._Probe.judge_many
+    paid_behind_the_first_block = []
+
+    def recorded(probe, stack):
+        cert, errors = judge_many(probe, stack)
+        if cert is not None and probe.bound.batched:
+            paid_behind_the_first_block.append(cert.coalition != stack[0][0])
+        return cert, errors
+
+    monkeypatch.setattr(audit._Probe, "judge_many", recorded)
     found = 0
     for spec, data, seed in _finding_audits():
         runs = []
@@ -693,18 +739,26 @@ def test_block_judging_finds_the_certificate_the_sequential_search_finds(monkeyp
                 runs.append([audit_gsp(spec, data, 3, seed=seed, max_evals=200),
                              audit_sp(spec, data, data.n - 1)])
         assert [_certificate_fields(c) for c in runs[0]] == \
-            [_certificate_fields(c) for c in runs[1]]
+            [_certificate_fields(c) for c in runs[1]], (trials, solved)
         found += sum(c is not None for c in runs[0])
     assert found >= 10
+    # in whole-audit stacks, some audit pays in a coalition behind the first
+    if trials == 1 or solved == "as bound":
+        assert not any(paid_behind_the_first_block)
+    elif trials == 4096:
+        assert any(paid_behind_the_first_block)
 
 
 def test_block_raises_an_error_only_before_the_first_paying_trial():
     data = random_data(np.random.default_rng(3), 5, 1)
     ols = MechanismSpec(MechanismKind.OLS)
     pay = audit_sp(ols, data, 0).misreports[0]
+    pay1 = audit_sp(ols, data, 1).misreports[1]
+    calls = []
 
-    def stub_probe():
-        """OLS, except that a report of 998 or 999 for agent 0 fails."""
+    def stub_probe(batched=False):
+        """OLS, except that a report of 998 or 999 for agent 0 fails; with
+        ``batched``, solved as one block per call, so that blocks stack."""
         probe = audit._Probe(ols, data, DEFAULT_MARGIN)
         solve = probe.bound._solve
 
@@ -716,6 +770,9 @@ def test_block_raises_an_error_only_before_the_first_paying_trial():
             return solve(ys)
 
         probe.bound._solve = flaky
+        if batched:
+            solve_many = _in_one_call(flaky, data.d)
+            probe.bound._solve_many = lambda block: calls.append(len(block)) or solve_many(block)
         return probe
 
     def trials(*reports):
@@ -728,3 +785,49 @@ def test_block_raises_an_error_only_before_the_first_paying_trial():
     # any other error before it is raised
     with pytest.raises(ConfigurationError, match="stub failure"):
         audit._first_certificate(stub_probe(), trials(998.0, 999.0, pay))
+
+    # a stack of two coalitions, judged with one solve: the same rules hold
+    # across the coalitions' blocks
+    agent1 = ((1,), np.array([[pay1]]))
+    stack = trials(998.0) + [agent1]
+    assert audit._first_certificate(stub_probe(True), stack).misreports == {1: pay1}
+    stack = [agent1] + trials(999.0)
+    assert audit._first_certificate(stub_probe(True), stack).misreports == {1: pay1}
+    with pytest.raises(ConfigurationError, match="stub failure"):
+        audit._first_certificate(stub_probe(True), trials(998.0, 999.0) + [agent1])
+    assert calls == [2, 2, 3]
+
+
+def test_a_row_by_row_kind_solves_no_row_past_the_paying_block(monkeypatch):
+    data = random_data(np.random.default_rng(3), 5, 1)
+    ols = MechanismSpec(MechanismKind.OLS)
+    blocks = []
+    coefficients_many = audit.BoundMechanism.coefficients_many
+
+    def recorded(bound, ys):
+        blocks.append(np.array(ys))
+        return coefficients_many(bound, ys)
+
+    monkeypatch.setattr(audit.BoundMechanism, "coefficients_many", recorded)
+    cert = audit_gsp(ols, data, 3)
+    assert cert is not None and cert.coalition != (data.n - 1,)
+    others = [i for i in range(data.n) if i not in cert.coalition]
+    deviated = data.ys.copy()
+    deviated[list(cert.coalition)] = [cert.misreports[m] for m in cert.coalition]
+    # the last solve is the paying coalition's block and nothing else
+    assert (blocks[-1] == deviated).all(axis=1).any()
+    assert (blocks[-1][:, others] == data.ys[others]).all()
+
+
+def test_a_grh_audit_that_fits_in_one_stack_solves_once(monkeypatch):
+    data, part = random_separable_instance(np.random.default_rng(6), 2, sizes=(2, 2, 2))
+    rows = []
+    coefficients_many = audit.BoundMechanism.coefficients_many
+
+    def recorded(bound, ys):
+        rows.append(len(ys))
+        return coefficients_many(bound, ys)
+
+    monkeypatch.setattr(audit.BoundMechanism, "coefficients_many", recorded)
+    assert audit_gsp(MechanismSpec(MechanismKind.GRH, part), data, 3, max_evals=600) is None
+    assert len(rows) == 1 and 1000 < rows[0] <= audit.BLOCK_TRIALS

@@ -116,6 +116,17 @@ def test_fit_of_scaled_reports_is_the_scaled_fit(scale):
         assert not satisfies_rank_conditions(moved, part, shifted)
 
 
+@pytest.mark.parametrize("scale", [1e-12, 1e-10, 1.0, 1e6])
+def test_fit_of_scaled_positions_is_the_rescaled_fit(scale):
+    # separability is judged relative to the spread of x: at 1e-10, an
+    # absolute margin of 1e-9 refused this well separated family
+    data, part = random_separable_instance(np.random.default_rng(5), 2, sizes=(3, 3, 3))
+    base = fit_grh(data, part).hyperplane
+    scaled = fit_grh(DataSet(scale * data.xs, data.ys), part).hyperplane
+    npt.assert_allclose(scaled.beta1 * scale, base.beta1, rtol=1e-12, atol=0.0)
+    assert scaled.beta0 == pytest.approx(base.beta0, rel=1e-12)
+
+
 def exact_resistant_line(data, part):
     """(slope, intercept) of the first satisfying transversal, in rationals."""
     xs = [Fraction(v) for v in data.xs[:, 0]]

@@ -31,10 +31,13 @@ from truthfit.separability import SEPARATION_MARGIN
 
 
 def check_witness(w, a_points, b_points):
-    """A returned witness must actually separate with its claimed margin."""
+    """A returned witness must actually separate with its claimed margin,
+    which must exceed SEPARATION_MARGIN times half the points' largest
+    coordinate range."""
     a_points = np.atleast_2d(a_points)
     b_points = np.atleast_2d(b_points)
-    assert w.margin > SEPARATION_MARGIN
+    union = np.vstack([a_points, b_points])
+    assert w.margin > SEPARATION_MARGIN * np.ptp(union, axis=0).max() / 2
     npt.assert_array_less(w.offset + w.margin - 1e-9, a_points @ w.normal)
     npt.assert_array_less(b_points @ w.normal, w.offset - w.margin + 1e-9)
 
@@ -162,6 +165,20 @@ def test_separation_on_a_line_is_the_lp_optimum(a_vals, b_vals, margin):
     check_witness(w, a, b)
 
 
+@pytest.mark.parametrize("scale", [1e-6, 1e6])
+@pytest.mark.parametrize("b_vals, separated", [([2e-9, 1.0], False), ([3e-9, 1.0], True)])
+def test_separation_margin_is_judged_relative_to_the_range(scale, b_vals, separated):
+    # at 1e6 the first pair's margin is 1e-3, which an absolute 1e-9 accepted
+    a_vals = scale * np.array([-1.0, 0.0])
+    b_vals = scale * np.array(b_vals)
+    w = strictly_separates(a_vals[:, None], b_vals[:, None])
+    lp = strictly_separates(on_a_plane(a_vals), on_a_plane(b_vals))
+    assert (w is not None) == (lp is not None) == separated
+    if separated:
+        assert w.margin == 1.5e-9 * scale
+        assert lp.margin == pytest.approx(w.margin, rel=1e-9)
+
+
 @given(
     st.lists(st.floats(-100, 100), min_size=1, max_size=6),
     st.lists(st.floats(-100, 100), min_size=1, max_size=6),
@@ -238,6 +255,10 @@ def set_families(draw):
 
 
 @given(set_families())
+# a pair near the threshold inside wider splits: the unit a margin is
+# judged in must not grow from a split to a pair within it
+@example([np.array([[0.0, 0.0]]), np.array([[1.3e-9, 0.0], [1.0, 0.0]]),
+          np.array([[0.5, 0.5]])])
 @settings(max_examples=400, deadline=None)
 def test_well_separability_from_the_splits_is_the_all_pairs_definition(family):
     assert is_well_separable(family) == all_pairs_well_separable(family)
