@@ -10,9 +10,14 @@ directory (no worktree is made).  For each workload and seed, each pair runs
 ``bench/run.py`` once on each side, at its own default run length, the
 side that goes first alternating from pair to pair.  The output file holds the machine, the Python and numpy
 versions, the run length, the seeds, every run's end-to-end metrics on both sides, and per
-metric the medians and quartiles of each side, the change of the medians and
-the number of pairs the working tree won.  It is rewritten after every pair,
-so an interrupted comparison keeps the pairs it finished.
+metric the medians and quartiles of each side, the change of the medians,
+the number of pairs the working tree won and whether that makes a gain.  It is
+rewritten after every pair, so an interrupted comparison keeps the pairs it
+finished.
+
+A run whose checks failed (``correct`` false) or that had failed operations
+is printed and not summarised: its workload and seed get no summary, and the
+script exits with status 1 once all pairs have run.
 """
 
 from __future__ import annotations
@@ -60,6 +65,15 @@ def bench(tree: Path, workload: str, seed: int) -> dict:
             **{name: m["value"] for name, m in result["metrics"].items()}}
 
 
+def broken_runs(runs: list[dict]) -> list[str]:
+    """One line per run, on either side, whose checks failed or that had
+    failed operations."""
+    return [f"pair {k + 1} {side}: correct {pair[side]['correct']}, "
+            f"{pair[side]['failed']} of {pair[side]['attempted']} operations failed"
+            for k, pair in enumerate(runs) for side in ("base", "tree")
+            if not pair[side]["correct"] or pair[side]["failed"] > 0]
+
+
 def quartiles(values: list[float]) -> tuple[float, float, float]:
     if len(values) < 2:
         return values[0], values[0], values[0]
@@ -68,8 +82,10 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 
 def summary(runs: list[dict], metrics: list[dict]) -> dict:
-    """Per metric: each side's quartiles, the change of the medians and the
-    pairs the working tree won (strictly better in the metric's direction)."""
+    """Per metric: each side's quartiles, the change of the medians, the
+    pairs the working tree won (strictly better in the metric's direction)
+    and whether that is a gain: a win in at least nine tenths of the pairs,
+    with medians further apart than the base's interquartile range."""
     out = {}
     for metric in metrics:
         name, lower = metric["name"], metric["better"] == "lower"
@@ -77,14 +93,16 @@ def summary(runs: list[dict], metrics: list[dict]) -> dict:
         tree = [pair["tree"][name] for pair in runs]
         bq, tq = quartiles(base), quartiles(tree)
         wins = sum((t < b) if lower else (t > b) for b, t in zip(base, tree))
+        # a gain is told apart from noise when the medians differ by more
+        # than the base's interquartile range
+        beyond = abs(tq[1] - bq[1]) > bq[2] - bq[0]
         out[name] = {"base": {"q1": bq[0], "median": bq[1], "q3": bq[2]},
                      "tree": {"q1": tq[0], "median": tq[1], "q3": tq[2]},
                      "change": tq[1] / bq[1] - 1.0 if bq[1] else None,
-                     # a gain is told apart from noise when the medians differ
-                     # by more than the base's interquartile range
-                     "beyond_base_iqr": abs(tq[1] - bq[1]) > bq[2] - bq[0],
-                     "wins": wins, "pairs": len(runs), "better": metric["better"],
-                     "bound": metric["bound"]}
+                     "beyond_base_iqr": beyond,
+                     "wins": wins, "pairs": len(runs),
+                     "gain": beyond and 10 * wins >= 9 * len(runs),
+                     "better": metric["better"], "bound": metric["bound"]}
     return out
 
 
@@ -98,6 +116,8 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10, help="pairs per workload and seed")
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_pairs.json")
     args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
     seeds = args.seed or [1]
@@ -108,9 +128,11 @@ def main(argv=None) -> int:
         record = {**machine(), "base": {"revision": args.base, "commit": commit},
                   "tree": "working tree", "seeds": seeds,
                   "pairs": args.pairs, "workloads": {}}
+        broken = False
         for workload in workloads:
             for seed in seeds:
                 runs: list[dict] = []
+                problems: list[str] = []
                 entry = record["workloads"].setdefault(workload, {})
                 for k in range(args.pairs):
                     order = [("base", base_tree), ("tree", ROOT)]
@@ -120,18 +142,29 @@ def main(argv=None) -> int:
                     for side, tree in order:
                         pair[side] = bench(tree, workload, seed)
                     runs.append(pair)
-                    entry[str(seed)] = {"runs": runs,
-                                        "summary": summary(runs, spec["end_to_end"])}
+                    problems = broken_runs(runs)
+                    entry[str(seed)] = {"runs": runs}
+                    if problems:
+                        entry[str(seed)]["broken"] = problems
+                    else:
+                        entry[str(seed)]["summary"] = summary(runs, spec["end_to_end"])
                     args.out.write_text(json.dumps(record, indent=1) + "\n")
                     print(f"{workload} seed {seed} pair {k + 1}/{args.pairs}: " + "  ".join(
                         f"{m}: {pair['base'][m]:.4g} -> {pair['tree'][m]:.4g}"
                         for m in (e["name"] for e in spec["end_to_end"])), flush=True)
+                if problems:
+                    broken = True
+                    print(f"  {workload} seed {seed} not summarised, broken runs:")
+                    for line in problems:
+                        print(f"    {line}")
+                    continue
                 for name, s in entry[str(seed)]["summary"].items():
                     print(f"  {name}: median {s['base']['median']:.4g} -> "
                           f"{s['tree']['median']:.4g} ({100 * (s['change'] or 0):+.1f} %), "
-                          f"tree better in {s['wins']}/{s['pairs']}")
+                          f"tree better in {s['wins']}/{s['pairs']}"
+                          + (", a gain" if s["gain"] else ""))
     print(f"wrote {args.out}")
-    return 0
+    return 1 if broken else 0
 
 
 if __name__ == "__main__":

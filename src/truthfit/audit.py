@@ -350,33 +350,44 @@ class _Probe:
         A report equal to the truth for every member is no probe.  Errors of
         the mechanism, ``InternalInconsistency`` included, propagate.
         """
-        cert, errors = self.judge_many([(coalition, [reports])])
+        table = np.zeros((self.data.n, 1))
+        table[list(coalition), 0] = reports
+        picks = np.zeros((1, len(coalition)), dtype=int)
+        cert, errors = self.judge_many(table, [(coalition, picks)])
         if errors:
             raise errors[0]
         return cert
 
-    def judge_many(self, stack) -> tuple[ViolationCertificate | None, list[Exception]]:
-        """Judge a stack of ``(coalition, reports)`` blocks, each holding one
-        joint report per row in coalition order, with one
-        ``coefficients_many`` call.
+    def judge_many(self, table: np.ndarray, stack) -> tuple[ViolationCertificate | None,
+                                                            list[Exception]]:
+        """Judge a stack of ``(coalition, picks)`` blocks with one
+        ``coefficients_many`` call.  A block's picks hold one joint report
+        per row and one column per member, in coalition order: the index of
+        the member's report in its row of the candidate ``table``.  The
+        blocks of a stack have equally many columns; past a smaller
+        coalition's members, its last member's column repeats, which writes
+        the same report twice.
 
         Returns the certificate of the first row, in stack order, that pays
         off, else None; and, in row order, the errors the mechanism raised
         on the rows before it (on every row, when none pays off).  Rows
-        equal to the truth for every member are no probes.  Residuals are
-        formed elementwise over the agents of the stack's coalitions and
-        masked to each row's coalition, so a row is judged the same in any
-        stack.
+        equal to the truth for every member are no probes.  The reports are
+        gathered from the table and scattered into the rows at once.
+        Residuals are formed elementwise over the agents of the stack's
+        coalitions and masked to each row's coalition, so a row is judged
+        the same in any stack.
         """
         ys = self.data.ys
-        blocks = [(coalition, np.asarray(reports, dtype=float)) for coalition, reports in stack]
-        ends = np.cumsum([len(reports) for _, reports in blocks])
-        reported = np.repeat(ys[None, :], ends[-1], axis=0)
+        counts = [len(picks) for _, picks in stack]
+        picks = np.concatenate([picks for _, picks in stack])
+        width = picks.shape[1]
+        cols = np.repeat(np.array([c + c[-1:] * (width - len(c)) for c, _ in stack],
+                                  dtype=int).reshape(len(stack), width), counts, axis=0)
+        rows = np.arange(len(cols))[:, None]
+        reported = np.repeat(ys[None, :], len(cols), axis=0)
+        reported[rows, cols] = table[cols, picks]
         member = np.zeros(reported.shape, dtype=bool)
-        for (coalition, reports), stop in zip(blocks, ends):
-            rows, cols = slice(stop - len(reports), stop), list(coalition)
-            reported[rows, cols] = reports
-            member[rows, cols] = True
+        member[rows, cols] = True
         # only the columns of agents in some coalition of the stack are judged
         agents = np.flatnonzero(member.any(axis=0))
         member, xbar, r0 = member[:, agents], self.xbar[agents], self.r0[agents]
@@ -397,7 +408,7 @@ class _Probe:
         errors = [failed[k] for k in sorted(failed) if k < first]
         if first == probes.size:
             return None, errors
-        coalition = blocks[int(np.searchsorted(ends, probes[first], side="right"))][0]
+        coalition = stack[int(np.searchsorted(np.cumsum(counts), probes[first], side="right"))][0]
         cols = list(coalition)
         at = np.searchsorted(agents, cols)
         return ViolationCertificate(
@@ -431,7 +442,10 @@ def verify_certificate(spec: MechanismSpec, data: DataSet,
 
 
 # --------------------------------------------------------------------------
-# candidate generation
+# candidate generation: an agent's crossings are the predictions at its
+# position of the hyperplanes through d+1 other agents.  One solve covers
+# every (d+1)-subset of the agents, and each agent takes the subsets that
+# avoid it, so an audit solves each subset once rather than once per agent.
 
 
 def hyperplanes_through_others(data: DataSet, agent: int) -> np.ndarray:
@@ -440,26 +454,51 @@ def hyperplanes_through_others(data: DataSet, agent: int) -> np.ndarray:
     Affinely dependent subsets pin no unique hyperplane and are skipped.
     Returns an array of shape (count, d+1); count may be zero.
     """
-    others = [j for j in range(data.n) if j != agent]
-    subsets = np.array(list(itertools.combinations(others, data.d + 1)),
-                       dtype=int).reshape(-1, data.d + 1)
-    xc, centre = _centred(data.xs)
-    mats, good = _interpolation_systems(xc, subsets)
-    return _uncentred(np.linalg.solve(mats[good], data.ys[subsets[good]][..., None])[..., 0],
-                      centre)
+    return _through_others(data, [agent])[0]
 
 
 def default_candidates(data: DataSet, agent: int, grid_points: int = 41) -> list[float]:
     """Misreport candidates: an even grid over the stretched y-range plus the
     predictions at the agent's position of every hyperplane through d+1
     other agents (the values where a resistant mechanism can switch faces)."""
+    return _first_occurrences(_grid_and_crossings(data, grid_points, [agent])[0]).tolist()
+
+
+def _through_others(data: DataSet, agents) -> list[np.ndarray]:
+    """For each of ``agents``, the coefficients of the hyperplanes through
+    each (d+1)-subset of the other agents, from one solve.
+
+    Every (d+1)-subset of all agents is solved once, in lexicographic
+    order; an agent's hyperplanes are the rows whose subset avoids it, in
+    the order of ``itertools.combinations`` over the other agents.  The
+    solve gives each system the same bits in any stack, and each agent's
+    rows are uncentred on their own, so an agent gets the bits of a solve
+    over its own subsets alone.
+    """
+    subsets = np.array(list(itertools.combinations(range(data.n), data.d + 1)),
+                       dtype=int).reshape(-1, data.d + 1)
+    xc, centre = _centred(data.xs)
+    mats, good = _interpolation_systems(xc, subsets)
+    subsets = subsets[good]
+    solved = np.linalg.solve(mats[good], data.ys[subsets][..., None])[..., 0]
+    return [_uncentred(solved[(subsets != agent).all(axis=1)], centre) for agent in agents]
+
+
+def _grid_and_crossings(data: DataSet, grid_points: int, agents) -> list[np.ndarray]:
+    """For each of ``agents``, the even grid over the stretched y-range
+    followed by the agent's crossings: the predictions at its position of
+    the hyperplanes through d+1 other agents."""
     lo, hi = float(data.ys.min()), float(data.ys.max())
     spread = (hi - lo) or 1.0
     grid = np.linspace(lo - spread, hi + spread, grid_points)
-    betas = hyperplanes_through_others(data, agent)
-    crossings = betas @ np.append(data.xs[agent], 1.0) if betas.size else []
-    merged = list(dict.fromkeys([*map(float, grid), *map(float, crossings)]))
-    return merged
+    return [np.concatenate([grid, betas @ np.append(data.xs[agent], 1.0)])
+            for agent, betas in zip(agents, _through_others(data, agents))]
+
+
+def _first_occurrences(values: np.ndarray) -> np.ndarray:
+    """The distinct values in order of first occurrence (0.0 and -0.0 are
+    one value, kept as it first occurs)."""
+    return values[np.sort(np.unique(values, return_index=True)[1])]
 
 
 # --------------------------------------------------------------------------
@@ -474,8 +513,9 @@ BLOCK_TRIALS = 4096
 COALITION_SAMPLES = 64
 
 
-def _first_certificate(probe: _Probe, blocks) -> ViolationCertificate | None:
-    """The first certificate over (coalition, reports) blocks, in trial order.
+def _first_certificate(probe: _Probe, table: np.ndarray, blocks) -> ViolationCertificate | None:
+    """The first certificate over (coalition, picks) blocks into the
+    candidate ``table``, in trial order.
 
     A kind with a batched solver judges consecutive blocks as one stack of
     at most BLOCK_TRIALS rows, with one solve; a kind solved row by row
@@ -486,7 +526,7 @@ def _first_certificate(probe: _Probe, blocks) -> ViolationCertificate | None:
     off.
     """
     for stack in _stacks(blocks, probe.bound.batched):
-        cert, errors = probe.judge_many(stack)
+        cert, errors = probe.judge_many(table, stack)
         for exc in errors:
             if not isinstance(exc, InternalInconsistency):
                 raise exc
@@ -511,19 +551,18 @@ def _stacks(blocks, batched: bool):
         yield stack
 
 
-def _joint_blocks(coalition: tuple[int, ...], lists: list[np.ndarray], picks=None):
-    """One coalition's joint reports in blocks of at most BLOCK_TRIALS rows:
-    the rows of ``picks`` (one candidate index per member), or else the
-    product of the members' candidate ``lists`` in ``itertools.product``
-    order."""
-    sizes = [len(lst) for lst in lists]
-    count = math.prod(sizes) if picks is None else len(picks)
+def _joint_blocks(coalition: tuple[int, ...], sizes, width: int, draws=None):
+    """One coalition's joint reports in blocks of at most BLOCK_TRIALS rows,
+    as candidate indices in ``width`` columns, one per member and then
+    repeats of the last member's (see :meth:`_Probe.judge_many`): the
+    members' ``draws`` (one array of indices each), or else the product of
+    the members' list ``sizes`` in ``itertools.product`` order."""
+    count = math.prod(sizes) if draws is None else len(draws[0])
     for start in range(0, count, BLOCK_TRIALS):
-        if picks is None:
-            rows = np.unravel_index(np.arange(start, min(start + BLOCK_TRIALS, count)), sizes)
-        else:
-            rows = picks[start:start + BLOCK_TRIALS].T
-        yield coalition, np.column_stack([lst[r] for lst, r in zip(lists, rows)])
+        stop = min(start + BLOCK_TRIALS, count)
+        columns = ([*np.unravel_index(np.arange(start, stop), sizes)] if draws is None
+                   else [column[start:stop] for column in draws])
+        yield coalition, np.column_stack(columns + columns[-1:] * (width - len(columns)))
 
 
 def audit_sp(spec: MechanismSpec, data: DataSet, agent: int,
@@ -540,7 +579,10 @@ def audit_sp(spec: MechanismSpec, data: DataSet, agent: int,
     probe = _Probe(spec, data, margin)
     if candidates is None:
         candidates = default_candidates(data, agent)
-    return _first_certificate(probe, _joint_blocks((agent,), [np.fromiter(candidates, float)]))
+    candidates = np.fromiter(candidates, float)
+    table = np.zeros((data.n, candidates.size))
+    table[agent] = candidates
+    return _first_certificate(probe, table, _joint_blocks((agent,), (candidates.size,), 1))
 
 
 def audit_gsp(spec: MechanismSpec, data: DataSet, max_coalition: int,
@@ -564,20 +606,23 @@ def audit_gsp(spec: MechanismSpec, data: DataSet, max_coalition: int,
     if not 1 <= max_coalition <= n:
         raise ContractViolation(f"max_coalition must lie in 1..{n}")
     probe = _Probe(spec, data, margin)
-    cand_lists = [np.array(list(dict.fromkeys([
-        *default_candidates(data, i, candidates_per_agent),
-        *(float(v) for j, v in enumerate(data.ys) if j != i)]))) for i in range(n)]
-    blocks = _coalition_blocks(cand_lists, max_coalition, seed, max_evals)
-    return _first_certificate(probe, blocks)
+    lists = [_first_occurrences(np.concatenate([values, np.delete(data.ys, i)]))
+             for i, values in enumerate(_grid_and_crossings(data, candidates_per_agent, range(n)))]
+    # every agent's list in one (n, longest) table, padded with zeros
+    sizes = [len(values) for values in lists]
+    table = np.zeros((n, max(sizes)))
+    table[np.arange(table.shape[1]) < np.array(sizes)[:, None]] = np.concatenate(lists)
+    return _first_certificate(probe, table, _coalition_blocks(sizes, max_coalition, seed,
+                                                              max_evals))
 
 
-def _coalition_blocks(cand_lists: list[np.ndarray], max_coalition: int, seed: int,
-                      max_evals: int | None):
-    """(coalition, joint reports) blocks in search order, drawing from the
-    seeded rng lazily: a coalition's picks are drawn before its first block."""
-    n = len(cand_lists)
+def _coalition_blocks(sizes: list[int], max_coalition: int, seed: int, max_evals: int | None):
+    """(coalition, picks) blocks in search order over candidate lists of the
+    given sizes, drawing from the seeded rng lazily: a coalition's picks are
+    drawn before its first block."""
+    n = len(sizes)
     for agent in range(n):
-        yield from _joint_blocks((agent,), [cand_lists[agent]])
+        yield from _joint_blocks((agent,), (sizes[agent],), max_coalition)
     rng = np.random.default_rng(seed)
     for size in range(2, max_coalition + 1):
         if n <= 8:
@@ -591,11 +636,11 @@ def _coalition_blocks(cand_lists: list[np.ndarray], max_coalition: int, seed: in
             coalitions = sorted(seen)
         budget = None if max_evals is None else max(1, max_evals // max(1, len(coalitions)))
         for coalition in coalitions:
-            lists = [cand_lists[i] for i in coalition]
-            picks = None
-            if budget is not None and math.prod(len(lst) for lst in lists) > budget:
-                picks = np.column_stack([rng.integers(0, len(lst), size=budget) for lst in lists])
-            yield from _joint_blocks(coalition, lists, picks)
+            member_sizes = [sizes[i] for i in coalition]
+            draws = None
+            if budget is not None and math.prod(member_sizes) > budget:
+                draws = [rng.integers(0, length, size=budget) for length in member_sizes]
+            yield from _joint_blocks(coalition, member_sizes, max_coalition, draws)
 
 
 # --------------------------------------------------------------------------

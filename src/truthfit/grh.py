@@ -148,14 +148,16 @@ def _interpolation_systems(xs: np.ndarray, subsets: np.ndarray) -> tuple[np.ndar
     """The stacked [x | 1] interpolation system of each row of point indices,
     and which of them are nonsingular (condition at most CONDITION_LIMIT).
 
-    Pass centred positions (see :func:`_centred`): the gate judges the
-    systems as given.
+    Pass centred positions (see :func:`_centred`).  The gate judges each
+    system with every column divided by its largest |entry|, so that the
+    units of no coordinate decide it: the points x = 1e300 and x = 0 still
+    pin a line.
     """
     d = xs.shape[1]
     mats = np.ones((subsets.shape[0], d + 1, d + 1))
     mats[:, :, :d] = xs[subsets]
     with np.errstate(all="ignore"):
-        conds = np.linalg.cond(mats)
+        conds = np.linalg.cond(mats / np.abs(mats).max(axis=1, keepdims=True))
     return mats, np.isfinite(conds) & (conds <= CONDITION_LIMIT)
 
 

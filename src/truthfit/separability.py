@@ -5,8 +5,10 @@ target rank per set.  The structural property the resistant-hyperplane
 mechanisms need is *well separability* of the x-projections: every two
 disjoint groups of whole sets can be split by a hyperplane with all
 named sets strictly on their assigned sides.  Strict separation of two
-point clouds is decided by a small margin-maximization LP, in closed form
-when the points lie on a line.
+point clouds maximizes the margin over normals in the box |a_k| <= 1: in
+closed form on a line, exactly among the box's corners and the normals of
+the clouds' hull edges in the plane, and by a small LP in higher
+dimensions.
 """
 
 from __future__ import annotations
@@ -14,9 +16,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 
 import numpy as np
 
+from . import core
 from .core import DataSet, Hyperplane, predict_all
 from .errors import ContractViolation, InternalInconsistency, NotPubliclySeparable
 from .simplex import solve_lp
@@ -24,6 +28,17 @@ from .simplex import solve_lp
 #: Margins at or below this, relative to half the largest coordinate range
 #: of the points, are treated as failure to separate strictly.
 SEPARATION_MARGIN = 1e-9
+
+#: Relative error bound of a float orientation test (Shewchuk's orient2d
+#: filter): a float cross product larger than this times the sum of its two
+#: products' magnitudes has the sign of the exact one.
+_ORIENT_ERR = (3.0 + 16.0 * 2.0 ** -53) * 2.0 ** -53
+
+#: Relative tolerance of the separation LP.  Its optimum is judged against
+#: ``SEPARATION_MARGIN``, so it must be found to well below that: at the
+#: simplex's default tolerance of the same size, a margin a few times the
+#: threshold could read as none.
+SEPARATION_LP_TOL = 1e-12
 
 
 class Ordering(Enum):
@@ -105,12 +120,14 @@ def is_admissible(data: DataSet) -> bool:
 def strictly_separates(a_points, b_points) -> SeparatorWitness | None:
     """Witness hyperplane strictly separating two nonempty point clouds.
 
-    Solves  max m  s.t.  a . x >= b + m (x in A),  a . x <= b - m (x in B),
-    |a_k| <= 1,  and accepts only margins above ``SEPARATION_MARGIN``
-    times half the union's largest coordinate range, so the answer does
-    not depend on the units of the points.  Returns None when no such
-    hyperplane exists.  In d = 1 the optimum is read off directly: normal
-    +1 or -1 and half the gap as margin.
+    Maximizes the margin m  s.t.  a . x >= b + m (x in A),  a . x <= b - m
+    (x in B),  |a_k| <= 1,  and accepts only margins above
+    ``SEPARATION_MARGIN`` times half the union's largest coordinate range,
+    so the answer does not depend on the units of the points.  Returns None
+    when no such hyperplane exists.  The optimum is read off directly in
+    d = 1 (normal +1 or -1, half the gap as margin), found exactly among a
+    few candidate normals in d = 2 (see :func:`_separate_in_plane`), and
+    solved as an LP in higher dimensions.
     """
     a_points = np.atleast_2d(np.asarray(a_points, dtype=float))
     b_points = np.atleast_2d(np.asarray(b_points, dtype=float))
@@ -123,7 +140,14 @@ def strictly_separates(a_points, b_points) -> SeparatorWitness | None:
         return None
     if d == 1:
         return _separate_on_line(a_points[:, 0], b_points[:, 0])
+    if d == 2:
+        return _separate_in_plane(a_points, b_points)
+    return _separation_lp(a_points, b_points)
 
+
+def _separation_lp(a_points: np.ndarray, b_points: np.ndarray) -> SeparatorWitness | None:
+    """The separation optimum in any dimension, by the LP."""
+    d = a_points.shape[1]
     # The LP runs on the union centred at its mean and scaled to unit size:
     # with b free and m scaling with the cloud, the optimal normal is the
     # same, and the simplex's tolerances meet numbers of order one.
@@ -143,15 +167,20 @@ def strictly_separates(a_points, b_points) -> SeparatorWitness | None:
     c = np.zeros(d + 2)
     c[d + 1] = -1.0
     bounds = [(-1.0, 1.0)] * d + [(None, None), (None, None)]
-    res = solve_lp(c, a_ub=a_ub, b_ub=b_ub, bounds=bounds)
+    res = solve_lp(c, a_ub=a_ub, b_ub=b_ub, bounds=bounds, tol=SEPARATION_LP_TOL)
     if not res.ok:
         raise InternalInconsistency(f"separation LP ended with status {res.status}")
     # Recompute offset and margin exactly for the returned normal, in the
     # original units: the LP satisfies its constraints only to solver
     # tolerance, while a witness must certify its own claim.
     normal = res.x[:d]
-    lo = float(np.min(a_points @ normal))
-    hi = float(np.max(b_points @ normal))
+    return _witness(normal, float(np.min(a_points @ normal)),
+                    float(np.max(b_points @ normal)), union)
+
+
+def _witness(normal, lo: float, hi: float, union: np.ndarray) -> SeparatorWitness | None:
+    """The witness of a normal under which A lies at or above ``lo`` and B
+    at or below ``hi``, or None when its margin is too small to count."""
     margin = (lo - hi) / 2.0
     if margin <= SEPARATION_MARGIN * _margin_unit(union):
         return None
@@ -167,17 +196,83 @@ def _margin_unit(union: np.ndarray) -> float:
 
 
 def _separate_on_line(a_values: np.ndarray, b_values: np.ndarray) -> SeparatorWitness | None:
-    """The separation LP's optimum in d = 1: under |a| <= 1 the best normal
-    is +1 or -1, with the midpoint of the gap as offset.  The margin is
-    judged in the same unit as the LP's."""
+    """The separation optimum in d = 1: under |a| <= 1 the best normal is
+    +1 or -1, with the midpoint of the gap as offset."""
     normal = 1.0 if a_values.min() > b_values.max() else -1.0
-    lo = float(np.min(normal * a_values))
-    hi = float(np.max(normal * b_values))
-    margin = (lo - hi) / 2.0
-    union = np.concatenate([a_values, b_values])
-    if margin <= SEPARATION_MARGIN * _margin_unit(union):
-        return None
-    return SeparatorWitness(np.array([normal]), (lo + hi) / 2.0, margin)
+    return _witness(np.array([normal]), float(np.min(normal * a_values)),
+                    float(np.max(normal * b_values)), np.concatenate([a_values, b_values]))
+
+
+def _separate_in_plane(a_points: np.ndarray, b_points: np.ndarray) -> SeparatorWitness | None:
+    """The separation optimum in d = 2, found exactly.
+
+    The best margin of a normal a is f(a) = (min_A a . x - max_B a . x) / 2,
+    a concave and positively homogeneous function.  A positive maximum over
+    the box |a_k| <= 1 therefore lies on the box's boundary, where f is
+    piecewise linear: it is attained at a corner of the box or at a kink of
+    f, a normal perpendicular to an edge of the convex hull of A or of B
+    (two points of one cloud tie for the min or the max there).  The
+    corners and every such normal, scaled to max |a_k| = 1 and taken with
+    both signs, are evaluated on all the points, and the best is the
+    witness.  Swapping A and B negates every candidate exactly, so the
+    margin does not depend on the order of the clouds.
+    """
+    edges = np.vstack([_hull_edges(a_points), _hull_edges(b_points)])
+    kinks = edges[:, ::-1] * [-1.0, 1.0]
+    kinks /= np.abs(kinks).max(axis=1, keepdims=True)
+    corners = [[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]]
+    normals = np.vstack([corners, kinks, -kinks])
+    union, na = np.vstack([a_points, b_points]), len(a_points)
+    lo, hi = np.empty(len(normals)), np.empty(len(normals))
+    step = max(1, core.BLOCK_CELLS // len(union))
+    for start in range(0, len(normals), step):
+        chunk = normals[start:start + step]
+        # elementwise, so that a negated normal gives exactly negated values
+        values = union[:, :1] * chunk[:, 0] + union[:, 1:] * chunk[:, 1]
+        lo[start:start + step] = values[:na].min(axis=0)
+        hi[start:start + step] = values[na:].max(axis=0)
+    best = int(np.argmax(lo - hi))
+    return _witness(normals[best], float(lo[best]), float(hi[best]), union)
+
+
+def _hull_edges(points: np.ndarray) -> np.ndarray:
+    """The nonzero edge vectors of the convex hull of points in the plane,
+    by Andrew's monotone chain with collinear boundary points kept (an edge
+    may come in parts).  A cloud of at most three points is its own hull."""
+    if len(points) > 3:
+        ordered = points[np.lexsort((points[:, 1], points[:, 0]))].tolist()
+        points = np.array(_chain(ordered) + _chain(ordered[::-1])).reshape(-1, 2)
+    edges = np.concatenate([points[1:], points[:1]]) - points
+    return edges[np.any(edges != 0.0, axis=1)]
+
+
+def _chain(ordered: list) -> list:
+    """One half of the monotone chain over points in sorted order, without
+    its last point: it drops a point only where the boundary turns
+    clockwise, and a point equal to the one before it."""
+    out: list = []
+    for p in ordered:
+        if out and p == out[-1]:
+            continue
+        while len(out) >= 2 and _clockwise(out[-2], out[-1], p):
+            out.pop()
+        out.append(p)
+    return out[:-1]
+
+
+def _clockwise(o, a, b) -> bool:
+    """Whether the path o -> a -> b turns clockwise, decided exactly: in
+    floats where their error bound settles the sign, else in rationals.  A
+    rounded test keeps a point a hair inside the hull, and so loses the
+    hull edge that passes it."""
+    left = (a[0] - o[0]) * (b[1] - o[1])
+    right = (a[1] - o[1]) * (b[0] - o[0])
+    size = abs(left) + abs(right)
+    # the bound assumes no underflow, and inf or nan fail the comparison
+    if size > 1e-280 and abs(left - right) > _ORIENT_ERR * size:
+        return left < right
+    o, a, b = ([Fraction(v) for v in q] for q in (o, a, b))
+    return (a[0] - o[0]) * (b[1] - o[1]) < (a[1] - o[1]) * (b[0] - o[0])
 
 
 def _splits(t: int):
@@ -191,7 +286,7 @@ def _splits(t: int):
 def is_well_separable(point_sets) -> bool:
     """Every two disjoint groups of sets must be strictly separable.
 
-    Only the 2**(t-1) - 1 splits into two groups are tested (3 LPs for t = 3,
+    Only the 2**(t-1) - 1 splits into two groups are tested (3 for t = 3,
     7 for t = 4): a hyperplane that separates a group from the union of the
     other sets separates it from any part of that union, by at least the
     same margin, and the unit that margin is judged in only shrinks.

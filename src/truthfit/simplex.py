@@ -47,7 +47,8 @@ AT_LOWER, AT_UPPER, BASIC = 0, 1, 2
 PIVOT_TOL = 1e-10
 
 #: Reduced costs count as zero below TOL * max |c|, and bound violations
-#: below TOL times the scale of the right-hand sides and finite bounds.
+#: below TOL times the scale of the right-hand sides and finite bounds
+#: (the default ``tol`` of a solve).
 TOL = 1e-9
 
 
@@ -93,14 +94,14 @@ def _as_bounds(bounds, n):
 
 
 def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, bounds=None,
-             basis=None) -> LpResult:
+             basis=None, tol=TOL) -> LpResult:
     """Solve the LP above; status is "optimal", "infeasible" or "unbounded".
 
-    Tolerances are relative (see ``TOL``).  ``basis`` is the ``basis`` of
-    an earlier result for the same constraints; one that no longer fits is
-    ignored and the solve starts cold.
+    Tolerances are relative, in units of ``tol`` (see ``TOL``).  ``basis``
+    is the ``basis`` of an earlier result for the same constraints; one
+    that no longer fits is ignored and the solve starts cold.
     """
-    lp = _equality_form(c, a_ub, b_ub, a_eq, b_eq, bounds)
+    lp = _equality_form(c, a_ub, b_ub, a_eq, b_eq, bounds, tol)
     if lp is None:
         return LpResult(INFEASIBLE)
     if basis is None or not lp.warm_start(np.asarray(basis)):
@@ -125,7 +126,7 @@ class BasisStack:
         self.basic = np.empty((size, like.m), dtype=like.basic.dtype)
         self.x = np.empty((size, like.ncols))
         self.status = np.empty((size, like.ncols), dtype=like.status.dtype)
-        self.lo, self.hi, self.n_ub = like.lo, like.hi, like.n_ub
+        self.lo, self.hi, self.n_ub, self.tol = like.lo, like.hi, like.n_ub, like.tol
         self.filled = 0
 
     def put(self, slot: int, tableau: "_Tableau") -> None:
@@ -149,16 +150,16 @@ class BasisStack:
             cost = np.concatenate([cost, np.zeros((cost.shape[0], self.n_ub))], axis=1)
         slots = slice(self.filled) if slot is None else slice(slot, slot + 1)
         _, eligible = _pricing(cost[:, None, :], cost[:, self.basic[slots]],
-                               _cost_tol(cost)[:, None], self.tab[slots],
+                               _cost_tol(cost, self.tol)[:, None], self.tab[slots],
                                self.x[slots], self.lo, self.hi)
         return ~eligible.any(axis=-1)
 
 
-def _cost_tol(cost) -> np.ndarray:
+def _cost_tol(cost, tol: float) -> np.ndarray:
     """Reduced costs at or below this magnitude count as zero: relative to
     the cost (per cost, along the last axis), so that scaling the cost
     scales no decision (with a zero cost every basis is optimal)."""
-    return TOL * np.abs(cost).max(axis=-1, keepdims=True, initial=0.0)
+    return tol * np.abs(cost).max(axis=-1, keepdims=True, initial=0.0)
 
 
 def _pricing(cost, basic_cost, dtol, tab, x, lo, hi) -> tuple[np.ndarray, np.ndarray]:
@@ -179,7 +180,7 @@ def _pricing(cost, basic_cost, dtol, tab, x, lo, hi) -> tuple[np.ndarray, np.nda
     return reduced, ((reduced < -dtol) & (x < hi)) | ((reduced > dtol) & (x > lo))
 
 
-def _equality_form(c, a_ub, b_ub, a_eq, b_eq, bounds) -> "_Tableau | None":
+def _equality_form(c, a_ub, b_ub, a_eq, b_eq, bounds, tol) -> "_Tableau | None":
     """The LP as a tableau not yet started, with one slack column per
     inequality row; None when some column's bounds are empty."""
     c = np.asarray(c, dtype=float).ravel()
@@ -204,7 +205,7 @@ def _equality_form(c, a_ub, b_ub, a_eq, b_eq, bounds) -> "_Tableau | None":
         hi = np.concatenate([hi, np.full(n_ub, np.inf)])
     ab[n_ub:, :n] = a_eq
     ab[n_ub:, -1] = b_eq
-    return _Tableau(ab, c, lo, hi, n_ub)
+    return _Tableau(ab, c, lo, hi, n_ub, tol)
 
 
 class _Tableau:
@@ -212,12 +213,12 @@ class _Tableau:
     status of every column and the value of each nonbasic one (basic
     columns hold zero there; their values follow from the tableau)."""
 
-    def __init__(self, ab, cost, lo, hi, n_ub):
-        self.ab, self.cost, self.lo, self.hi = ab, cost, lo, hi
+    def __init__(self, ab, cost, lo, hi, n_ub, tol):
+        self.ab, self.cost, self.lo, self.hi, self.tol = ab, cost, lo, hi, tol
         self.m, self.ncols, self.n_ub = ab.shape[0], ab.shape[1] - 1, n_ub
         self.max_iter = 200 * (ab.shape[0] + ab.shape[1] + 10)  # per phase
         scale = np.abs(np.concatenate([lo, hi, ab[:, -1]]))
-        self.ftol = TOL * (1.0 + float(scale.max(where=np.isfinite(scale), initial=0.0)))
+        self.ftol = tol * (1.0 + float(scale.max(where=np.isfinite(scale), initial=0.0)))
         self.pivots = 0
 
     def warm_start(self, status) -> bool:
@@ -319,7 +320,7 @@ class _Tableau:
     def run(self, cost) -> str:
         """Bland-rule iterations until optimal or unbounded."""
         lo, hi, x = self.lo, self.hi, self.x
-        dtol = _cost_tol(cost)
+        dtol = _cost_tol(cost, self.tol)
         for _ in range(self.max_iter):
             tab = self.tab
             reduced, eligible = _pricing(cost, cost[self.basic], dtol, tab, x, lo, hi)

@@ -253,6 +253,37 @@ def test_hyperplanes_through_others_skip_degenerate_subsets():
     assert betas.shape == (2, 2)  # the shared-x pair pins no line
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_candidates_from_one_solve_are_the_solves_per_agent(d):
+    rng = np.random.default_rng(40 + d)
+    data = random_data(rng, 7, d)
+    # a repeated position makes some subsets singular
+    data = DataSet(np.vstack([data.xs, data.xs[:1]]), np.append(data.ys, 0.25))
+    xc, centre = grh._centred(data.xs)
+    for agent in range(data.n):
+        others = [j for j in range(data.n) if j != agent]
+        subsets = np.array(list(itertools.combinations(others, d + 1)))
+        mats, good = grh._interpolation_systems(xc, subsets)
+        solved = np.linalg.solve(mats[good], data.ys[subsets[good]][..., None])[..., 0]
+        betas = grh._uncentred(solved, centre)
+        # unless the agent is one of the pair at the repeated position
+        assert good.all() == (agent in (0, data.n - 1))
+        assert hyperplanes_through_others(data, agent).tobytes() == betas.tobytes()
+        lo, hi = data.ys.min(), data.ys.max()
+        grid = np.linspace(lo - (hi - lo), hi + (hi - lo), 41)
+        crossings = betas @ np.append(data.xs[agent], 1.0)
+        expected = list(dict.fromkeys([*map(float, grid), *map(float, crossings)]))
+        got = default_candidates(data, agent)
+        assert np.array(got).tobytes() == np.array(expected).tobytes()
+
+
+def test_candidates_keep_the_first_of_zero_and_minus_zero():
+    values = np.array([0.0, 1.0, -0.0, 1.0, 2.0, 0.0])
+    npt.assert_array_equal(audit._first_occurrences(values), [0.0, 1.0, 2.0])
+    assert not np.signbit(audit._first_occurrences(values)[0])
+    assert np.signbit(audit._first_occurrences(-values)[0])
+
+
 def test_default_candidates_cover_grid_and_crossings():
     data = DataSet(np.array([[0.0], [1.0], [2.0], [4.0]]),
                    np.array([1.0, 3.0, -1.0, 0.5]))
@@ -296,6 +327,24 @@ def test_bounded_agent_prediction_is_the_clamped_report():
         ys2[3] = rep
         pred = float(bound.coefficients(ys2) @ x_aug)
         assert pred == pytest.approx(b.clamp(rep), abs=1e-9)
+
+
+def test_influence_bounds_do_not_depend_on_the_units_of_x():
+    # a condition gate in the units of x refused the lines through x = 0 or
+    # 5 and x = +-1e300, and with them every crossing of agents 2 and 3
+    data = DataSet(np.array([[1e300], [-1e300], [0.0], [5.0]]), np.array([1.0, 2.0, 0.0, 3.0]))
+    spec = brown_mood_spec(data)
+    bound = spec.bind(data)
+    reports = np.linspace(-10.0, 10.0, 81)
+    for agent in range(data.n):
+        assert hyperplanes_through_others(data, agent).shape == (3, 2)
+        b = influence_bounds(spec, data, agent)
+        block = np.repeat(data.ys[None, :], reports.size, axis=0)
+        block[:, agent] = reports
+        coeffs, failed = bound.coefficients_many(block)
+        assert not failed
+        for report, pred in zip(reports, coeffs @ np.append(data.xs[agent], 1.0)):
+            assert pred == pytest.approx(b.clamp(report), abs=1e-9)
 
 
 def test_influence_requires_the_interpolation_guarantee():
@@ -653,12 +702,12 @@ def test_batched_piecewise_linear_pricing_memory_is_bounded():
     assert peak < 48 * 2 ** 20, peak
 
 
-def _sequential_first_certificate(probe, blocks):
+def _sequential_first_certificate(probe, table, blocks):
     """The search one trial at a time: the reference for judging in blocks."""
-    for coalition, block in blocks:
-        for reports in block:
+    for coalition, picks in blocks:
+        for row in picks:
             try:
-                cert = probe.judge(coalition, reports)
+                cert = probe.judge(coalition, table[list(coalition), row[:len(coalition)]])
             except InternalInconsistency:
                 continue
             if cert is not None:
@@ -723,8 +772,8 @@ def _assert_stacks_find_what_the_sequential_search_finds(monkeypatch, trials, so
     judge_many = audit._Probe.judge_many
     paid_behind_the_first_block = []
 
-    def recorded(probe, stack):
-        cert, errors = judge_many(probe, stack)
+    def recorded(probe, table, stack):
+        cert, errors = judge_many(probe, table, stack)
         if cert is not None and probe.bound.batched:
             paid_behind_the_first_block.append(cert.coalition != stack[0][0])
         return cert, errors
@@ -775,26 +824,32 @@ def test_block_raises_an_error_only_before_the_first_paying_trial():
             probe.bound._solve_many = lambda block: calls.append(len(block)) or solve_many(block)
         return probe
 
+    # agent 0's candidates are 998, 999 and pay; agent 1's is pay1
+    table = np.array([[998.0, 999.0, pay], [pay1, 0.0, 0.0]] + [[0.0] * 3] * (data.n - 2))
+
     def trials(*reports):
-        return [((0,), np.array(reports)[:, None])]
+        return [((0,), np.array([[[998.0, 999.0, pay].index(r)] for r in reports]))]
+
+    def first_certificate(probe, blocks):
+        return audit._first_certificate(probe, table, blocks)
 
     # one block: an error after the paying trial is not raised
-    assert audit._first_certificate(stub_probe(), trials(pay, 999.0)).misreports == {0: pay}
+    assert first_certificate(stub_probe(), trials(pay, 999.0)).misreports == {0: pay}
     # a degenerate probe before it is skipped
-    assert audit._first_certificate(stub_probe(), trials(998.0, pay)).misreports == {0: pay}
+    assert first_certificate(stub_probe(), trials(998.0, pay)).misreports == {0: pay}
     # any other error before it is raised
     with pytest.raises(ConfigurationError, match="stub failure"):
-        audit._first_certificate(stub_probe(), trials(998.0, 999.0, pay))
+        first_certificate(stub_probe(), trials(998.0, 999.0, pay))
 
     # a stack of two coalitions, judged with one solve: the same rules hold
     # across the coalitions' blocks
-    agent1 = ((1,), np.array([[pay1]]))
+    agent1 = ((1,), np.array([[0]]))
     stack = trials(998.0) + [agent1]
-    assert audit._first_certificate(stub_probe(True), stack).misreports == {1: pay1}
+    assert first_certificate(stub_probe(True), stack).misreports == {1: pay1}
     stack = [agent1] + trials(999.0)
-    assert audit._first_certificate(stub_probe(True), stack).misreports == {1: pay1}
+    assert first_certificate(stub_probe(True), stack).misreports == {1: pay1}
     with pytest.raises(ConfigurationError, match="stub failure"):
-        audit._first_certificate(stub_probe(True), trials(998.0, 999.0) + [agent1])
+        first_certificate(stub_probe(True), trials(998.0, 999.0) + [agent1])
     assert calls == [2, 2, 3]
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 import truthfit.separability as separability
+from truthfit import core
 
 from truthfit import (
     AgentPartition,
@@ -113,30 +114,49 @@ def test_separates_1d_iff_intervals_disjoint(a_vals, b_vals, gap):
 @example(([(0.0, 0.0)] * 4 + [(4.967199463050512e-08, 1e-10)], 4))
 @settings(max_examples=60, deadline=None)
 def test_separates_swap_symmetry(cloud):
+    # swapping the clouds negates every candidate normal exactly
     pts, cut = cloud
     a, b = np.array(pts[:cut]), np.array(pts[cut:])
     w_ab = strictly_separates(a, b)
     w_ba = strictly_separates(b, a)
     assert (w_ab is None) == (w_ba is None)
     if w_ab is not None:
-        assert w_ab.margin == pytest.approx(w_ba.margin, rel=1e-6)
+        assert w_ab.margin == w_ba.margin
 
 
 def scipy_line_margin(a_vals, b_vals):
     """Optimal margin of the separation LP for points on a line, by HiGHS:
-    max m  s.t.  a*x >= b + m on A,  a*x <= b - m on B,  |a| <= 1."""
+    max m  s.t.  a*x >= b + m on A,  a*x <= b - m on B,  |a| <= 1.
+
+    HiGHS drops constraint entries below 1e-9 and counts points within its
+    feasibility tolerance as tied, so it solves for the points centred on
+    their midrange and scaled to unit half-range, at its tightest
+    tolerances, and the margin of its normal is taken on the points
+    themselves."""
     a_vals, b_vals = np.asarray(a_vals, float), np.asarray(b_vals, float)
-    rows = [[-x, 1.0, 1.0] for x in a_vals] + [[x, -1.0, 1.0] for x in b_vals]
+    union = np.concatenate([a_vals, b_vals])
+    centre = (union.max() + union.min()) / 2
+    scale = (union.max() - union.min()) / 2 or 1.0
+    a_unit, b_unit = (a_vals - centre) / scale, (b_vals - centre) / scale
+    rows = [[-x, 1.0, 1.0] for x in a_unit] + [[x, -1.0, 1.0] for x in b_unit]
     res = linprog([0.0, 0.0, -1.0], A_ub=rows, b_ub=np.zeros(len(rows)),
-                  bounds=[(-1.0, 1.0), (None, None), (None, None)], method="highs")
+                  bounds=[(-1.0, 1.0), (None, None), (None, None)], method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
     assert res.status == 0
-    return -res.fun
+    normal = res.x[0]
+    return (np.min(normal * a_vals) - np.max(normal * b_vals)) / 2
 
 
 def on_a_plane(vals):
-    """The same points as (x, 0) in R^2, which the simplex LP decides."""
+    """The same points as (x, 0) in R^2."""
     vals = np.asarray(vals, float)
     return np.column_stack([vals, np.zeros_like(vals)])
+
+
+def simplex_lp(a_vals, b_vals):
+    """The separation LP on the simplex, for points on a line set in R^2."""
+    return separability._separation_lp(on_a_plane(a_vals), on_a_plane(b_vals))
 
 
 @pytest.mark.parametrize("a_vals, b_vals, margin", [
@@ -151,13 +171,14 @@ def on_a_plane(vals):
 def test_separation_on_a_line_is_the_lp_optimum(a_vals, b_vals, margin):
     a, b = np.reshape(a_vals, (-1, 1)), np.reshape(b_vals, (-1, 1))
     w = strictly_separates(a, b)
-    lp = strictly_separates(on_a_plane(a_vals), on_a_plane(b_vals))
+    lp = simplex_lp(a_vals, b_vals)
+    plane = strictly_separates(on_a_plane(a_vals), on_a_plane(b_vals))
     optimum = scipy_line_margin(a_vals, b_vals)
     if margin is None:
-        assert w is None and lp is None
+        assert w is None and lp is None and plane is None
         assert optimum <= SEPARATION_MARGIN + 1e-15
         return
-    assert w.margin == margin
+    assert w.margin == plane.margin == margin
     assert optimum == pytest.approx(margin, rel=1e-9)
     assert lp.margin == pytest.approx(margin, rel=1e-9)
     assert w.normal[0] == lp.normal[0] == (1.0 if min(a_vals) > max(b_vals) else -1.0)
@@ -172,10 +193,11 @@ def test_separation_margin_is_judged_relative_to_the_range(scale, b_vals, separa
     a_vals = scale * np.array([-1.0, 0.0])
     b_vals = scale * np.array(b_vals)
     w = strictly_separates(a_vals[:, None], b_vals[:, None])
-    lp = strictly_separates(on_a_plane(a_vals), on_a_plane(b_vals))
-    assert (w is not None) == (lp is not None) == separated
+    lp = simplex_lp(a_vals, b_vals)
+    plane = strictly_separates(on_a_plane(a_vals), on_a_plane(b_vals))
+    assert (w is not None) == (lp is not None) == (plane is not None) == separated
     if separated:
-        assert w.margin == 1.5e-9 * scale
+        assert w.margin == plane.margin == 1.5e-9 * scale
         assert lp.margin == pytest.approx(w.margin, rel=1e-9)
 
 
@@ -183,12 +205,17 @@ def test_separation_margin_is_judged_relative_to_the_range(scale, b_vals, separa
     st.lists(st.floats(-100, 100), min_size=1, max_size=6),
     st.lists(st.floats(-100, 100), min_size=1, max_size=6),
 )
-# a badly scaled pair the LP once called not separable
+# badly scaled pairs the LP once called not separable
 @example([15.0, 5.960464477539063e-08], [0.0])
+@example([60.0, 1.192092896e-07], [0.0])
+# a gap below HiGHS's smallest constraint entry
+@example([0.0], [1e-10])
+# a gap within HiGHS's default feasibility tolerance once scaled
+@example([3.0], [1.192092896e-07, 0.0])
 @settings(max_examples=150, deadline=None)
 def test_separation_on_a_line_agrees_with_the_simplex_lp(a_vals, b_vals):
     w = strictly_separates(np.reshape(a_vals, (-1, 1)), np.reshape(b_vals, (-1, 1)))
-    lp = strictly_separates(on_a_plane(a_vals), on_a_plane(b_vals))
+    lp = simplex_lp(a_vals, b_vals)
     assert (w is None) == (lp is None)
     if w is not None:
         assert w.margin == pytest.approx(lp.margin, rel=1e-9, abs=1e-12)
@@ -206,7 +233,7 @@ def test_line_separation_and_d1_instances_solve_no_lp(monkeypatch):
     assert is_publicly_separable(data, part)
 
 
-@pytest.mark.parametrize("d, lps", [(1, 0), (2, 3), (3, 7)])
+@pytest.mark.parametrize("d, lps", [(1, 0), (2, 0), (3, 7)])
 def test_a_resistant_hyperplane_bind_solves_one_lp_per_two_group_split(monkeypatch, d, lps):
     data, part = random_separable_instance(np.random.default_rng(4), d, sizes=(2,) * (d + 1))
     calls = []
@@ -218,6 +245,85 @@ def test_a_resistant_hyperplane_bind_solves_one_lp_per_two_group_split(monkeypat
     monkeypatch.setattr(separability, "solve_lp", counted)
     MechanismSpec(MechanismKind.GRH, part).bind(data)
     assert len(calls) == lps
+
+
+@st.composite
+def plane_pairs(draw):
+    """Two clouds of 1..8 points in the plane: on a small integer grid
+    (shared points, collinear runs and touching hulls abound) or spread
+    continuously."""
+    grid = draw(st.booleans())
+    coord = st.integers(-2, 2).map(float) if grid else st.floats(-3.0, 3.0)
+    shift = draw(st.tuples(*[st.integers(-3, 3).map(float)] * 2))
+    clouds = [np.array(draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=8)))
+              for _ in range(2)]
+    return clouds[0], clouds[1] + shift
+
+
+def all_pairs_margin(a, b):
+    """The best margin over the box's corners and the normals of every pair
+    of distinct points of one cloud: the planar rule without its hull step."""
+    normals = [[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]]
+    for cloud in (a, b):
+        for p, q in itertools.combinations(cloud, 2):
+            if np.any(p != q):
+                kink = np.array([q[1] - p[1], p[0] - q[0]]) / np.abs(p - q).max()
+                normals += [kink, -kink]
+    normals = np.array(normals)
+    return np.max((a @ normals.T).min(axis=0) - (b @ normals.T).max(axis=0)) / 2
+
+
+@given(plane_pairs())
+# at the simplex's default tolerance the LP stopped 8.3e-10 short of this
+# family's optimum, at the normal (1, -1e-8/3)
+@example((np.array([[0.0, 0.0]]),
+          np.array([[-1.0, -1.0], [-1.0, 0.0], [-0.99999999, 2.0]])))
+# a float orientation test kept (0, 0) on A's hull and lost the edge
+# from (-1, -1) to (1, 0)
+@example((np.array([[0.0, 0.0], [1.0, 0.0], [1.17549435e-38, 0.0], [-1.0, -1.0]]),
+          np.array([[0.0, -1.0]])))
+@settings(max_examples=400, deadline=None)
+def test_separation_in_the_plane_is_the_optimum(clouds):
+    a, b = clouds
+    w, lp = strictly_separates(a, b), separability._separation_lp(a, b)
+    unit = np.ptp(np.vstack([a, b]), axis=0).max() / 2
+    best = all_pairs_margin(a, b)
+    if w is None:
+        assert best <= (SEPARATION_MARGIN + 1e-12) * unit
+    else:
+        check_witness(w, a, b)
+        assert np.abs(w.normal).max() == 1.0
+        assert w.margin == pytest.approx(best, abs=1e-12 * unit)
+    # the simplex LP decides the same away from the threshold; it can stop
+    # short of the optimum, or leave the box |a_k| <= 1, by its tolerances
+    if lp is not None:
+        assert w is not None
+        assert w.margin == pytest.approx(lp.margin, abs=1e-8 * unit)
+    elif w is not None:
+        assert w.margin <= (SEPARATION_MARGIN + 1e-8) * unit
+
+
+def test_separation_in_the_plane_is_exact_near_the_threshold():
+    # at the simplex's default tolerance the LP refused this family; its
+    # optimum, the normal (-1, -1) at margin 6.5e-10, beats the threshold 5e-10
+    a, b = np.array([[0.0, 0.0]]), np.array([[1.3e-9, 0.0], [1.0, 0.0], [0.5, 0.5]])
+    w = strictly_separates(a, b)
+    assert w.margin == 6.5e-10
+    assert separability._separation_lp(a, b).margin == pytest.approx(w.margin, rel=1e-6)
+    check_witness(w, a, b)
+    assert is_well_separable([a, b[:2], b[2:]])
+
+
+def test_separation_in_the_plane_evaluates_normals_in_chunks(monkeypatch):
+    # points in convex position keep every point on the hull
+    angles = np.linspace(0.0, 2 * np.pi, 40, endpoint=False)
+    a = np.column_stack([np.cos(angles), np.sin(angles)])
+    b = a + [3.0, 1.0]
+    whole = strictly_separates(a, b)
+    monkeypatch.setattr(core, "BLOCK_CELLS", 1)
+    chunked = strictly_separates(a, b)
+    assert whole.margin == chunked.margin > 0
+    npt.assert_array_equal(whole.normal, chunked.normal)
 
 
 # -- is_well_separable / is_publicly_separable -------------------------------
