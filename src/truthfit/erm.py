@@ -11,11 +11,13 @@ dual objective), so every optimal basis of one probe stays feasible for
 the next: a bound mechanism keeps the last 32 in a :class:`_DualBases`,
 each as the optimal tableau of the solve that found it and the face of
 that solve's tau, and a probe for which one of them passes the simplex's
-optimality test reads its fit off that face without solving an LP.  An
-audit hands over a block of probes at once
+optimality test reads its fit off that face without solving an LP.  The
+bases are kept in arrival order, a new one in place of the oldest, so a
+hit changes nothing.  An audit hands over a block of probes at once
 (:meth:`_PiecewiseLinearFit.fit_many`): one pass prices every probe
-against every cached tableau, the probes then meet the cache in order,
-and only those that no cached basis fits solve.  A probe that solves
+against every cached tableau, all the probes up to the first that no
+cached basis fits take their lowest optimal slot in one step, and that
+probe solves and joins the cache before the next run.  A probe that solves
 computes beta from the face it builds in the same way, so a fit does not
 depend on whether its basis was cached, nor on the block it came in.
 Stage 2 resolves
@@ -47,8 +49,9 @@ from .simplex import INFEASIBLE, BasisStack, solve_lp
 
 
 def fit_ols(data: DataSet) -> Hyperplane:
-    """Least squares fit; rank-deficient designs get the minimum-norm solution."""
-    beta, *_ = np.linalg.lstsq(data.xbar(), data.ys, rcond=None)
+    """Least squares fit; rank-deficient designs get the minimum-norm solution.
+    The OLS mechanism's binder solves in the same way, bit for bit."""
+    beta = np.linalg.pinv(data.xbar()) @ data.ys
     return Hyperplane(beta[:-1], float(beta[-1]))
 
 
@@ -197,10 +200,10 @@ class _PiecewiseLinearFit:
         row's bases is optimal and by a solve warm from the newest otherwise;
         and the error of each row whose solve fails.
 
-        Rows are priced against the cache in chunks, and each row then takes
-        the most recently used basis that is optimal for it, as it would
-        alone.  A solve changes at most one slot, so the rest of the chunk is
-        priced again against that slot only.
+        Rows are priced against the cache in chunks.  A hit changes nothing,
+        so all the rows up to the next miss take their lowest optimal slot at
+        once, as each would alone.  A solve changes at most one slot, so the
+        rest of the chunk is priced again against that slot only.
         """
         cache = self.cache
         rows_of: dict[_Face, list[int]] = {}
@@ -209,28 +212,27 @@ class _PiecewiseLinearFit:
         for start in range(0, rhs.shape[0], step):
             chunk = rhs[start:start + step]
             optimal = cache.optimal(-chunk)
-            # per row: how many bases are optimal, and the lowest such slot;
-            # of several, a row takes the most recently used, as alone
-            count, first = optimal.sum(axis=1).tolist(), optimal.argmax(axis=1).tolist()
-            for j, row in enumerate(chunk):
-                if count[j]:
-                    slot = first[j] if count[j] == 1 else min(
-                        np.flatnonzero(optimal[j]).tolist(), key=cache.order.index)
-                    rows_of.setdefault(cache.use(slot), []).append(start + j)
-                    continue
+            j = 0
+            while j < len(chunk):
+                missed = np.flatnonzero(~optimal[j:].any(axis=1))
+                miss = j + int(missed[0]) if missed.size else len(chunk)
+                pick = optimal[j:miss].argmax(axis=1)
+                for slot in np.unique(pick).tolist():
+                    rows = start + j + np.flatnonzero(pick == slot)
+                    rows_of.setdefault(cache.faces[slot], []).extend(rows.tolist())
+                if miss == len(chunk):
+                    break
+                j = miss + 1
                 try:
-                    res = self.dual(cache.newest(), row)
+                    res = self.dual(cache.newest(), chunk[miss])
                     face = _Face(self, res.x)
                 except (ConfigurationError, InternalInconsistency) as exc:
-                    failed[start + j] = exc
+                    failed[start + miss] = exc
                     continue
-                rows_of[face] = [start + j]
+                rows_of[face] = [start + miss]
                 slot = cache.add(res.tableau, face)
-                if slot is not None and j + 1 < len(chunk):
-                    rest = optimal[j + 1:]
-                    rest[:, slot] = cache.stack.optimal_for(-chunk[j + 1:], slot)[:, 0]
-                    count[j + 1:] = rest.sum(axis=1).tolist()
-                    first[j + 1:] = rest.argmax(axis=1).tolist()
+                if slot is not None:
+                    optimal[j:, slot] = cache.stack.optimal_for(-chunk[j:], slot)[:, 0]
         return rows_of, failed
 
 
@@ -257,7 +259,8 @@ DUAL_BASES = 32
 
 class _DualBases:
     """The last optimal dual bases of fits on fixed positions, weights and
-    drift, tried most recently used first.
+    drift, kept in arrival order: a new basis overwrites the oldest, and a
+    hit changes nothing.
 
     Those fits share the dual constraints and differ only in the dual cost
     -rhs, so a basis stays feasible for every fit.  An entry is the optimal
@@ -265,52 +268,42 @@ class _DualBases:
     :class:`BasisStack`, and the face of that solve's tau.  The basis is
     optimal for a new rhs exactly when the simplex's own optimality test
     passes on that tableau, so a hit is a warm solve that would make no
-    pivot; one pass prices a whole block of rhs against every entry.  An
-    audit visits about ten optimal bases, so most of its probes find theirs
-    among the 32 kept here; a probe that does not warm-starts from the
-    newest, whose tableau it factorises afresh, so rounding does not build
-    up from one solve to the next.
+    pivot; one pass prices a whole block of rhs against every entry, and a
+    row takes the lowest slot that passes.  An audit visits about ten
+    optimal bases, so most of its probes find theirs among the 32 kept
+    here; a probe that does not warm-starts from the newest, whose tableau
+    it factorises afresh, so rounding does not build up from one solve to
+    the next.
     """
 
     def __init__(self):
         self.faces: list[_Face | None] = [None] * DUAL_BASES  # by slot of the stack
-        self.order: list[int] = []  # filled slots, most recently used first
+        self.added = 0  # bases kept so far; the next goes to slot added % DUAL_BASES
         self.stack: BasisStack | None = None
 
     def newest(self):
-        return self.stack.status[self.order[0]] if self.order else None
+        return self.stack.status[(self.added - 1) % DUAL_BASES] if self.added else None
 
     def optimal(self, costs) -> np.ndarray:
         """(K, DUAL_BASES): whether each slot's basis is optimal for each row
         of a block of dual costs (False for empty slots)."""
         out = np.zeros((costs.shape[0], DUAL_BASES), dtype=bool)
-        if self.order:
+        if self.added:
             out[:, :self.stack.filled] = self.stack.optimal_for(costs)
         return out
 
-    def use(self, slot: int) -> _Face:
-        """The face of a slot, which becomes the most recently used."""
-        if self.order[0] != slot:
-            self.order.remove(slot)
-            self.order.insert(0, slot)
-        return self.faces[slot]
-
     def add(self, tableau, face: _Face) -> int | None:
-        """Keep the optimal tableau of a solve and the face of its tau; the
-        slot written, or None when its basis was kept already (or has no
-        tableau to keep)."""
+        """Keep the optimal tableau of a solve and the face of its tau in
+        place of the oldest; the slot written, or None when there is no
+        tableau to keep."""
         if tableau is None:
             return None
         if self.stack is None:
             self.stack = BasisStack(DUAL_BASES, tableau)
-        kept = self.stack.holding(tableau.status)
-        if kept is not None:
-            self.use(kept)
-            return None
-        slot = self.stack.filled if self.stack.filled < DUAL_BASES else self.order.pop()
+        slot = self.added % DUAL_BASES
         self.faces[slot] = face
         self.stack.put(slot, tableau)
-        self.order.insert(0, slot)
+        self.added += 1
         return slot
 
 
@@ -437,6 +430,5 @@ def fit_quantile(data: DataSet, cfg: QuantileConfig) -> Hyperplane:
 
 
 def quantile_risk(data: DataSet, cfg: QuantileConfig, h: Hyperplane) -> float:
-    r = data.ys - (data.xs @ h.beta1 + h.beta0)
-    return float(cfg.q * np.maximum(r, 0.0).sum()
-                 + (1.0 - cfg.q) * np.maximum(-r, 0.0).sum())
+    """The q-weighted absolute risk of a hyperplane."""
+    return _build_quantile(data, cfg).risk(h.coefficients())

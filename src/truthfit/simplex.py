@@ -135,11 +135,6 @@ class BasisStack:
         self.x[slot], self.status[slot] = tableau.x, tableau.status
         self.filled = max(self.filled, slot + 1)
 
-    def holding(self, status) -> int | None:
-        """The slot whose basis has these column statuses, if any."""
-        same = np.flatnonzero((self.status[:self.filled] == status).all(axis=1))
-        return int(same[0]) if same.size else None
-
     def optimal_for(self, c, slot: int | None = None) -> np.ndarray:
         """For each row of a (K, variables) block of costs ``c`` (the slacks
         cost nothing) and each filled slot, or the one ``slot``: whether a

@@ -25,6 +25,11 @@ def _tick(v: float) -> str:
     return f"{v:.6g}"
 
 
+def _text(s: str) -> str:
+    """``s`` as the content of a text element: &, < and > escaped."""
+    return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 class _Frame:
     """Affine map from data coordinates to the pixel plot area."""
 
@@ -143,12 +148,12 @@ def render_plot(data: DataSet, lines, deviation=None, title: str | None = None) 
                      f'stroke="{color}" stroke-width="2"{dash}/>')
         parts.append(f'<text x="{_fmt(lx + 32)}" y="{_fmt(ly)}" '
                      'font-family="monospace" font-size="12" '
-                     f'fill="#222222">{label}</text>')
+                     f'fill="#222222">{_text(label)}</text>')
         ly += 16.0
 
     if title:
         parts.append(f'<text x="{_fmt(WIDTH / 2)}" y="{_fmt(HEIGHT - 8)}" '
                      'font-family="monospace" font-size="12" fill="#222222" '
-                     f'text-anchor="middle">{title}</text>')
+                     f'text-anchor="middle">{_text(title)}</text>')
     parts.append('</svg>')
     return "\n".join(parts) + "\n"

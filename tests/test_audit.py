@@ -517,6 +517,13 @@ def test_mechanism_domain_gates():
                                     GenMedParams((-math.inf, -math.inf))), d0)
 
 
+def test_generalized_median_needs_one_phantom_more_than_agents():
+    data = DataSet(np.zeros((3, 0)), np.array([1.0, 2.0, 3.0]))
+    spec = MechanismSpec(MechanismKind.GENERALIZED_MEDIAN, GenMedParams((0.0, 1.0, 2.0)))
+    with pytest.raises(ConfigurationError, match="need exactly 4 phantoms for 3 agents"):
+        spec.bind(data)
+
+
 def test_generalized_median_mechanism_end_to_end():
     d0 = DataSet(np.zeros((3, 0)), np.array([4.0, -1.0, 2.5]))
     spec = MechanismSpec(MechanismKind.GENERALIZED_MEDIAN,

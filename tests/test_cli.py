@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -174,8 +175,8 @@ def test_plot_is_byte_deterministic(tmp_path, capsys):
     code1, _, _ = run(capsys, "plot", "--builtin", "crm-disjoint", "--out", out1)
     code2, _, _ = run(capsys, "plot", "--builtin", "crm-disjoint", "--out", out2)
     assert code1 == code2 == 0
-    first = open(out1, "rb").read()
-    assert first == open(out2, "rb").read()
+    first = Path(out1).read_bytes()
+    assert first == Path(out2).read_bytes()
     text = first.decode()
     assert text.startswith('<?xml version="1.0"')
     assert "<svg" in text
@@ -194,7 +195,18 @@ def test_plot_custom_deviation_needs_both_flags(line_csv, tmp_path, capsys):
                            "--out", out)
     assert code == 0
     assert printed.strip() == out
-    assert "after deviation" in open(out).read()
+    assert "after deviation" in Path(out).read_text()
+
+
+def test_plot_escapes_the_data_path_in_its_title(tmp_path, capsys):
+    data = tmp_path / "a&b<c.csv"
+    write_dataset(data, DataSet(LINE_POINTS, LINE_VALUES))
+    out = tmp_path / "e.svg"
+    code, _, _ = run(capsys, "plot", "--data", str(data), "--mechanism", "l1erm",
+                     "--out", str(out))
+    assert code == 0
+    texts = [el.text for el in ET.parse(out).iter("{http://www.w3.org/2000/svg}text")]
+    assert str(data) in texts
 
 
 def test_unwritable_plot_output_exits_two_with_one_line(tmp_path, capsys):
@@ -380,6 +392,20 @@ def test_unseparated_line_sets_exit_three_for_grh_and_grl(tmp_path, capsys, xs):
         code, out, err = run(capsys, "fit", "--data", str(csv), "--config", str(cfg))
         assert code == 3 and out == "", spec
         assert err == "contract violation: S and S' are not separated by a vertical line\n"
+
+
+def test_inseparable_plane_sets_exit_three_with_one_line(tmp_path, capsys):
+    # agent 3 lies inside the triangle of set 0
+    csv = tmp_path / "plane.csv"
+    xs = np.array([[0.0, 0.0], [4.0, 0.0], [2.0, 3.0], [2.0, 1.0], [6.0, 6.0], [7.0, 5.0]])
+    write_dataset(csv, DataSet(xs, np.arange(6.0)))
+    cfg = tmp_path / "grh.json"
+    cfg.write_text(json.dumps({"kind": "grh", "sets": [[0, 1, 2], [3], [4, 5]],
+                               "ranks": [1, 1, 1]}))
+    code, out, err = run(capsys, "fit", "--data", str(csv), "--config", str(cfg))
+    assert code == 3 and out == ""
+    assert err == ("contract violation: partition is not publicly separable; "
+                   "rejected before solving\n")
 
 
 @pytest.mark.parametrize("scale", [1e-12, 1e-10, 1.0, 1e6])

@@ -27,7 +27,9 @@ from truthfit import (
     QuantileConfig,
     audit_gsp,
     builtin_instance,
+    efficiency_ratio,
     fit_l1erm,
+    fit_mechanism,
     fit_ols,
     fit_quantile,
     l1_risk,
@@ -360,19 +362,37 @@ def test_an_lp_is_built_once_per_solve(monkeypatch):
     assert len(forms) == len(lps)
 
 
-def test_dual_bases_keep_at_most_thirty_two_in_recency_order(monkeypatch):
+def test_dual_bases_keep_at_most_thirty_two_in_arrival_order(monkeypatch):
     rng = np.random.default_rng(47)
     data = random_data(rng, 10, 2)
     w = np.ones(data.n)
     cache = erm._DualBases()
     lps = count_lps(monkeypatch)
-    seen = set()
+    seen, kept = set(), 0
     for _ in range(200):
         rhs = rng.normal(0.0, 2.0, data.n)
+        before = len(lps)
+        faces = list(cache.faces)
+        tab = None if cache.stack is None else cache.stack.tab[:cache.stack.filled].copy()
+        newest = cache.newest()
         _PiecewiseLinearFit(data.xbar(), rhs, w, w, 0.0, cache=cache).fit()
-        # a probe's optimal basis is the newest, whether cached or solved
-        assert cache.optimal(-rhs[None])[0, cache.order[0]]
-        assert sorted(cache.order) == list(range(cache.stack.filled))
+        # a probe's optimal basis is in the cache, whether cached or solved
+        assert cache.optimal(-rhs[None]).any()
+        if len(lps) == before:
+            # a hit changes nothing
+            assert all(a is b for a, b in zip(cache.faces, faces))
+            npt.assert_array_equal(cache.stack.tab[:len(tab)], tab)
+            npt.assert_array_equal(cache.newest(), newest)
+            continue
+        # the k-th basis kept overwrites slot k mod 32 and no other
+        slot = kept % erm.DUAL_BASES
+        assert cache.faces[slot] is not faces[slot]
+        assert all(a is b for k, (a, b) in enumerate(zip(cache.faces, faces)) if k != slot)
+        if tab is not None:
+            others = [k for k in range(len(tab)) if k != slot]
+            npt.assert_array_equal(cache.stack.tab[others], tab[others])
+        npt.assert_array_equal(cache.newest(), cache.stack.status[slot])
+        kept += 1
         seen.add(cache.newest().tobytes())
     # more optimal bases than the cache keeps, so some were evicted
     assert len(seen) > erm.DUAL_BASES
@@ -547,11 +567,23 @@ def test_ols_normal_equations_hold_in_d2():
 
 
 def test_ols_rank_deficient_uses_minimum_norm():
-    # all agents share one x: any slope fits equally; lstsq returns the
-    # minimum-norm coefficient pair
+    # all agents share one x: any slope fits equally; the pseudo-inverse
+    # gives the minimum-norm coefficient pair
     data = DataSet(np.array([[2.0], [2.0]]), np.array([1.0, 3.0]))
     h = fit_ols(data)
     npt.assert_allclose(h.coefficients(), 2.0 / 5.0 * np.array([2.0, 1.0]), atol=1e-12)
+
+
+def test_ols_fit_is_the_ols_mechanism_bit_for_bit():
+    # one least-squares solve, so the OLS mechanism is exactly as efficient
+    # as least squares, never a rounding below it
+    rng = np.random.default_rng(8)
+    spec = MechanismSpec(MechanismKind.OLS)
+    for _ in range(60):
+        data = random_data(rng, int(rng.integers(3, 40)), int(rng.integers(1, 4)))
+        npt.assert_array_equal(fit_ols(data).coefficients(),
+                               fit_mechanism(spec, data).coefficients())
+        assert efficiency_ratio(spec, data) == 1.0
 
 
 # -- configuration validation ---------------------------------------------------------

@@ -16,6 +16,8 @@ from truthfit import (
     ContractViolation,
     DataSet,
     Hyperplane,
+    MechanismKind,
+    MechanismSpec,
     MedianSide,
     NotPubliclySeparable,
     fit_grh,
@@ -223,6 +225,18 @@ def test_grh_rejects_inseparable_partitions():
     data = DataSet(np.array([[0.0], [1.0], [2.0], [3.0]]), np.zeros(4))
     with pytest.raises(NotPubliclySeparable):
         fit_grh(data, AgentPartition(((0, 2), (1, 3)), (1, 1)))
+
+
+def test_a_point_inside_another_sets_hull_is_refused_in_the_plane():
+    # agent 3 at (2, 1) lies inside the triangle of set 0, so no line of
+    # the plane separates those two sets
+    xs = np.array([[0.0, 0.0], [4.0, 0.0], [2.0, 3.0], [2.0, 1.0], [6.0, 6.0], [7.0, 5.0]])
+    data = DataSet(xs, np.arange(6.0))
+    part = AgentPartition(((0, 1, 2), (3,), (4, 5)), (1, 1, 1))
+    with pytest.raises(NotPubliclySeparable):
+        fit_grh(data, part)
+    with pytest.raises(NotPubliclySeparable):
+        MechanismSpec(MechanismKind.GRH, part).bind(data)
 
 
 def test_traversal_hyperplanes_flags_singular_systems():
