@@ -366,16 +366,16 @@ class _Probe:
         the member's report in its row of the candidate ``table``.  The
         blocks of a stack have equally many columns; past a smaller
         coalition's members, its last member's column repeats, which writes
-        the same report twice.
+        and judges the same report twice.
 
         Returns the certificate of the first row, in stack order, that pays
         off, else None; and, in row order, the errors the mechanism raised
         on the rows before it (on every row, when none pays off).  Rows
-        equal to the truth for every member are no probes.  The reports are
-        gathered from the table and scattered into the rows at once.
-        Residuals are formed elementwise over the agents of the stack's
-        coalitions and masked to each row's coalition, so a row is judged
-        the same in any stack.
+        equal to the truth for every member are no probes.  The reports
+        are gathered from the table and scattered into the rows at once.
+        Each row is judged at its own coalition's columns only: the
+        reports, truthful residuals and positions are gathered there as
+        (rows, columns) arrays, so a row is judged the same in any stack.
         """
         ys = self.data.ys
         counts = [len(picks) for _, picks in stack]
@@ -383,39 +383,34 @@ class _Probe:
         width = picks.shape[1]
         cols = np.repeat(np.array([c + c[-1:] * (width - len(c)) for c, _ in stack],
                                   dtype=int).reshape(len(stack), width), counts, axis=0)
-        rows = np.arange(len(cols))[:, None]
-        reported = np.repeat(ys[None, :], len(cols), axis=0)
-        reported[rows, cols] = table[cols, picks]
-        member = np.zeros(reported.shape, dtype=bool)
-        member[rows, cols] = True
-        # only the columns of agents in some coalition of the stack are judged
-        agents = np.flatnonzero(member.any(axis=0))
-        member, xbar, r0 = member[:, agents], self.xbar[agents], self.r0[agents]
-        probes = np.flatnonzero(np.any((reported[:, agents] != ys[agents]) & member, axis=1))
+        reports = table[cols, picks]
+        probes = np.flatnonzero(np.any(reports != ys[cols], axis=1))
         if probes.size == 0:
             return None, []
-        if probes.size < len(reported):
-            reported, member = reported[probes], member[probes]
+        if probes.size < len(cols):
+            cols, reports = cols[probes], reports[probes]
+        reported = np.repeat(ys[None, :], len(cols), axis=0)
+        reported[np.arange(len(cols))[:, None], cols] = reports
         coeffs, failed = self.bound.coefficients_many(reported)
-        fitted = coeffs[:, None, 0] * xbar[:, 0]
-        for j in range(1, xbar.shape[1]):
-            fitted += coeffs[:, None, j] * xbar[:, j]
-        r1 = ys[agents] - fitted
-        pays = (~np.any(forced_worse(r0, r1, self.noise) & member, axis=1)
-                & np.any(strictly_better(r0, r1, self.margin) & member, axis=1))
+        xbar = self.xbar[cols]
+        fitted = coeffs[:, None, 0] * xbar[..., 0]
+        for j in range(1, xbar.shape[2]):
+            fitted += coeffs[:, None, j] * xbar[..., j]
+        r0, r1 = self.r0[cols], ys[cols] - fitted
+        pays = (~np.any(forced_worse(r0, r1, self.noise), axis=1)
+                & np.any(strictly_better(r0, r1, self.margin), axis=1))
         pays[list(failed)] = False
         first = int(np.argmax(pays)) if pays.any() else probes.size
         errors = [failed[k] for k in sorted(failed) if k < first]
         if first == probes.size:
             return None, errors
         coalition = stack[int(np.searchsorted(np.cumsum(counts), probes[first], side="right"))][0]
-        cols = list(coalition)
-        at = np.searchsorted(agents, cols)
+        members = len(coalition)
         return ViolationCertificate(
             coalition=coalition,
-            misreports={m: float(v) for m, v in zip(cols, reported[first, cols])},
-            before=tuple(abs(v) for v in r0[at]),
-            after=tuple(abs(v) for v in r1[first, at]),
+            misreports={m: float(v) for m, v in zip(coalition, reports[first, :members])},
+            before=tuple(abs(v) for v in r0[first, :members]),
+            after=tuple(abs(v) for v in r1[first, :members]),
             truthful=self.truthful,
             deviated=Hyperplane(coeffs[first, :-1], float(coeffs[first, -1])),
         ), errors
@@ -555,14 +550,15 @@ def _joint_blocks(coalition: tuple[int, ...], sizes, width: int, draws=None):
     """One coalition's joint reports in blocks of at most BLOCK_TRIALS rows,
     as candidate indices in ``width`` columns, one per member and then
     repeats of the last member's (see :meth:`_Probe.judge_many`): the
-    members' ``draws`` (one array of indices each), or else the product of
+    members' ``draws`` (one row of indices each), or else the product of
     the members' list ``sizes`` in ``itertools.product`` order."""
-    count = math.prod(sizes) if draws is None else len(draws[0])
+    count = math.prod(sizes) if draws is None else draws.shape[1]
+    pad = [*range(len(sizes)), *[len(sizes) - 1] * (width - len(sizes))]
     for start in range(0, count, BLOCK_TRIALS):
         stop = min(start + BLOCK_TRIALS, count)
-        columns = ([*np.unravel_index(np.arange(start, stop), sizes)] if draws is None
-                   else [column[start:stop] for column in draws])
-        yield coalition, np.column_stack(columns + columns[-1:] * (width - len(columns)))
+        columns = (np.unravel_index(np.arange(start, stop), sizes) if draws is None
+                   else draws[:, start:stop])
+        yield coalition, np.take(columns, pad, axis=0).T
 
 
 def audit_sp(spec: MechanismSpec, data: DataSet, agent: int,
@@ -612,18 +608,21 @@ def audit_gsp(spec: MechanismSpec, data: DataSet, max_coalition: int,
     sizes = [len(values) for values in lists]
     table = np.zeros((n, max(sizes)))
     table[np.arange(table.shape[1]) < np.array(sizes)[:, None]] = np.concatenate(lists)
-    return _first_certificate(probe, table, _coalition_blocks(sizes, max_coalition, seed,
-                                                              max_evals))
+    blocks = _coalition_blocks(sizes, max_coalition, np.random.default_rng(seed), max_evals)
+    return _first_certificate(probe, table, blocks)
 
 
-def _coalition_blocks(sizes: list[int], max_coalition: int, seed: int, max_evals: int | None):
+def _coalition_blocks(sizes: list[int], max_coalition: int, rng: np.random.Generator,
+                      max_evals: int | None):
     """(coalition, picks) blocks in search order over candidate lists of the
-    given sizes, drawing from the seeded rng lazily: a coalition's picks are
-    drawn before its first block."""
+    given sizes, drawing from ``rng`` lazily: the coalitions of a size are
+    drawn before its first block, then the sampled picks of all of them in
+    one call, one row per member of each sampled coalition in turn.  That
+    call leaves the stream as one draw per member, coalition by coalition,
+    would leave it, with the same picks."""
     n = len(sizes)
     for agent in range(n):
         yield from _joint_blocks((agent,), (sizes[agent],), max_coalition)
-    rng = np.random.default_rng(seed)
     for size in range(2, max_coalition + 1):
         if n <= 8:
             coalitions = list(itertools.combinations(range(n), size))
@@ -635,12 +634,16 @@ def _coalition_blocks(sizes: list[int], max_coalition: int, seed: int, max_evals
                 seen.add(pick)
             coalitions = sorted(seen)
         budget = None if max_evals is None else max(1, max_evals // max(1, len(coalitions)))
+        draws = {}
+        if budget is not None:
+            sampled = [c for c in coalitions if math.prod(sizes[i] for i in c) > budget]
+            if sampled:
+                highs = np.array([sizes[i] for c in sampled for i in c])
+                picks = rng.integers(0, highs[:, None], size=(highs.size, budget))
+                draws = dict(zip(sampled, picks.reshape(len(sampled), size, budget)))
         for coalition in coalitions:
-            member_sizes = [sizes[i] for i in coalition]
-            draws = None
-            if budget is not None and math.prod(member_sizes) > budget:
-                draws = [rng.integers(0, length, size=budget) for length in member_sizes]
-            yield from _joint_blocks(coalition, member_sizes, max_coalition, draws)
+            yield from _joint_blocks(coalition, [sizes[i] for i in coalition], max_coalition,
+                                     draws.get(coalition))
 
 
 # --------------------------------------------------------------------------
@@ -673,6 +676,10 @@ def influence_bounds(spec: MechanismSpec, data: DataSet, agent: int) -> Influenc
     hyperplanes through d+1 other agents.  Probing one unit beyond that
     interval on each side reveals whether the prediction tracks the report
     (no bound) or pins to a constant (the bound).
+
+    The strategyproof traversal kinds (GRH, GRL) predict med(y, l, h).  A
+    kind that need not (CRM) can pin the low probe above the high one; that
+    raises ContractViolation naming the agent and both probe predictions.
     """
     if not spec.traversal:
         raise UnsupportedMechanism(
@@ -704,6 +711,10 @@ def influence_bounds(spec: MechanismSpec, data: DataSet, agent: int) -> Influenc
     v_high = probe(high_probe)
     lower = -math.inf if abs(v_low - low_probe) <= 1e-9 * (1.0 + abs(low_probe)) else v_low
     upper = math.inf if abs(v_high - high_probe) <= 1e-9 * (1.0 + abs(high_probe)) else v_high
+    if lower > upper:
+        raise ContractViolation(
+            f"agent {agent}'s prediction is not of clamp form med(y, l, h): "
+            f"{v_low!r} at report {low_probe!r} lies above {v_high!r} at report {high_probe!r}")
     return InfluenceBounds(lower, upper)
 
 

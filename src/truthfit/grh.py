@@ -177,17 +177,22 @@ def _meets_ranks(resid: np.ndarray, sets: np.ndarray, ranks: np.ndarray, tol) ->
     """Tie-robust check that the ranks[t]-th smallest residual of every set
     t is zero.  The last axis of ``resid`` runs over the set members, and
     column t of ``sets`` marks the members of set t (see :func:`_set_layout`);
-    ``tol`` broadcasts against the other axes."""
-    neg = np.matmul(resid < -tol, sets)
-    nonpos = np.matmul(resid <= tol, sets)
+    ``tol`` broadcasts against the other axes.  Each sign is counted for
+    all rows of the block in one 2-D product; the counts are exact small
+    integers, so a row decides the same in any block, alone included."""
+    shape = resid.shape[:-1] + sets.shape[1:]
+    members = resid.shape[-1]
+    neg = ((resid < -tol).reshape(-1, members) @ sets).reshape(shape)
+    nonpos = ((resid <= tol).reshape(-1, members) @ sets).reshape(shape)
     return ((neg < ranks) & (nonpos >= ranks)).all(axis=-1)
 
 
 def _set_layout(sets) -> tuple[np.ndarray, np.ndarray]:
     """The agents of the sets one after another, and the 0/1 matrix whose
-    column t marks the members of set t.  It is float32, so that a
-    product with a boolean matrix counts exactly (below 2**24 per set) and
-    casts the booleans to half the bytes that float64 would take."""
+    column t marks the members of set t.  It is float32, so that its
+    product with a boolean matrix of sign tests (one row per residual
+    vector) counts exactly, below 2**24 per set, and casts the booleans to
+    half the bytes that float64 would take."""
     sizes = [len(s) for s in sets]
     members = np.concatenate([np.asarray(s, dtype=int) for s in sets])
     marks = np.zeros((members.size, len(sets)), dtype=np.float32)
@@ -248,26 +253,30 @@ class _GrhSolver:
     def candidate_count(self) -> int:
         return self._count
 
-    def solve(self, ys: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
-        """The coefficients (beta1, beta0) for one report vector, and the
-        first satisfying transversal in product order."""
-        ys = ys[None, :]
-        betas, failed, witness = self.solve_many(ys)
+    def solve(self, ys: np.ndarray) -> tuple[np.ndarray, int]:
+        """The coefficients (beta1, beta0) for one report vector and its
+        witness: row 0 of :meth:`solve_many` on the one-row block, raising
+        that row's error."""
+        betas, failed, witness = self.solve_many(ys[None, :])
         if failed:
             raise failed[0]
+        return betas[0], int(witness[0])
+
+    def traversal_of(self, ys: np.ndarray, beta: np.ndarray, witness: int) -> tuple[int, ...]:
+        """The first satisfying transversal in product order of a solve of
+        ``ys`` to ``beta`` with the given witness.  In d = 1, as enumeration
+        reports it: the first member of each set, in set order, that lies
+        on the line."""
         if self._split is None:
-            return betas[0], tuple(int(i) for i in self.traversals[witness[0]])
-        # as enumeration reports it: the first member of each set, in set
-        # order, that lies on the line
+            return tuple(int(i) for i in self.traversals[witness])
         split = self._split
         nl = split.left.size
-        y, i = ys[:, self._members], witness
-        on = np.abs(_line_residuals(y, self._xc, y[0, i], self._xc[i], betas[:, 0])[0]) \
-            <= _rank_tolerance(ys[0])
+        y, i = ys[None, self._members], np.array([witness])
+        on = np.abs(_line_residuals(y, self._xc, y[0, i], self._xc[i], beta[:1])[0]) \
+            <= _rank_tolerance(ys)
         first_left = int(split.left[np.argmax(on[:nl])])
         first_right = int(split.right[np.argmax(on[nl:])])
-        traversal = (first_right, first_left) if split.flipped else (first_left, first_right)
-        return betas[0], traversal
+        return (first_right, first_left) if split.flipped else (first_left, first_right)
 
     def solve_many(self, ys: np.ndarray) -> tuple[np.ndarray, dict[int, InternalInconsistency],
                                                  np.ndarray]:
@@ -448,8 +457,9 @@ def fit_grh(data: DataSet, part: AgentPartition) -> GrhResult:
             "partition is not publicly separable; rejected before solving"
         )
     solver = _GrhSolver(data.xs, part)
-    beta, traversal = solver.solve(data.ys)
-    return GrhResult(Hyperplane(beta[:-1], beta[-1]), traversal, solver.candidate_count())
+    beta, witness = solver.solve(data.ys)
+    return GrhResult(Hyperplane(beta[:-1], beta[-1]), solver.traversal_of(data.ys, beta, witness),
+                     solver.candidate_count())
 
 
 def _grl_partition(data: DataSet, s, sprime, k: int, kprime: int) -> AgentPartition:

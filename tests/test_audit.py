@@ -375,6 +375,14 @@ def test_influence_contract_gates():
         influence_bounds(dep_spec, stacked, 0)  # others share one position
 
 
+@pytest.mark.parametrize("name, agent", [("crm-subset", 5), ("crm-subset", 7),
+                                         ("crm-disjoint", 4)])
+def test_influence_names_the_agent_whose_prediction_is_not_a_clamp(name, agent):
+    inst = builtin_instance(name)
+    with pytest.raises(ContractViolation, match=f"agent {agent}'s prediction is not of clamp"):
+        influence_bounds(inst.mechanism, inst.data, agent)
+
+
 def test_influence_bounds_container_semantics():
     b = InfluenceBounds(-1.0, 2.0)
     assert b.clamp(-5.0) == -1.0
@@ -893,3 +901,68 @@ def test_a_grh_audit_that_fits_in_one_stack_solves_once(monkeypatch):
     monkeypatch.setattr(audit.BoundMechanism, "coefficients_many", recorded)
     assert audit_gsp(MechanismSpec(MechanismKind.GRH, part), data, 3, max_evals=600) is None
     assert len(rows) == 1 and 1000 < rows[0] <= audit.BLOCK_TRIALS
+
+
+def _per_member_blocks(sizes, max_coalition, rng, max_evals):
+    """The (coalition, picks) blocks of the coalition search, built as one
+    seeded draw per member, coalition by coalition, and as
+    ``itertools.product`` rows: the reference for ``audit._coalition_blocks``."""
+    def blocks(coalition, rows):
+        rows = [list(r) + [r[-1]] * (max_coalition - len(r)) for r in rows]
+        for start in range(0, len(rows), audit.BLOCK_TRIALS):
+            yield coalition, np.array(rows[start:start + audit.BLOCK_TRIALS], dtype=np.int64)
+
+    n = len(sizes)
+    for agent in range(n):
+        yield from blocks((agent,), [(i,) for i in range(sizes[agent])])
+    for size in range(2, max_coalition + 1):
+        if n <= 8:
+            coalitions = list(itertools.combinations(range(n), size))
+        else:
+            seen = set()
+            while len(seen) < min(audit.COALITION_SAMPLES, math.comb(n, size)):
+                seen.add(tuple(sorted(rng.choice(n, size=size, replace=False).tolist())))
+            coalitions = sorted(seen)
+        budget = None if max_evals is None else max(1, max_evals // len(coalitions))
+        for coalition in coalitions:
+            lengths = [sizes[i] for i in coalition]
+            if budget is not None and math.prod(lengths) > budget:
+                rows = list(zip(*[rng.integers(0, length, size=budget) for length in lengths]))
+            else:
+                rows = list(itertools.product(*map(range, lengths)))
+            yield from blocks(coalition, rows)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_coalition_blocks_draw_as_one_draw_per_member(draw):
+    n = draw.draw(st.integers(1, 12))
+    sizes = draw.draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
+    max_coalition = draw.draw(st.integers(1, min(4, n)))
+    max_evals = draw.draw(st.none() | st.integers(1, 400))
+    trials = draw.draw(st.sampled_from([5, 64, audit.BLOCK_TRIALS]))
+    seed = draw.draw(st.integers(0, 2 ** 32 - 1))
+    rngs = np.random.default_rng(seed), np.random.default_rng(seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(audit, "BLOCK_TRIALS", trials)
+        got = list(audit._coalition_blocks(sizes, max_coalition, rngs[0], max_evals))
+        expected = list(_per_member_blocks(sizes, max_coalition, rngs[1], max_evals))
+    assert [c for c, _ in got] == [c for c, _ in expected]
+    for (_, picks), (_, want) in zip(got, expected):
+        assert picks.dtype == want.dtype and picks.shape == want.shape
+        assert (picks == want).all()
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+
+def test_coalition_blocks_sample_coalitions_and_picks_above_eight_agents():
+    # the hypothesis test above, pinned on a case that samples both the
+    # coalitions (n > 8) and the picks of each (a budget below the products)
+    sizes = [1, 7, 30, 2, 45, 9, 1, 12, 33, 5, 18]
+    rngs = np.random.default_rng(11), np.random.default_rng(11)
+    got = list(audit._coalition_blocks(sizes, 4, rngs[0], 900))
+    expected = list(_per_member_blocks(sizes, 4, rngs[1], 900))
+    assert len({c for c, _ in got if len(c) == 4}) == audit.COALITION_SAMPLES
+    assert [c for c, _ in got] == [c for c, _ in expected]
+    assert all((a == b).all() for (_, a), (_, b) in zip(got, expected))
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+

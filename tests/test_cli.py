@@ -153,6 +153,13 @@ def test_influence_covers_all_agents_by_default(line_csv, tmp_path, capsys):
     assert [b["agent"] for b in payload["bounds"]] == [0, 1, 2, 3]
 
 
+def test_influence_on_a_prediction_not_of_clamp_form_exits_three(capsys):
+    code, out, err = run(capsys, "influence", "--builtin", "crm-subset")
+    assert code == 3 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("contract violation: agent 5's prediction is not of clamp form")
+
+
 # -- efficiency ----------------------------------------------------------------------
 
 

@@ -1,6 +1,7 @@
 """Resistant hyperplanes: transversal enumeration against a brute oracle."""
 
 import itertools
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -25,6 +26,7 @@ from truthfit import (
     preset_partition,
     traversal_hyperplanes,
 )
+from truthfit import grh
 from truthfit.grh import in_weak_general_position, median_rank, satisfies_rank_conditions
 from truthfit.random_instances import (
     random_data,
@@ -419,6 +421,42 @@ def test_rank_conditions_hold_with_fresh_counting(seed, d):
         assert sum(v < -tol for v in vals) <= k - 1
         assert sum(v <= tol for v in vals) >= k
         assert abs(vals[k - 1]) <= tol  # the k-th smallest residual is zero
+
+
+def _rank_test_row_by_row(resid, sets, ranks, tol):
+    """The tie-robust rank test of each residual vector alone, counted with
+    Python sums over each set's members."""
+    tols = np.broadcast_to(tol, resid.shape[:-1] + (1,))
+    out = np.zeros(resid.shape[:-1], dtype=bool)
+    for at in np.ndindex(*resid.shape[:-1]):
+        row, t = resid[at], float(tols[at][0])
+        out[at] = all(sum(v < -t for v in row[col == 1]) < k <= sum(v <= t for v in row[col == 1])
+                      for col, k in zip(sets.T, ranks))
+    return out
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_the_flat_rank_count_decides_each_row_as_alone(draw):
+    set_sizes = draw.draw(st.lists(st.integers(1, 4), min_size=2, max_size=4))
+    ranks = np.array([draw.draw(st.integers(1, size)) for size in set_sizes])
+    members, sets = grh._set_layout([range(size) for size in set_sizes])
+    rows = draw.draw(st.integers(1, 5))
+    # (K, m) as the d = 1 search counts, (K, C, m) as the enumeration does
+    shape = (rows, members.size) if draw.draw(st.booleans()) else \
+        (rows, draw.draw(st.integers(1, 4)), members.size)
+    tol = np.array(draw.draw(st.lists(st.sampled_from([1e-9, 0.5, 3.0, 1e300]),
+                                      min_size=rows, max_size=rows)))
+    tol = tol.reshape((rows,) + (1,) * (len(shape) - 1))
+    # residuals on and about the tolerance's edges, where the count turns
+    steps = draw.draw(st.lists(st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]),
+                               min_size=math.prod(shape), max_size=math.prod(shape)))
+    resid = np.reshape(steps, shape) * tol
+    expected = _rank_test_row_by_row(resid, sets, ranks, tol)
+    got = grh._meets_ranks(resid, sets, ranks, tol)
+    assert got.shape == expected.shape and (got == expected).all()
+    for k in range(rows):
+        assert (grh._meets_ranks(resid[k:k + 1], sets, ranks, tol[k:k + 1])[0] == got[k]).all()
 
 
 def test_rank_check_accepts_the_exact_line_far_from_x_zero():
