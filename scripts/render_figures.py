@@ -11,6 +11,7 @@ import os
 import sys
 
 from truthfit import cli
+from truthfit.audit import BUILTIN_NAMES
 
 
 def main() -> int:
@@ -18,7 +19,7 @@ def main() -> int:
     parser.add_argument("--outdir", default="figures")
     args = parser.parse_args()
     os.makedirs(args.outdir, exist_ok=True)
-    for name in ("crm-disjoint", "crm-subset", "quantile04"):
+    for name in BUILTIN_NAMES:
         path = os.path.join(args.outdir, f"{name}.svg")
         code = cli.main(["plot", "--builtin", name, "--out", path])
         if code != cli.EXIT_OK:

@@ -671,19 +671,19 @@ class InfluenceBounds:
 def influence_bounds(spec: MechanismSpec, data: DataSet, agent: int) -> InfluenceBounds:
     """Probe the envelope of one agent's influence on their own prediction.
 
-    Requires the mechanism's interpolation guarantee (``spec.traversal``): the
-    prediction at the agent then moves inside the interval spanned by the
-    hyperplanes through d+1 other agents.  Probing one unit beyond that
-    interval on each side reveals whether the prediction tracks the report
-    (no bound) or pins to a constant (the bound).
-
-    The strategyproof traversal kinds (GRH, GRL) predict med(y, l, h).  A
-    kind that need not (CRM) can pin the low probe above the high one; that
-    raises ContractViolation naming the agent and both probe predictions.
+    Only the strategyproof traversal kinds (GRH, GRL) are accepted: their
+    prediction at the agent is med(y, l, h), and it moves inside the
+    interval spanned by the hyperplanes through d+1 other agents.  Probing
+    one unit beyond that interval on each side reveals whether the
+    prediction tracks the report (no bound) or pins to a constant (the
+    bound).  Every other kind raises UnsupportedMechanism; CRM also
+    interpolates d+1 agents, but its prediction need not be of clamp form,
+    so two probes would not determine it.
     """
-    if not spec.traversal:
+    if spec.kind not in (MechanismKind.GRH, MechanismKind.GRL):
         raise UnsupportedMechanism(
-            "influence bounds need the d+1-point interpolation guarantee"
+            f"influence bounds need a prediction of clamp form med(y, l, h), "
+            f"which {spec.kind.value} does not guarantee (only grh and grl do)"
         )
     if not 0 <= agent < data.n:
         raise ContractViolation(f"agent index {agent} out of range")
@@ -711,10 +711,6 @@ def influence_bounds(spec: MechanismSpec, data: DataSet, agent: int) -> Influenc
     v_high = probe(high_probe)
     lower = -math.inf if abs(v_low - low_probe) <= 1e-9 * (1.0 + abs(low_probe)) else v_low
     upper = math.inf if abs(v_high - high_probe) <= 1e-9 * (1.0 + abs(high_probe)) else v_high
-    if lower > upper:
-        raise ContractViolation(
-            f"agent {agent}'s prediction is not of clamp form med(y, l, h): "
-            f"{v_low!r} at report {low_probe!r} lies above {v_high!r} at report {high_probe!r}")
     return InfluenceBounds(lower, upper)
 
 
@@ -840,8 +836,12 @@ def _points_to_data(points) -> DataSet:
     return DataSet(xs, ys)
 
 
+#: the names ``builtin_instance`` knows
+BUILTIN_NAMES = ("crm-disjoint", "crm-subset", "quantile04")
+
+
 def builtin_instance(name: str) -> BuiltinInstance:
-    """Named instances: "crm-disjoint", "crm-subset", "quantile04"."""
+    """The named instance, one of ``BUILTIN_NAMES``."""
     if name == "crm-disjoint":
         return BuiltinInstance(
             name=name,

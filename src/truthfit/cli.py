@@ -17,6 +17,7 @@ import sys
 import numpy as np
 
 from .audit import (
+    BUILTIN_NAMES,
     BuiltinInstance,
     MechanismSpec,
     ViolationCertificate,
@@ -321,7 +322,7 @@ def _add_common(parser) -> None:
                         help=f"mechanism kind or preset ({MECHANISM_NAMES})")
     parser.add_argument("--config", help="JSON mechanism config file")
     parser.add_argument("--builtin",
-                        choices=["crm-disjoint", "crm-subset", "quantile04"],
+                        choices=BUILTIN_NAMES,
                         help="use a built-in instance instead of --data/--config")
 
 

@@ -8,12 +8,16 @@ of the piecewise-linear risk minimization,
 with p = d+1 equality rows and one bounded column per row of data, on the
 bounded-variable simplex.  The probes of an audit change only rhs (the
 dual objective), so every optimal basis of one probe stays feasible for
-the next: a bound mechanism keeps the last 32 in a :class:`_DualBases`,
-each as the optimal tableau of the solve that found it and the face of
+the next: a bound mechanism keeps the last 32 in a :class:`BasisStack`,
+each as the optimal tableau of the solve that found it beside the face of
 that solve's tau, and a probe for which one of them passes the simplex's
-optimality test reads its fit off that face without solving an LP.  The
-bases are kept in arrival order, a new one in place of the oldest, so a
-hit changes nothing.  An audit hands over a block of probes at once
+optimality test reads its fit off that face without solving an LP.  An
+audit visits about ten optimal bases, so most of its probes find theirs
+among the 32 kept.  The bases are kept in arrival order, a new one in
+place of the oldest, so a hit changes nothing; a probe that misses
+warm-starts from the newest basis and factorises it afresh, so rounding
+does not build up from one solve to the next.  An audit hands over a
+block of probes at once
 (:meth:`_PiecewiseLinearFit.fit_many`): one pass prices every probe
 against every cached tableau, all the probes up to the first that no
 cached basis fits take their lowest optimal slot in one step, and that
@@ -115,6 +119,10 @@ class QuantileConfig:
         object.__setattr__(self, "q", float(self.q))
 
 
+#: optimal dual bases a fit's cache keeps
+DUAL_BASES = 32
+
+
 class _PiecewiseLinearFit:
     """Shared machinery behind the L1 and quantile fits.
 
@@ -122,8 +130,9 @@ class _PiecewiseLinearFit:
     an asymmetric absolute-value cost: up_w on positive residuals, lo_w on
     negative ones (equal for plain L1).  ``drift`` multiplies beta0.
 
-    ``cache`` holds optimal dual bases of earlier fits on the same
-    positions and weights (a fresh one when None): when one is optimal for
+    ``cache`` is a :class:`BasisStack` of optimal dual bases of earlier fits
+    on the same positions and weights, each beside its :class:`_Face` (a
+    fresh one of ``DUAL_BASES`` when None): when one is optimal for
     an rhs, the fit reads stage 2 off it and solves no LP; otherwise stage 1
     starts from its newest basis and the new optimal basis joins it.
     """
@@ -135,7 +144,7 @@ class _PiecewiseLinearFit:
         self.lo_w = np.asarray(lo_w, dtype=float)
         self.drift = float(drift)
         self.p = self.xbar.shape[1]
-        self.cache = _DualBases() if cache is None else cache
+        self.cache = BasisStack(DUAL_BASES) if cache is None else cache
 
     def risk(self, beta) -> float:
         r = self.rhs - self.xbar @ beta
@@ -211,7 +220,7 @@ class _PiecewiseLinearFit:
         step = max(1, core.BLOCK_CELLS // (DUAL_BASES * self.xbar.size))
         for start in range(0, rhs.shape[0], step):
             chunk = rhs[start:start + step]
-            optimal = cache.optimal(-chunk)
+            optimal = cache.optimal_for(-chunk)
             j = 0
             while j < len(chunk):
                 missed = np.flatnonzero(~optimal[j:].any(axis=1))
@@ -219,7 +228,7 @@ class _PiecewiseLinearFit:
                 pick = optimal[j:miss].argmax(axis=1)
                 for slot in np.unique(pick).tolist():
                     rows = start + j + np.flatnonzero(pick == slot)
-                    rows_of.setdefault(cache.faces[slot], []).extend(rows.tolist())
+                    rows_of.setdefault(cache.payload[slot], []).extend(rows.tolist())
                 if miss == len(chunk):
                     break
                 j = miss + 1
@@ -230,9 +239,9 @@ class _PiecewiseLinearFit:
                     failed[start + miss] = exc
                     continue
                 rows_of[face] = [start + miss]
-                slot = cache.add(res.tableau, face)
-                if slot is not None:
-                    optimal[j:, slot] = cache.stack.optimal_for(-chunk[j:], slot)[:, 0]
+                if res.tableau is not None:
+                    slot = cache.add(res.tableau, face)
+                    optimal[j:, slot] = cache.optimal_for(-chunk[j:], slot)[:, 0]
         return rows_of, failed
 
 
@@ -251,60 +260,6 @@ class _Face:
         self.sign = np.where(tau > 0.0, -1.0, 1.0)[self.rest]
         self.g = self.sign[:, None] * fit.xbar[self.rest]
         self.inverse = np.linalg.inv(self.a_eq) if self.zero.size == fit.p else None
-
-
-#: optimal dual bases one :class:`_DualBases` keeps
-DUAL_BASES = 32
-
-
-class _DualBases:
-    """The last optimal dual bases of fits on fixed positions, weights and
-    drift, kept in arrival order: a new basis overwrites the oldest, and a
-    hit changes nothing.
-
-    Those fits share the dual constraints and differ only in the dual cost
-    -rhs, so a basis stays feasible for every fit.  An entry is the optimal
-    tableau of the solve that found the basis, held in a slot of one
-    :class:`BasisStack`, and the face of that solve's tau.  The basis is
-    optimal for a new rhs exactly when the simplex's own optimality test
-    passes on that tableau, so a hit is a warm solve that would make no
-    pivot; one pass prices a whole block of rhs against every entry, and a
-    row takes the lowest slot that passes.  An audit visits about ten
-    optimal bases, so most of its probes find theirs among the 32 kept
-    here; a probe that does not warm-starts from the newest, whose tableau
-    it factorises afresh, so rounding does not build up from one solve to
-    the next.
-    """
-
-    def __init__(self):
-        self.faces: list[_Face | None] = [None] * DUAL_BASES  # by slot of the stack
-        self.added = 0  # bases kept so far; the next goes to slot added % DUAL_BASES
-        self.stack: BasisStack | None = None
-
-    def newest(self):
-        return self.stack.status[(self.added - 1) % DUAL_BASES] if self.added else None
-
-    def optimal(self, costs) -> np.ndarray:
-        """(K, DUAL_BASES): whether each slot's basis is optimal for each row
-        of a block of dual costs (False for empty slots)."""
-        out = np.zeros((costs.shape[0], DUAL_BASES), dtype=bool)
-        if self.added:
-            out[:, :self.stack.filled] = self.stack.optimal_for(costs)
-        return out
-
-    def add(self, tableau, face: _Face) -> int | None:
-        """Keep the optimal tableau of a solve and the face of its tau in
-        place of the oldest; the slot written, or None when there is no
-        tableau to keep."""
-        if tableau is None:
-            return None
-        if self.stack is None:
-            self.stack = BasisStack(DUAL_BASES, tableau)
-        slot = self.added % DUAL_BASES
-        self.faces[slot] = face
-        self.stack.put(slot, tableau)
-        self.added += 1
-        return slot
 
 
 def _min_norm_on_face(a_eq, b_eq, g, h):

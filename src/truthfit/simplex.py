@@ -117,37 +117,67 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, bounds=None,
 
 
 class BasisStack:
-    """Up to ``size`` optimal tableaux of solves of one LP, which differ in
-    cost and basis, stacked so that one pass prices a block of costs against
-    all of them.  Slots fill in order and are then overwritten in place."""
+    """The last ``size`` optimal tableaux of solves of one LP, which differ
+    only in cost, each beside one payload its caller keeps with it, stacked
+    so that one pass prices a block of costs against all of them.
 
-    def __init__(self, size: int, like: "_Tableau"):
-        self.tab = np.empty((size,) + like.tab.shape)
-        self.basic = np.empty((size, like.m), dtype=like.basic.dtype)
-        self.x = np.empty((size, like.ncols))
-        self.status = np.empty((size, like.ncols), dtype=like.status.dtype)
-        self.lo, self.hi, self.n_ub, self.tol = like.lo, like.hi, like.n_ub, like.tol
-        self.filled = 0
+    Solves that share the constraints share the feasible bases, so every
+    kept basis stays feasible for any later cost, and it is optimal for that
+    cost exactly when the simplex's own optimality test passes on its
+    tableau: a hit is a warm solve that would make no pivot.  The tableaux
+    are kept in arrival order, a new one in place of the oldest, so a hit
+    changes nothing and a row of a block meets the stack as it would alone.
+    A miss warm-starts from the newest basis, whose tableau the solve
+    factorises afresh, so rounding does not build up from one solve to the
+    next.
+    """
 
-    def put(self, slot: int, tableau: "_Tableau") -> None:
-        """Write an optimal tableau into ``slot``, the next empty one at most."""
+    def __init__(self, size: int):
+        self.size = size
+        self.payload: list = [None] * size  # by slot
+        self.added = 0  # tableaux kept so far; the next goes to slot added % size
+
+    def add(self, tableau: "_Tableau", payload) -> int:
+        """Keep an optimal tableau and its payload in place of the oldest;
+        the slot written."""
+        if not self.added:
+            self.tab = np.empty((self.size,) + tableau.tab.shape)
+            self.basic = np.empty((self.size, tableau.m), dtype=tableau.basic.dtype)
+            self.x = np.empty((self.size, tableau.ncols))
+            self.status = np.empty((self.size, tableau.ncols), dtype=tableau.status.dtype)
+            self.lo, self.hi = tableau.lo, tableau.hi
+            self.n_ub, self.tol = tableau.n_ub, tableau.tol
+        slot = self.added % self.size
         self.tab[slot], self.basic[slot] = tableau.tab, tableau.basic
         self.x[slot], self.status[slot] = tableau.x, tableau.status
-        self.filled = max(self.filled, slot + 1)
+        self.payload[slot] = payload
+        self.added += 1
+        return slot
+
+    def newest(self) -> np.ndarray | None:
+        """The status codes of the basis kept last; None before any."""
+        return self.status[(self.added - 1) % self.size] if self.added else None
 
     def optimal_for(self, c, slot: int | None = None) -> np.ndarray:
         """For each row of a (K, variables) block of costs ``c`` (the slacks
-        cost nothing) and each filled slot, or the one ``slot``: whether a
-        warm solve from that basis would stop before its first pivot, the
-        test that ends :meth:`_Tableau.run`.  Shape (K, slots)."""
+        cost nothing) and each slot, or the one ``slot``: whether a warm
+        solve from that basis would stop before its first pivot, the test
+        that ends :meth:`_Tableau.run`.  Shape (K, size), or (K, 1) for one
+        slot; an empty slot is never optimal."""
         cost = np.asarray(c, dtype=float)
+        filled = min(self.added, self.size)
+        first, stop = (0, filled) if slot is None else (slot, min(slot + 1, filled))
+        out = np.zeros((cost.shape[0], self.size if slot is None else 1), dtype=bool)
+        if first >= stop:
+            return out
         if self.n_ub:
             cost = np.concatenate([cost, np.zeros((cost.shape[0], self.n_ub))], axis=1)
-        slots = slice(self.filled) if slot is None else slice(slot, slot + 1)
+        slots = slice(first, stop)
         _, eligible = _pricing(cost[:, None, :], cost[:, self.basic[slots]],
                                _cost_tol(cost, self.tol)[:, None], self.tab[slots],
                                self.x[slots], self.lo, self.hi)
-        return ~eligible.any(axis=-1)
+        out[:, :stop - first] = ~eligible.any(axis=-1)
+        return out
 
 
 def _cost_tol(cost, tol: float) -> np.ndarray:

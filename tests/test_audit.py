@@ -350,13 +350,21 @@ def test_influence_bounds_do_not_depend_on_the_units_of_x():
 def test_influence_requires_the_interpolation_guarantee():
     data = DataSet(np.array([[0.0], [1.0], [2.0], [3.0]]),
                    np.array([0.5, 1.0, 0.0, 2.0]))
-    for spec in (
-        MechanismSpec(MechanismKind.OLS),
-        MechanismSpec(MechanismKind.L1ERM, L1Config()),
-        MechanismSpec(MechanismKind.QUANTILE, QuantileConfig(0.4)),
+    d0 = DataSet(np.zeros((4, 0)), np.array([0.5, 1.0, 0.0, 2.0]))
+    everyone = tuple(range(data.n))
+    for spec, on in (
+        (MechanismSpec(MechanismKind.OLS), data),
+        (MechanismSpec(MechanismKind.L1ERM, L1Config()), data),
+        (MechanismSpec(MechanismKind.QUANTILE, QuantileConfig(0.4)), data),
+        (MechanismSpec(MechanismKind.CRM, CrmConfig(s=everyone, sprime=everyone)), data),
+        (MechanismSpec(MechanismKind.IMPARTIAL,
+                       ImpartialConfig(g=(AffineResponse(a=[0.0], b=[0.0]),) * 4, c=0.0)),
+         data),
+        (MechanismSpec(MechanismKind.GENERALIZED_MEDIAN, GenMedParams((0.0,) * 5)), d0),
     ):
-        with pytest.raises(UnsupportedMechanism):
-            influence_bounds(spec, data, 0)
+        fit_mechanism(spec, on)
+        with pytest.raises(UnsupportedMechanism, match=f"which {spec.kind.value} does not"):
+            influence_bounds(spec, on, 0)
 
 
 def test_influence_contract_gates():
@@ -378,9 +386,19 @@ def test_influence_contract_gates():
 @pytest.mark.parametrize("name, agent", [("crm-subset", 5), ("crm-subset", 7),
                                          ("crm-disjoint", 4)])
 def test_influence_names_the_agent_whose_prediction_is_not_a_clamp(name, agent):
+    # CRM interpolates d+1 agents, but these agents' probes below and above
+    # every crossing predict in the wrong order for any med(y, l, h), so
+    # influence bounds refuse the kind
     inst = builtin_instance(name)
-    with pytest.raises(ContractViolation, match=f"agent {agent}'s prediction is not of clamp"):
-        influence_bounds(inst.mechanism, inst.data, agent)
+    data, bound = inst.data, inst.mechanism.bind(inst.data)
+    anchors = hyperplanes_through_others(data, agent) @ np.append(data.xs[agent], 1.0)
+    block = np.repeat(data.ys[None, :], 2, axis=0)
+    block[:, agent] = anchors.min() - 1.0, anchors.max() + 1.0
+    coeffs, failed = bound.coefficients_many(block)
+    low, high = coeffs @ np.append(data.xs[agent], 1.0)
+    assert not failed and low > high
+    with pytest.raises(UnsupportedMechanism, match="which crm does not guarantee"):
+        influence_bounds(inst.mechanism, data, agent)
 
 
 def test_influence_bounds_container_semantics():

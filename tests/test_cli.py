@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, formats, and exit codes."""
 
+import argparse
 import json
 import math
 import os
@@ -37,7 +38,8 @@ from truthfit import (
     resolve_mechanism,
     write_dataset,
 )
-from truthfit.cli import main
+from truthfit.audit import BUILTIN_NAMES, builtin_instance
+from truthfit.cli import build_parser, main
 from truthfit.datafiles import extended_jsonable, parse_extended
 
 LINE_POINTS = np.array([[0.0], [1.0], [2.0], [4.0]])
@@ -103,6 +105,18 @@ def test_fit_brown_mood_on_collinear_data_at_large_scale(tmp_path, capsys):
 # -- audit -------------------------------------------------------------------------
 
 
+def test_builtin_choices_are_the_catalogued_instances(capsys):
+    commands = next(action for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction)).choices
+    choices = [action.choices for sub in commands.values() for action in sub._actions
+               if action.dest == "builtin"]
+    assert choices and all(list(c) == list(BUILTIN_NAMES) for c in choices)
+    for name in BUILTIN_NAMES:
+        assert builtin_instance(name).name == name
+        code, out, _ = run(capsys, "fit", "--builtin", name)
+        assert code == 0 and json.loads(out)
+
+
 def test_audit_sp_reports_the_builtin_violation(capsys):
     code, out, _ = run(capsys, "audit", "sp", "--builtin", "crm-disjoint",
                        "--agent", "4")
@@ -157,7 +171,8 @@ def test_influence_on_a_prediction_not_of_clamp_form_exits_three(capsys):
     code, out, err = run(capsys, "influence", "--builtin", "crm-subset")
     assert code == 3 and out == ""
     assert len(err.splitlines()) == 1
-    assert err.startswith("contract violation: agent 5's prediction is not of clamp form")
+    assert err.startswith("contract violation: influence bounds need a prediction of clamp "
+                          "form med(y, l, h), which crm does not guarantee")
 
 
 # -- efficiency ----------------------------------------------------------------------

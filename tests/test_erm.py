@@ -366,37 +366,37 @@ def test_dual_bases_keep_at_most_thirty_two_in_arrival_order(monkeypatch):
     rng = np.random.default_rng(47)
     data = random_data(rng, 10, 2)
     w = np.ones(data.n)
-    cache = erm._DualBases()
+    cache = simplex.BasisStack(erm.DUAL_BASES)
     lps = count_lps(monkeypatch)
     seen, kept = set(), 0
     for _ in range(200):
         rhs = rng.normal(0.0, 2.0, data.n)
         before = len(lps)
-        faces = list(cache.faces)
-        tab = None if cache.stack is None else cache.stack.tab[:cache.stack.filled].copy()
+        faces = list(cache.payload)
+        tab = cache.tab[:min(cache.added, cache.size)].copy() if cache.added else None
         newest = cache.newest()
         _PiecewiseLinearFit(data.xbar(), rhs, w, w, 0.0, cache=cache).fit()
         # a probe's optimal basis is in the cache, whether cached or solved
-        assert cache.optimal(-rhs[None]).any()
+        assert cache.optimal_for(-rhs[None]).any()
         if len(lps) == before:
             # a hit changes nothing
-            assert all(a is b for a, b in zip(cache.faces, faces))
-            npt.assert_array_equal(cache.stack.tab[:len(tab)], tab)
+            assert all(a is b for a, b in zip(cache.payload, faces))
+            npt.assert_array_equal(cache.tab[:len(tab)], tab)
             npt.assert_array_equal(cache.newest(), newest)
             continue
         # the k-th basis kept overwrites slot k mod 32 and no other
         slot = kept % erm.DUAL_BASES
-        assert cache.faces[slot] is not faces[slot]
-        assert all(a is b for k, (a, b) in enumerate(zip(cache.faces, faces)) if k != slot)
+        assert cache.payload[slot] is not faces[slot]
+        assert all(a is b for k, (a, b) in enumerate(zip(cache.payload, faces)) if k != slot)
         if tab is not None:
             others = [k for k in range(len(tab)) if k != slot]
-            npt.assert_array_equal(cache.stack.tab[others], tab[others])
-        npt.assert_array_equal(cache.newest(), cache.stack.status[slot])
+            npt.assert_array_equal(cache.tab[others], tab[others])
+        npt.assert_array_equal(cache.newest(), cache.status[slot])
         kept += 1
         seen.add(cache.newest().tobytes())
     # more optimal bases than the cache keeps, so some were evicted
     assert len(seen) > erm.DUAL_BASES
-    assert cache.stack.filled == erm.DUAL_BASES and None not in cache.faces
+    assert min(cache.added, cache.size) == erm.DUAL_BASES and None not in cache.payload
     assert len(lps) > erm.DUAL_BASES
 
 
