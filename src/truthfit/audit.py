@@ -23,13 +23,14 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .core import DataSet, Hyperplane, rss
-from .crm import CrmConfig, fit_crm
+from .crm import CrmConfig, _directing
 from .erm import (
     L1Config,
     QuantileConfig,
     _PiecewiseLinearFit,
     _build_l1,
     _build_quantile,
+    _least_squares,
     fit_ols,
 )
 from .errors import (
@@ -47,7 +48,7 @@ from .grh import (
     _uncentred,
     preset_partition,
 )
-from .impartial import ImpartialConfig, fit_impartial, generalized_median
+from .impartial import ImpartialConfig, _impartial_coefficients, generalized_median
 from .separability import AgentPartition, is_publicly_separable
 
 DEFAULT_MARGIN = 1e-9
@@ -91,11 +92,6 @@ class MechanismSpec:
     kind: MechanismKind
     params: object = None
 
-    @property
-    def traversal(self) -> bool:
-        """Whether the output is guaranteed to interpolate d+1 data points."""
-        return _MECHANISMS[self.kind].traversal
-
     def bind(self, data: DataSet) -> "BoundMechanism":
         return BoundMechanism(self, data)
 
@@ -122,26 +118,8 @@ class BoundMechanism:
         """The (K, d+1) coefficients of each row of a (K, n) block of
         reports, and the error each failing row raises (its coefficients
         NaN).  Row k is what ``coefficients`` returns or raises on it alone.
-
-        Kinds without a batched solver run ``coefficients`` row by row, in
-        order, and every row runs: the caller decides which error counts.
         """
-        ys = np.asarray(ys, dtype=float)
-        if self.batched:
-            return self._solve_many(ys)
-        out = np.full((ys.shape[0], self.data.d + 1), np.nan)
-        failed = {}
-        for k, row in enumerate(ys):
-            try:
-                out[k] = self.coefficients(row)
-            except Exception as exc:  # kept for the caller, who raises it in trial order
-                failed[k] = exc
-        return out, failed
-
-    @property
-    def batched(self) -> bool:
-        """Whether ``coefficients_many`` solves a block in one call."""
-        return self._solve_many is not None
+        return self._solve_many(np.asarray(ys, dtype=float))
 
     def hyperplane(self, ys=None) -> Hyperplane:
         coeffs = self.coefficients(ys)
@@ -155,15 +133,25 @@ def fit_mechanism(spec: MechanismSpec, data: DataSet) -> Hyperplane:
 
 # --------------------------------------------------------------------------
 # the mechanism table: a binder checks a configuration against the positions
-# once and returns solve(ys) -> coefficients, plus solve_many(block) ->
-# (coefficients, failed rows) where the kind has a batched solver (else None).
-# Binders look solver classes and checks up as module globals, so that
-# instrumentation rebinding them sees all.
+# once and returns solve(ys) -> coefficients and solve_many(block) ->
+# (coefficients, failed rows).  Binders look solver classes and checks up as
+# module globals, so that instrumentation rebinding them sees all.
+
+
+def _with_row_zero(solve_many):
+    """(solve, solve_many), where solve(ys) is row 0 of ``solve_many`` on the
+    one-row block, raising that row's error."""
+    def solve(ys):
+        coeffs, failed = solve_many(ys[None, :])
+        if failed:
+            raise failed[0]
+        return coeffs[0]
+    return solve, solve_many
 
 
 def _bind_ols(data: DataSet, cfg: None):
     pinv = np.linalg.pinv(data.xbar())
-    return (lambda ys: pinv @ ys), None
+    return _with_row_zero(lambda ys: (_least_squares(pinv, ys), {}))
 
 
 def _bind_piecewise_linear(build, data: DataSet, cfg):
@@ -183,10 +171,19 @@ def _bind_piecewise_linear(build, data: DataSet, cfg):
     return solve, solve_many
 
 
-def _bind_refit(fit, data: DataSet, cfg):
-    fit(data, cfg)  # surface configuration errors once
-    xs = data.xs
-    return (lambda ys: fit(DataSet(xs, ys), cfg).coefficients()), None
+def _bind_block(coefficients, data: DataSet, cfg,
+                error=partial(ContractViolation, "hyperplane coefficients must be finite")):
+    """A kind whose ``coefficients(data, cfg, block)`` fits a block; a row
+    whose coefficients are not finite fails with ``error()``."""
+    def solve_many(ys):
+        with np.errstate(over="ignore", invalid="ignore"):
+            coeffs = coefficients(data, cfg, ys)
+        bad = np.flatnonzero(~np.isfinite(coeffs).all(axis=1))
+        coeffs[bad] = np.nan
+        return coeffs, {int(k): error() for k in bad}
+
+    solve_many(data.ys[None, :])  # surface configuration errors once
+    return _with_row_zero(solve_many)
 
 
 def _bind_grl(data: DataSet, cfg: GrlParams):
@@ -202,20 +199,12 @@ def _bind_grh(data: DataSet, cfg: AgentPartition):
     return (lambda ys: solver.solve(ys)[0]), (lambda ys: solver.solve_many(ys)[:2])
 
 
-def _bind_generalized_median(data: DataSet, cfg: GenMedParams):
+def _generalized_medians(data: DataSet, cfg: GenMedParams, ys) -> np.ndarray:
     if data.d != 0:
         raise ContractViolation("the generalized median is a d = 0 mechanism")
-    phantoms = np.asarray(cfg.phantoms, dtype=float)
-    if phantoms.size != data.n + 1:
+    if len(cfg.phantoms) != data.n + 1:
         raise ConfigurationError(f"need exactly {data.n + 1} phantoms for {data.n} agents")
-
-    def solve(ys):
-        med = generalized_median(ys, phantoms)
-        if not math.isfinite(med):
-            raise ConfigurationError("phantom choice pushes the median to infinity")
-        return np.array([med])
-
-    return solve, None
+    return generalized_median(ys, cfg.phantoms)[:, None]
 
 
 #: default of a kind that cannot be fitted without an explicit configuration
@@ -225,24 +214,24 @@ NEEDS_CONFIG = object()
 class _Mechanism(NamedTuple):
     config: type             # the configuration type the binder accepts
     default: object          # used when a spec carries no configuration
-    traversal: bool          # output interpolates d+1 data points
-    bind: Callable           # (data, cfg) -> (solve, solve_many or None)
+    bind: Callable           # (data, cfg) -> (solve, solve_many)
 
 
 _MECHANISMS: dict[MechanismKind, _Mechanism] = {
-    MechanismKind.OLS: _Mechanism(type(None), None, False, _bind_ols),
-    MechanismKind.L1ERM: _Mechanism(L1Config, L1Config(), False,
+    MechanismKind.OLS: _Mechanism(type(None), None, _bind_ols),
+    MechanismKind.L1ERM: _Mechanism(L1Config, L1Config(),
                                     partial(_bind_piecewise_linear, _build_l1)),
-    MechanismKind.QUANTILE: _Mechanism(QuantileConfig, NEEDS_CONFIG, False,
+    MechanismKind.QUANTILE: _Mechanism(QuantileConfig, NEEDS_CONFIG,
                                        partial(_bind_piecewise_linear, _build_quantile)),
-    MechanismKind.CRM: _Mechanism(CrmConfig, NEEDS_CONFIG, True,
-                                  partial(_bind_refit, fit_crm)),
-    MechanismKind.GRL: _Mechanism(GrlParams, NEEDS_CONFIG, True, _bind_grl),
-    MechanismKind.GRH: _Mechanism(AgentPartition, NEEDS_CONFIG, True, _bind_grh),
-    MechanismKind.IMPARTIAL: _Mechanism(ImpartialConfig, NEEDS_CONFIG, False,
-                                        partial(_bind_refit, fit_impartial)),
-    MechanismKind.GENERALIZED_MEDIAN: _Mechanism(GenMedParams, NEEDS_CONFIG, False,
-                                                 _bind_generalized_median),
+    MechanismKind.CRM: _Mechanism(CrmConfig, NEEDS_CONFIG, partial(
+        _bind_block, lambda data, cfg, ys: _directing(data, cfg, ys)[3])),
+    MechanismKind.GRL: _Mechanism(GrlParams, NEEDS_CONFIG, _bind_grl),
+    MechanismKind.GRH: _Mechanism(AgentPartition, NEEDS_CONFIG, _bind_grh),
+    MechanismKind.IMPARTIAL: _Mechanism(ImpartialConfig, NEEDS_CONFIG,
+                                        partial(_bind_block, _impartial_coefficients)),
+    MechanismKind.GENERALIZED_MEDIAN: _Mechanism(GenMedParams, NEEDS_CONFIG, partial(
+        _bind_block, _generalized_medians,
+        error=partial(ConfigurationError, "phantom choice pushes the median to infinity"))),
 }
 
 
@@ -449,6 +438,7 @@ def hyperplanes_through_others(data: DataSet, agent: int) -> np.ndarray:
     Affinely dependent subsets pin no unique hyperplane and are skipped.
     Returns an array of shape (count, d+1); count may be zero.
     """
+    _check_agent(data, agent)
     return _through_others(data, [agent])[0]
 
 
@@ -456,7 +446,13 @@ def default_candidates(data: DataSet, agent: int, grid_points: int = 41) -> list
     """Misreport candidates: an even grid over the stretched y-range plus the
     predictions at the agent's position of every hyperplane through d+1
     other agents (the values where a resistant mechanism can switch faces)."""
+    _check_agent(data, agent)
     return _first_occurrences(_grid_and_crossings(data, grid_points, [agent])[0]).tolist()
+
+
+def _check_agent(data: DataSet, agent: int) -> None:
+    if not 0 <= agent < data.n:
+        raise ContractViolation(f"agent index {agent} out of range")
 
 
 def _through_others(data: DataSet, agents) -> list[np.ndarray]:
@@ -512,15 +508,12 @@ def _first_certificate(probe: _Probe, table: np.ndarray, blocks) -> ViolationCer
     """The first certificate over (coalition, picks) blocks into the
     candidate ``table``, in trial order.
 
-    A kind with a batched solver judges consecutive blocks as one stack of
-    at most BLOCK_TRIALS rows, with one solve; a kind solved row by row
-    judges one block at a time, so that no row past the paying coalition's
-    block is solved.  Probes where the mechanism itself becomes undefined
+    Consecutive blocks are judged as one stack of at most BLOCK_TRIALS rows,
+    with one solve.  Probes where the mechanism itself becomes undefined
     (degenerate-tie errors) are skipped: they witness degeneracy, not
-    manipulation.  Any other error is raised unless an earlier trial paid
-    off.
+    manipulation.  Any other error is raised unless an earlier trial paid off.
     """
-    for stack in _stacks(blocks, probe.bound.batched):
+    for stack in _stacks(blocks):
         cert, errors = probe.judge_many(table, stack)
         for exc in errors:
             if not isinstance(exc, InternalInconsistency):
@@ -530,14 +523,13 @@ def _first_certificate(probe: _Probe, table: np.ndarray, blocks) -> ViolationCer
     return None
 
 
-def _stacks(blocks, batched: bool):
-    """Consecutive blocks in stacks of at most BLOCK_TRIALS rows (one block
-    per stack unless ``batched``).  A block is drawn before the stack ahead
-    of it is judged; the draws do not depend on outcomes, so no trial
-    changes."""
+def _stacks(blocks):
+    """Consecutive blocks in stacks of at most BLOCK_TRIALS rows.  A block is
+    drawn before the stack ahead of it is judged; the draws do not depend on
+    outcomes, so no trial changes."""
     stack, rows = [], 0
     for block in blocks:
-        if stack and (not batched or rows + len(block[1]) > BLOCK_TRIALS):
+        if stack and rows + len(block[1]) > BLOCK_TRIALS:
             yield stack
             stack, rows = [], 0
         stack.append(block)
@@ -570,8 +562,7 @@ def audit_sp(spec: MechanismSpec, data: DataSet, agent: int,
     certificate in candidate order, or None.  Probes where the mechanism
     itself becomes undefined (degenerate-tie errors) are skipped.
     """
-    if not 0 <= agent < data.n:
-        raise ContractViolation(f"agent index {agent} out of range")
+    _check_agent(data, agent)
     probe = _Probe(spec, data, margin)
     if candidates is None:
         candidates = default_candidates(data, agent)
@@ -685,8 +676,7 @@ def influence_bounds(spec: MechanismSpec, data: DataSet, agent: int) -> Influenc
             f"influence bounds need a prediction of clamp form med(y, l, h), "
             f"which {spec.kind.value} does not guarantee (only grh and grl do)"
         )
-    if not 0 <= agent < data.n:
-        raise ContractViolation(f"agent index {agent} out of range")
+    _check_agent(data, agent)
     if data.n - 1 < data.d + 1:
         raise ContractViolation(
             f"need at least {data.d + 1} other agents, have {data.n - 1}"

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import core
 from .core import DataSet, Hyperplane, MedianSide, median_rank, median_with_side
 from .errors import AdmissibilityError, ContractViolation
 
@@ -65,64 +66,59 @@ def _sgn(v: float) -> float:
     return float(np.sign(v))
 
 
-@dataclass(frozen=True)
-class _Directing:
-    angle: float
-    i_star: int
-    j_star: int
-    slope: float
-
-
-def _directing(data: DataSet, cfg: CrmConfig) -> _Directing:
+def _directing(data: DataSet, cfg: CrmConfig, ys=None):
+    """The directing angle, i*, j* and line coefficients (beta1, beta0) of
+    each row of a (K, n) block of reports (default: the data's own, one row),
+    as of that row alone; in chunks of at most ``core.BLOCK_CELLS`` angles."""
     if data.d != 1:
         raise ContractViolation("clockwise repeated medians require d = 1")
     s = np.fromiter(cfg.s, dtype=int)
     sp = np.fromiter(cfg.sprime, dtype=int)
     if s.max(initial=-1) >= data.n or sp.max(initial=-1) >= data.n:
         raise ContractViolation("index sets reference agents beyond the data set")
-    x, y = data.xs[:, 0], data.ys
-
+    x = data.xs[:, 0]
+    ys = data.ys[None, :] if ys is None else ys
     dx = x[sp][None, :] - x[s][:, None]
-    dy = y[sp][None, :] - y[s][:, None]
     same = sp[None, :] == s[:, None]
     if np.any((dx == 0.0) & ~same):
         raise AdmissibilityError("distinct agents share an x-coordinate")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        slope = np.where(same, np.nan, dy / dx)
-    angles = np.pi + np.sign(dx) * (np.pi / 2) + np.sign(slope) * np.abs(np.arctan(slope))
-
-    inner_vals = np.empty(s.size)
-    inner_js = np.empty(s.size, dtype=int)
-    for row in range(s.size):
-        valid = ~same[row]
-        if not valid.any():
-            raise ContractViolation(f"S' minus agent {int(s[row])} is empty")
-        vals = angles[row, valid]
-        js = sp[valid]
-        rank = median_rank(vals.size, cfg.inner_side)
-        value = np.partition(vals, rank - 1)[rank - 1]
-        inner_vals[row] = value
-        inner_js[row] = js[vals == value].min()  # angle tie: smaller agent index
-
-    rank = median_rank(s.size, cfg.outer_side)
-    da = np.partition(inner_vals, rank - 1)[rank - 1]
-    tie_rows = np.flatnonzero(inner_vals == da)
-    row_star = int(tie_rows[np.argmin(s[tie_rows])])
-    i_star = int(s[row_star])
-    j_star = int(inner_js[row_star])
-    pair_slope = (y[j_star] - y[i_star]) / (x[j_star] - x[i_star])
-    return _Directing(float(da), i_star, j_star, float(pair_slope))
+    counts = np.count_nonzero(~same, axis=1)
+    if not counts.all():
+        raise ContractViolation(f"S' minus agent {int(s[np.argmin(counts)])} is empty")
+    inner = np.array([median_rank(c, cfg.inner_side) for c in counts]) - 1
+    outer = median_rank(s.size, cfg.outer_side) - 1
+    half_turn = np.pi + np.sign(dx) * (np.pi / 2)
+    step = max(1, core.BLOCK_CELLS // same.size)
+    chunks = []
+    for start in range(0, len(ys), step):
+        y = ys[start:start + step]
+        rows = np.arange(len(y))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope = np.where(same, np.nan, (y[:, None, sp] - y[:, s, None]) / dx)
+        angles = half_turn + np.sign(slope) * np.abs(np.arctan(slope))
+        # the inner median toward S' per base (i = j is NaN and sorts last),
+        # then the outer median over S; angle ties go to the smaller agent
+        inner_vals = np.sort(angles, axis=2)[:, np.arange(s.size), inner]
+        inner_js = np.where(angles == inner_vals[..., None], sp, data.n).min(axis=2)
+        da = np.sort(inner_vals, axis=1)[:, outer]
+        row_star = np.where(inner_vals == da[:, None], s, data.n).argmin(axis=1)
+        i_star, j_star = s[row_star], inner_js[rows, row_star]
+        # the line through the pair; + 0.0 turns a slope of -0.0 into 0.0
+        beta1 = (y[rows, j_star] - y[rows, i_star]) / (x[j_star] - x[i_star]) + 0.0
+        beta0 = y[rows, i_star] - beta1 * x[i_star]
+        chunks.append((da, i_star, j_star, np.column_stack([beta1, beta0])))
+    return tuple(map(np.concatenate, zip(*chunks)))
 
 
 def directing_angle(data: DataSet, cfg: CrmConfig) -> float:
     """The median over S of the median clockwise angle toward S'."""
-    return _directing(data, cfg).angle
+    return float(_directing(data, cfg)[0][0])
 
 
 def directing_pair(data: DataSet, cfg: CrmConfig) -> tuple[int, int]:
     """(i*, j*) realizing the directing angle, ties toward smaller indices."""
-    sel = _directing(data, cfg)
-    return sel.i_star, sel.j_star
+    _, i_star, j_star, _ = _directing(data, cfg)
+    return int(i_star[0]), int(j_star[0])
 
 
 def fit_crm(data: DataSet, cfg: CrmConfig) -> Hyperplane:
@@ -132,10 +128,7 @@ def fit_crm(data: DataSet, cfg: CrmConfig) -> Hyperplane:
     line interpolates i*, so the output always passes through one point of
     S and one of S'.
     """
-    sel = _directing(data, cfg)
-    x, y = data.xs[:, 0], data.ys
-    beta1 = sel.slope + 0.0  # turn -0.0 into 0.0
-    beta0 = float(y[sel.i_star] - beta1 * x[sel.i_star])
+    beta1, beta0 = _directing(data, cfg)[3][0]
     return Hyperplane(np.array([beta1]), beta0)
 
 
@@ -149,8 +142,7 @@ def equation_form_line(data: DataSet, cfg: CrmConfig) -> Hyperplane:
     directing point also carries the median intercept, which holds in the
     separable case but can fail otherwise.
     """
-    sel = _directing(data, cfg)
-    da = sel.angle
+    da = directing_angle(data, cfg)
     beta1 = math.tan(da - math.pi - (math.pi / 2) * _sgn(da - math.pi))
     intercepts = data.ys[list(cfg.s)] - beta1 * data.xs[list(cfg.s), 0]
     beta0 = median_with_side(intercepts, cfg.intercept_side)

@@ -55,8 +55,18 @@ from .simplex import INFEASIBLE, BasisStack, solve_lp
 def fit_ols(data: DataSet) -> Hyperplane:
     """Least squares fit; rank-deficient designs get the minimum-norm solution.
     The OLS mechanism's binder solves in the same way, bit for bit."""
-    beta = np.linalg.pinv(data.xbar()) @ data.ys
+    beta = _least_squares(np.linalg.pinv(data.xbar()), data.ys[None, :])[0]
     return Hyperplane(beta[:-1], float(beta[-1]))
+
+
+def _least_squares(pinv: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """``ys @ pinv.T`` for a (K, n) block of reports, each row summed over the
+    agents in index order: unlike a BLAS product's, a row's bits do not
+    depend on its block."""
+    beta = ys[:, :1] * pinv[:, 0]
+    for i in range(1, ys.shape[1]):
+        beta += ys[:, i:i + 1] * pinv[:, i]
+    return beta
 
 
 @dataclass(frozen=True)

@@ -43,8 +43,9 @@ class AffineResponse:
     def d(self) -> int:
         return self.a.shape[0]
 
-    def __call__(self, y: float) -> np.ndarray:
-        return self.a * float(y) + self.b
+    def __call__(self, y) -> np.ndarray:
+        """g at each report of ``y`` (shape ``y.shape + (d,)``)."""
+        return np.multiply.outer(np.asarray(y, dtype=float), self.a) + self.b
 
     def is_constant(self) -> bool:
         return bool(np.all(self.a == 0.0))
@@ -75,11 +76,10 @@ class PwlResponse:
     def d(self) -> int:
         return self.values.shape[1]
 
-    def __call__(self, y: float) -> np.ndarray:
-        return np.array([
-            np.interp(float(y), self.breakpoints, self.values[:, k])
-            for k in range(self.d)
-        ])
+    def __call__(self, y) -> np.ndarray:
+        """g at each report of ``y`` (shape ``y.shape + (d,)``)."""
+        return np.stack([np.interp(y, self.breakpoints, self.values[:, k])
+                         for k in range(self.d)], axis=-1)
 
     def is_constant(self) -> bool:
         return bool(np.all(self.values == self.values[0]))
@@ -111,18 +111,23 @@ class ImpartialConfig:
         return all(resp.is_constant() for resp in self.g)
 
 
-def fit_impartial(data: DataSet, cfg: ImpartialConfig) -> Hyperplane:
-    """The hyperplane of the response-map family on the given reports."""
+def _impartial_coefficients(data: DataSet, cfg: ImpartialConfig, ys) -> np.ndarray:
+    """The (K, d+1) coefficients of :func:`fit_impartial` for a (K, n) block of reports."""
     if len(cfg.g) != data.n:
         raise ContractViolation(f"{len(cfg.g)} response maps for {data.n} agents")
     if cfg.d != data.d and data.d > 0:
         raise ContractViolation("response dimension differs from data dimension")
     if data.d == 0:
-        return Hyperplane(np.zeros(0), cfg.c)
-    contributions = np.stack([resp(y) for resp, y in zip(cfg.g, data.ys)])
-    beta1 = contributions.sum(axis=0)
-    beta0 = cfg.c - float(np.einsum("nd,nd->", contributions, data.xs))
-    return Hyperplane(beta1, beta0)
+        return np.full((len(ys), 1), cfg.c)
+    contributions = np.stack([resp(y) for resp, y in zip(cfg.g, ys.T)], axis=1)
+    beta0 = cfg.c - np.einsum("knd,nd->k", contributions, data.xs)
+    return np.column_stack([contributions.sum(axis=1), beta0])
+
+
+def fit_impartial(data: DataSet, cfg: ImpartialConfig) -> Hyperplane:
+    """The hyperplane of the response-map family on the given reports."""
+    beta = _impartial_coefficients(data, cfg, data.ys[None, :])[0]
+    return Hyperplane(beta[:-1], beta[-1])
 
 
 def swap_config(data: DataSet) -> ImpartialConfig:
@@ -145,16 +150,18 @@ def swap_config(data: DataSet) -> ImpartialConfig:
     )
 
 
-def generalized_median(values, phantoms) -> float:
-    """Median of n reported values pooled with n+1 fixed phantom values.
+def generalized_median(values, phantoms):
+    """Median of n reported values pooled with n+1 fixed phantom values,
+    along the last axis of ``values``: a (K, n) block of reports gives K
+    medians, one vector of reports a float.
 
     Phantoms may be +-infinity; the pooled multiset has odd size 2n+1 so
     the median is a plain order statistic and no arithmetic ever touches
     the infinities.
     """
-    values = np.asarray(values, dtype=float).ravel()
+    values = np.atleast_1d(np.asarray(values, dtype=float))
     phantoms = np.asarray(phantoms, dtype=float).ravel()
-    n = values.size
+    n = values.shape[-1]
     if n == 0:
         raise ContractViolation("need at least one reported value")
     if phantoms.size != n + 1:
@@ -163,5 +170,5 @@ def generalized_median(values, phantoms) -> float:
         raise ContractViolation("reported values must be finite")
     if np.isnan(phantoms).any():
         raise ContractViolation("phantoms must be extended reals")
-    pooled = np.sort(np.concatenate([values, phantoms]))
-    return float(pooled[n])  # (n+1)-th smallest of 2n+1
+    pooled = np.concatenate([values, np.broadcast_to(phantoms, (*values.shape[:-1], n + 1))], -1)
+    return np.sort(pooled, axis=-1)[..., n]  # (n+1)-th smallest of 2n+1

@@ -284,6 +284,15 @@ def test_candidates_keep_the_first_of_zero_and_minus_zero():
     assert np.signbit(audit._first_occurrences(-values)[0])
 
 
+@pytest.mark.parametrize("agent", [-1, 4])
+def test_candidates_refuse_an_agent_out_of_range(agent):
+    data = DataSet(np.array([[0.0], [1.0], [2.0], [4.0]]),
+                   np.array([1.0, 3.0, -1.0, 0.5]))
+    for candidates in (hyperplanes_through_others, default_candidates):
+        with pytest.raises(ContractViolation, match=f"agent index {agent} out of range"):
+            candidates(data, agent)
+
+
 def test_default_candidates_cover_grid_and_crossings():
     data = DataSet(np.array([[0.0], [1.0], [2.0], [4.0]]),
                    np.array([1.0, 3.0, -1.0, 0.5]))
@@ -566,6 +575,14 @@ def test_ols_mechanism_matches_direct_least_squares():
     npt.assert_allclose(
         fit_mechanism(MechanismSpec(MechanismKind.OLS), data).coefficients(),
         fit_ols(data).coefficients(), atol=1e-12)
+    # every row of a block is fit_ols of that row alone, bit for bit
+    rng = np.random.default_rng(26)
+    data = random_data(rng, 9, 2)
+    block = rng.normal(0.0, 3.0, (50, data.n))
+    coeffs, failed = MechanismSpec(MechanismKind.OLS).bind(data).coefficients_many(block)
+    assert not failed
+    for row, ys in zip(coeffs, block):
+        assert row.tobytes() == fit_ols(DataSet(data.xs, ys)).coefficients().tobytes()
 
 
 def test_bound_mechanism_report_override_matches_refitting():
@@ -584,7 +601,6 @@ def test_named_resistant_line_presets_wrap_the_partition():
     for build, preset in ((brown_mood_spec, "brown-mood"), (tukey_spec, "tukey")):
         spec = build(data)
         assert spec.kind is MechanismKind.GRH
-        assert spec.traversal
         direct = MechanismSpec(MechanismKind.GRH, preset_partition(data, preset))
         npt.assert_allclose(fit_mechanism(spec, data).coefficients(),
                             fit_mechanism(direct, data).coefficients(), atol=1e-12)
@@ -664,6 +680,26 @@ def test_batched_grh_fails_rows_as_alone_across_chunks(monkeypatch):
     assert all(isinstance(exc, grh.UniquenessViolation) for exc in failed.values())
 
 
+def test_rows_without_a_finite_fit_fail_as_alone():
+    line = DataSet(np.array([[0.0], [1.0], [3.0]]), np.array([0.0, 1.0, 2.0]))
+    crm = MechanismSpec(MechanismKind.CRM, CrmConfig(s=(0,), sprime=(1, 2)))
+    # row 1's slopes overflow
+    block = np.array([line.ys, [-1e308, 1e308, 1e308], [1.0, 0.0, 5.0]])
+    failed = _assert_rows_as_alone(crm, line, block)
+    assert sorted(failed) == [1] and isinstance(failed[1], ContractViolation)
+    pair = DataSet(np.array([[0.0], [2.0]]), np.array([1.0, 1.0]))
+    impartial = MechanismSpec(MechanismKind.IMPARTIAL, ImpartialConfig(
+        g=(AffineResponse(a=[1e308], b=[0.0]), AffineResponse(a=[1.0], b=[0.0]))))
+    failed = _assert_rows_as_alone(impartial, pair, np.array([[1.0, 1.0], [10.0, 1.0]]))
+    assert sorted(failed) == [1] and isinstance(failed[1], ContractViolation)
+    # every phantom at +inf: the median is +inf whatever the reports
+    d0 = DataSet(np.zeros((2, 0)), np.array([1.0, 2.0]))
+    genmed = MechanismSpec(MechanismKind.GENERALIZED_MEDIAN, GenMedParams((math.inf,) * 3))
+    failed = _assert_rows_as_alone(genmed, d0, np.array([[1.0, 2.0], [-4.0, 0.5]]))
+    assert sorted(failed) == [0, 1]
+    assert all(isinstance(exc, ConfigurationError) for exc in failed.values())
+
+
 def _piecewise_linear_cases():
     """L1 with weights, phantoms and drift; L1 with fewer points than
     coefficients (no square basis, so nothing is cached); quantile q = 0.3."""
@@ -735,6 +771,24 @@ def test_batched_piecewise_linear_pricing_memory_is_bounded():
     assert peak < 48 * 2 ** 20, peak
 
 
+def test_crm_block_memory_is_bounded():
+    rng = np.random.default_rng(27)
+    n = 100
+    data = DataSet(rng.permutation(n).astype(float)[:, None], rng.normal(0.0, 1.0, n))
+    bound = MechanismSpec(MechanismKind.CRM, CrmConfig(tuple(range(n)), tuple(range(n)))).bind(data)
+    block = data.ys + rng.normal(0.0, 0.1, (1024, n))
+    tracemalloc.start()
+    try:
+        coeffs, failed = bound.coefficients_many(block)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not failed and np.isfinite(coeffs).all()
+    # in one pass the block would form arrays of 1024 x 100 x 100 angles
+    # (78 MB each, a 313 MB peak); in chunks of core.BLOCK_CELLS, about 41 MB
+    assert peak < 64 * 2 ** 20, peak
+
+
 def _sequential_first_certificate(probe, table, blocks):
     """The search one trial at a time: the reference for judging in blocks."""
     for coalition, picks in blocks:
@@ -766,48 +820,20 @@ def _finding_audits():
         yield MechanismSpec(MechanismKind.QUANTILE, QuantileConfig(0.3)), data, seed
 
 
-def _in_one_call(solve, d):
-    """A batched solve that runs ``solve`` on each row of a block, in order."""
-    def solve_many(block):
-        out, failed = np.full((len(block), d + 1), np.nan), {}
-        for k, ys in enumerate(block):
-            try:
-                out[k] = solve(ys)
-            except Exception as exc:
-                failed[k] = exc
-        return out, failed
-    return solve_many
-
-
-def _bound_in_one_call(bind):
-    """A binder like ``bind`` whose kind also solves a block in one call."""
-    def batched(data, cfg):
-        solve, _ = bind(data, cfg)
-        return solve, _in_one_call(solve, data.d)
-    return batched
-
-
 def test_block_judging_finds_the_certificate_the_sequential_search_finds(monkeypatch):
-    for trials, solved in itertools.product((1, 7, 4096), ("as bound", "CRM and OLS batched")):
+    for trials in (1, 7, 4096):
         with monkeypatch.context() as patch:
-            _assert_stacks_find_what_the_sequential_search_finds(patch, trials, solved)
+            _assert_stacks_find_what_the_sequential_search_finds(patch, trials)
 
 
-def _assert_stacks_find_what_the_sequential_search_finds(monkeypatch, trials, solved):
+def _assert_stacks_find_what_the_sequential_search_finds(monkeypatch, trials):
     monkeypatch.setattr(audit, "BLOCK_TRIALS", trials)
-    if solved != "as bound":
-        # the batched kinds are group strategyproof, so stacks that pay need
-        # manipulable kinds with a batched solve
-        for kind in (MechanismKind.CRM, MechanismKind.OLS):
-            row = audit._MECHANISMS[kind]
-            monkeypatch.setitem(audit._MECHANISMS, kind,
-                                row._replace(bind=_bound_in_one_call(row.bind)))
     judge_many = audit._Probe.judge_many
     paid_behind_the_first_block = []
 
     def recorded(probe, table, stack):
         cert, errors = judge_many(probe, table, stack)
-        if cert is not None and probe.bound.batched:
+        if cert is not None:
             paid_behind_the_first_block.append(cert.coalition != stack[0][0])
         return cert, errors
 
@@ -821,11 +847,11 @@ def _assert_stacks_find_what_the_sequential_search_finds(monkeypatch, trials, so
                 runs.append([audit_gsp(spec, data, 3, seed=seed, max_evals=200),
                              audit_sp(spec, data, data.n - 1)])
         assert [_certificate_fields(c) for c in runs[0]] == \
-            [_certificate_fields(c) for c in runs[1]], (trials, solved)
+            [_certificate_fields(c) for c in runs[1]], trials
         found += sum(c is not None for c in runs[0])
     assert found >= 10
     # in whole-audit stacks, some audit pays in a coalition behind the first
-    if trials == 1 or solved == "as bound":
+    if trials == 1:
         assert not any(paid_behind_the_first_block)
     elif trials == 4096:
         assert any(paid_behind_the_first_block)
@@ -838,23 +864,22 @@ def test_block_raises_an_error_only_before_the_first_paying_trial():
     pay1 = audit_sp(ols, data, 1).misreports[1]
     calls = []
 
-    def stub_probe(batched=False):
-        """OLS, except that a report of 998 or 999 for agent 0 fails; with
-        ``batched``, solved as one block per call, so that blocks stack."""
+    def stub_probe():
+        """OLS, except that a row where agent 0 reports 998 or 999 fails."""
         probe = audit._Probe(ols, data, DEFAULT_MARGIN)
-        solve = probe.bound._solve
+        solve_many = probe.bound._solve_many
 
-        def flaky(ys):
-            if ys[0] == 998.0:
-                raise InternalInconsistency("stub degenerate tie")
-            if ys[0] == 999.0:
-                raise ConfigurationError("stub failure")
-            return solve(ys)
+        def flaky(block):
+            calls.append(len(block))
+            coeffs, failed = solve_many(block)
+            for k in np.flatnonzero(block[:, 0] == 998.0):
+                failed[k] = InternalInconsistency("stub degenerate tie")
+            for k in np.flatnonzero(block[:, 0] == 999.0):
+                failed[k] = ConfigurationError("stub failure")
+            coeffs[list(failed)] = np.nan
+            return coeffs, failed
 
-        probe.bound._solve = flaky
-        if batched:
-            solve_many = _in_one_call(flaky, data.d)
-            probe.bound._solve_many = lambda block: calls.append(len(block)) or solve_many(block)
+        probe.bound._solve_many = flaky
         return probe
 
     # agent 0's candidates are 998, 999 and pay; agent 1's is pay1
@@ -863,48 +888,25 @@ def test_block_raises_an_error_only_before_the_first_paying_trial():
     def trials(*reports):
         return [((0,), np.array([[[998.0, 999.0, pay].index(r)] for r in reports]))]
 
-    def first_certificate(probe, blocks):
-        return audit._first_certificate(probe, table, blocks)
+    def first_certificate(blocks):
+        return audit._first_certificate(stub_probe(), table, blocks)
 
     # one block: an error after the paying trial is not raised
-    assert first_certificate(stub_probe(), trials(pay, 999.0)).misreports == {0: pay}
+    assert first_certificate(trials(pay, 999.0)).misreports == {0: pay}
     # a degenerate probe before it is skipped
-    assert first_certificate(stub_probe(), trials(998.0, pay)).misreports == {0: pay}
+    assert first_certificate(trials(998.0, pay)).misreports == {0: pay}
     # any other error before it is raised
     with pytest.raises(ConfigurationError, match="stub failure"):
-        first_certificate(stub_probe(), trials(998.0, 999.0, pay))
+        first_certificate(trials(998.0, 999.0, pay))
 
     # a stack of two coalitions, judged with one solve: the same rules hold
     # across the coalitions' blocks
     agent1 = ((1,), np.array([[0]]))
-    stack = trials(998.0) + [agent1]
-    assert first_certificate(stub_probe(True), stack).misreports == {1: pay1}
-    stack = [agent1] + trials(999.0)
-    assert first_certificate(stub_probe(True), stack).misreports == {1: pay1}
+    assert first_certificate(trials(998.0) + [agent1]).misreports == {1: pay1}
+    assert first_certificate([agent1] + trials(999.0)).misreports == {1: pay1}
     with pytest.raises(ConfigurationError, match="stub failure"):
-        first_certificate(stub_probe(True), trials(998.0, 999.0) + [agent1])
-    assert calls == [2, 2, 3]
-
-
-def test_a_row_by_row_kind_solves_no_row_past_the_paying_block(monkeypatch):
-    data = random_data(np.random.default_rng(3), 5, 1)
-    ols = MechanismSpec(MechanismKind.OLS)
-    blocks = []
-    coefficients_many = audit.BoundMechanism.coefficients_many
-
-    def recorded(bound, ys):
-        blocks.append(np.array(ys))
-        return coefficients_many(bound, ys)
-
-    monkeypatch.setattr(audit.BoundMechanism, "coefficients_many", recorded)
-    cert = audit_gsp(ols, data, 3)
-    assert cert is not None and cert.coalition != (data.n - 1,)
-    others = [i for i in range(data.n) if i not in cert.coalition]
-    deviated = data.ys.copy()
-    deviated[list(cert.coalition)] = [cert.misreports[m] for m in cert.coalition]
-    # the last solve is the paying coalition's block and nothing else
-    assert (blocks[-1] == deviated).all(axis=1).any()
-    assert (blocks[-1][:, others] == data.ys[others]).all()
+        first_certificate(trials(998.0, 999.0) + [agent1])
+    assert calls == [2, 2, 3, 2, 2, 3]
 
 
 def test_a_grh_audit_that_fits_in_one_stack_solves_once(monkeypatch):

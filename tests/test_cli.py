@@ -129,6 +129,13 @@ def test_audit_sp_reports_the_builtin_violation(capsys):
                         [1.0, 0.0], atol=1e-9)
 
 
+@pytest.mark.parametrize("agent", ["-1", "6"])
+def test_audit_sp_of_an_agent_out_of_range_exits_three(capsys, agent):
+    code, out, err = run(capsys, "audit", "sp", "--builtin", "crm-disjoint", "--agent", agent)
+    assert code == 3 and out == ""
+    assert err.splitlines() == [f"contract violation: agent index {agent} out of range"]
+
+
 def test_audit_gsp_clean_mechanism_returns_null(line_csv, tmp_path, capsys):
     cfg = tmp_path / "grl.json"
     cfg.write_text(json.dumps({

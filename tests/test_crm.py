@@ -12,6 +12,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from truthfit import core
+from truthfit.crm import _directing
 from truthfit import (
     AdmissibilityError,
     ContractViolation,
@@ -236,6 +238,28 @@ def test_equation_form_slope_agrees_with_fit(case):
     a = fit_crm(data, cfg)
     b = equation_form_line(data, cfg)
     assert b.beta1 == pytest.approx(a.beta1, rel=1e-9, abs=1e-9)
+
+
+@given(admissible_instances(), st.data(), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_each_row_of_a_block_is_its_fit_alone_and_the_oracles(case, data, chunked):
+    base, cfg = case
+    values = st.integers(-3, 3).map(float) | coord  # integer reports make angle ties
+    block = np.array(data.draw(st.lists(st.lists(values, min_size=base.n, max_size=base.n),
+                                        min_size=1, max_size=6)))
+    with pytest.MonkeyPatch.context() as patch:
+        if chunked:  # one row per chunk
+            patch.setattr(core, "BLOCK_CELLS", 1)
+        angle, i_stars, j_stars, coeffs = _directing(base, cfg, block)
+    for k, ys in enumerate(block):
+        row = DataSet(base.xs, ys)
+        assert coeffs[k].tobytes() == fit_crm(row, cfg).coefficients().tobytes()
+        assert (angle[k], i_stars[k], j_stars[k]) == \
+            (directing_angle(row, cfg), *directing_pair(row, cfg))
+        da, i_star, j_star = oracle_directing_pair(row, cfg)
+        assert (i_stars[k], j_stars[k]) == (i_star, j_star)
+        assert angle[k] == pytest.approx(da, abs=1e-12)
+        npt.assert_allclose(coeffs[k], oracle_line(row, cfg), atol=1e-12)
 
 
 # -- separable configurations: both medians of residuals vanish ---------------

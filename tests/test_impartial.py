@@ -18,6 +18,7 @@ from truthfit import (
     predict,
     swap_config,
 )
+from truthfit.impartial import _impartial_coefficients
 
 # -- strategies ------------------------------------------------------------------
 
@@ -134,6 +135,34 @@ def test_nonconstant_response_moves_the_other_agents_prediction():
     assert after - before == pytest.approx((2.0 - 1.0) * 3.0)
 
 
+@given(st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_each_row_of_a_block_is_its_fit_alone(seed):
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(1, 14)), int(rng.integers(0, 3))
+    g = []
+    for _ in range(n):
+        if rng.random() < 0.5:
+            g.append(AffineResponse(a=rng.normal(0.0, 2.0, max(d, 1)), b=rng.normal(0.0, 2.0, max(d, 1))))
+        else:
+            bp = np.sort(rng.choice(np.arange(-6.0, 7.0), int(rng.integers(1, 4)), replace=False))
+            g.append(PwlResponse(breakpoints=bp, values=rng.normal(0.0, 2.0, (bp.size, max(d, 1)))))
+    cfg = ImpartialConfig(g=tuple(g), c=float(rng.normal()))
+    xs = rng.normal(0.0, 3.0, (n, d))
+    block = rng.normal(0.0, 3.0, (int(rng.integers(1, 8)), n))
+    coeffs = _impartial_coefficients(DataSet(xs, block[0]), cfg, block)
+    for row, ys in zip(coeffs, block):
+        assert row.tobytes() == fit_impartial(DataSet(xs, ys), cfg).coefficients().tobytes()
+        # the responses take a block of reports as they take one
+        for resp, y in zip(g, ys):
+            assert resp(ys)[list(ys).index(y)].tobytes() == resp(y).tobytes()
+        if d:
+            contributions = [resp(y) for resp, y in zip(g, ys)]
+            beta1 = sum(contributions)
+            beta0 = cfg.c - sum(float(c @ x) for c, x in zip(contributions, xs))
+            npt.assert_allclose(row, [*beta1, beta0], rtol=1e-12, atol=1e-12)
+
+
 # -- response-map behaviour ------------------------------------------------------
 
 
@@ -201,6 +230,20 @@ def test_generalized_median_is_the_pooled_order_statistic(values, data):
     got = generalized_median(values, phantoms)
     pooled = sorted(list(values) + list(phantoms))
     assert got == pooled[n]
+
+
+@given(st.integers(1, 8), st.data())
+@settings(max_examples=100, deadline=None)
+def test_a_block_of_reports_gives_each_row_its_median(n, data):
+    block = data.draw(st.lists(st.lists(st.floats(-100, 100), min_size=n, max_size=n),
+                               min_size=1, max_size=5))
+    phantoms = data.draw(st.lists(
+        st.one_of(st.floats(-100, 100), st.sampled_from([np.inf, -np.inf])),
+        min_size=n + 1, max_size=n + 1,
+    ))
+    got = generalized_median(np.array(block), phantoms)
+    assert got.shape == (len(block),)
+    assert got.tolist() == [generalized_median(values, phantoms) for values in block]
 
 
 @given(st.lists(st.floats(-100, 100), min_size=1, max_size=8), st.data())

@@ -84,13 +84,35 @@ def test_tracer_counts_every_layer_of_an_l1_audit_and_a_grh_fit(monkeypatch):
     assert metrics["separability.lp_calls"]["value"] == len(lps[separability])
 
 
-def test_tracer_counts_the_probes_of_a_coalition_audit_and_a_replay():
+def test_tracer_counts_the_probes_of_a_coalition_audit_and_a_replay(monkeypatch):
     tracing = load_tracing()
     inst = builtin_instance("crm-disjoint")
     cert = audit_sp(inst.mechanism, inst.data, inst.deviator)
+    blocks = []
+    coefficients_many = BoundMechanism.coefficients_many
+
+    def counted_rows(self, ys):
+        blocks.append(np.array(ys))
+        return coefficients_many(self, ys)
+
+    monkeypatch.setattr(BoundMechanism, "coefficients_many", counted_rows)
+
+    def reported(found):
+        ys = inst.data.ys.copy()
+        ys[list(found.coalition)] = [found.misreports[m] for m in found.coalition]
+        return ys
+
     for run in (lambda: audit_gsp(inst.mechanism, inst.data, max_coalition=2, max_evals=50),
-                lambda: verify_certificate(inst.mechanism, inst.data, cert)):
+                lambda: verify_certificate(inst.mechanism, inst.data, cert) and cert):
+        blocks.clear()
         tracer = tracing.Tracer()
         with tracer:
-            run()
-        assert tracer.metrics(rounds=1)["audit.probes"]["value"] >= 2
+            found = run()
+        # the tracer sees the truthful fit of each run as its one probe; the
+        # misreports, the paying one among them, reach the block solve, which
+        # it does not wrap
+        assert tracer.metrics(rounds=1)["audit.probes"]["value"] == 1
+        rows = np.concatenate(blocks)
+        assert (rows == reported(found)).all(axis=1).any()
+        assert not (rows == inst.data.ys).all(axis=1).any()
+    assert len(rows) == 1  # the replay solves the certificate's row alone
