@@ -196,7 +196,7 @@ def _bind_grh(data: DataSet, cfg: AgentPartition):
     if data.d != 1 and not is_publicly_separable(data, cfg):
         raise NotPubliclySeparable("partition is not publicly separable; rejected before solving")
     solver = _GrhSolver(data.xs, cfg)
-    return (lambda ys: solver.solve(ys)[0]), (lambda ys: solver.solve_many(ys)[:2])
+    return solver.solve, solver.solve_many
 
 
 def _generalized_medians(data: DataSet, cfg: GenMedParams, ys) -> np.ndarray:
@@ -478,12 +478,18 @@ def _through_others(data: DataSet, agents) -> list[np.ndarray]:
 def _grid_and_crossings(data: DataSet, grid_points: int, agents) -> list[np.ndarray]:
     """For each of ``agents``, the even grid over the stretched y-range
     followed by the agent's crossings: the predictions at its position of
-    the hyperplanes through d+1 other agents."""
+    the hyperplanes through d+1 other agents.  Raises ContractViolation
+    when a candidate is not finite, as when the reports span more than the
+    largest float: an audit over such candidates would search nothing."""
     lo, hi = float(data.ys.min()), float(data.ys.max())
     spread = (hi - lo) or 1.0
-    grid = np.linspace(lo - spread, hi + spread, grid_points)
-    return [np.concatenate([grid, betas @ np.append(data.xs[agent], 1.0)])
-            for agent, betas in zip(agents, _through_others(data, agents))]
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid = np.linspace(lo - spread, hi + spread, grid_points)
+        out = [np.concatenate([grid, betas @ np.append(data.xs[agent], 1.0)])
+               for agent, betas in zip(agents, _through_others(data, agents))]
+    if not np.isfinite(np.concatenate(out)).all():
+        raise ContractViolation("misreport candidates overflow: the reports span too wide a range")
+    return out
 
 
 def _first_occurrences(values: np.ndarray) -> np.ndarray:

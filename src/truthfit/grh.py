@@ -22,7 +22,9 @@ in chunks of rows capped by ``core.BLOCK_CELLS`` (one row at least).
 Both solvers take a block of report vectors, one per row, and solve every
 row in the same numpy calls; an audit judges a coalition's joint reports
 this way.  Residual signs are judged against 1e-9 of each row's largest
-|y|, so a fit of s*y is s times the fit of y.
+|y|, so a fit of s*y is s times the fit of y.  A solver returns
+coefficients only: ``fit_grh`` reads the transversal off the plane, in
+every dimension by one rule, as the first on-plane member of each set.
 """
 
 from __future__ import annotations
@@ -54,7 +56,10 @@ DEDUP_TOL = 1e-12
 
 @dataclass(frozen=True)
 class GrhResult:
-    """Unique satisfying hyperplane plus which transversal produced it."""
+    """Unique satisfying hyperplane and its first satisfying transversal in
+    product order.  ``candidates_examined`` is the product of the set sizes:
+    the transversals the enumeration examines, or the transversal space the
+    d = 1 root search covers."""
 
     hyperplane: Hyperplane
     traversal: tuple[int, ...]
@@ -90,33 +95,17 @@ def preset_partition(data: DataSet, scheme: str,
     return AgentPartition(sets, ranks)
 
 
-@dataclass(frozen=True)
-class _LineSplit:
-    """The two sets of a d = 1 partition, oriented left to right in x.
-
-    ``left`` and ``right`` hold agent indices in set order; ``flipped`` says
-    that the partition's first set is the right one.
-    """
-
-    left: np.ndarray
-    right: np.ndarray
-    k_left: int
-    k_right: int
-    flipped: bool
-
-
-def _vertical_split(xs: np.ndarray, part: AgentPartition) -> _LineSplit:
-    """Check that a vertical line separates the two sets and orient them.
+def _vertical_split(xs: np.ndarray, part: AgentPartition) -> tuple[tuple, tuple]:
+    """The sets and ranks of a d = 1 partition, the left set first in x.
 
     Raises NotPubliclySeparable when the x-ranges of the sets touch or
     interleave.
     """
-    first, second = (np.fromiter(s, dtype=int) for s in part.sets)
-    x = xs[:, 0]
-    if x[first].max() < x[second].min():
-        return _LineSplit(first, second, part.ranks[0], part.ranks[1], False)
-    if x[second].max() < x[first].min():
-        return _LineSplit(second, first, part.ranks[1], part.ranks[0], True)
+    first, second = (xs[list(s), 0] for s in part.sets)
+    if first.max() < second.min():
+        return part.sets, part.ranks
+    if second.max() < first.min():
+        return part.sets[::-1], part.ranks[::-1]
     raise NotPubliclySeparable("S and S' are not separated by a vertical line")
 
 
@@ -138,9 +127,17 @@ def _centred(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _uncentred(betas: np.ndarray, centre: np.ndarray) -> np.ndarray:
-    """Coefficient rows (beta1, beta0) over x from rows over x - centre."""
+    """Coefficient rows (beta1, beta0) over x from rows over x - centre.
+
+    The shift beta1 . centre is summed elementwise in a fixed order, so a
+    row gets the same bits in any stack of rows.
+    """
     out = betas.copy()
-    out[..., -1] -= betas[..., :-1] @ centre
+    if centre.size:
+        shift = betas[..., 0] * centre[0]
+        for j in range(1, centre.size):
+            shift += betas[..., j] * centre[j]
+        out[..., -1] -= shift
     return out
 
 
@@ -149,15 +146,17 @@ def _interpolation_systems(xs: np.ndarray, subsets: np.ndarray) -> tuple[np.ndar
     and which of them are nonsingular (condition at most CONDITION_LIMIT).
 
     Pass centred positions (see :func:`_centred`).  The gate judges each
-    system with every column divided by its largest |entry|, so that the
-    units of no coordinate decide it: the points x = 1e300 and x = 0 still
-    pin a line.
+    system with every nonzero column divided by its largest |entry|, so
+    that the units of no coordinate decide it: the points x = 1e300 and
+    x = 0 still pin a line.  A zero column, such as a constant coordinate
+    once centred, stays zero, and its system is singular.
     """
     d = xs.shape[1]
     mats = np.ones((subsets.shape[0], d + 1, d + 1))
     mats[:, :, :d] = xs[subsets]
+    scale = np.abs(mats).max(axis=1, keepdims=True)
     with np.errstate(all="ignore"):
-        conds = np.linalg.cond(mats / np.abs(mats).max(axis=1, keepdims=True))
+        conds = np.linalg.cond(mats / np.where(scale > 0.0, scale, 1.0))
     return mats, np.isfinite(conds) & (conds <= CONDITION_LIMIT)
 
 
@@ -200,29 +199,16 @@ def _set_layout(sets) -> tuple[np.ndarray, np.ndarray]:
     return members, marks
 
 
-def _line_residuals(y, x, y_i, x_i, slope) -> np.ndarray:
-    """Residuals over x of the line through (x_i, y_i) with the given slope,
-    one line per row of y, in this order of operations so that a point on
-    the line through its own report gets exactly zero."""
-    return (y - y_i[:, None]) - slope[:, None] * (x - x_i[:, None])
-
-
-def _rank_tolerance(ys: np.ndarray) -> np.ndarray:
-    """The residual-sign tolerance of each row of reports: 1e-9 of its
-    largest |y|, so that a fit of s*y is s times the fit of y."""
-    return 1e-9 * np.max(np.abs(ys), axis=-1)
-
-
 class _GrhSolver:
     """Repeated solves on fresh reports over fixed public information.
 
     Everything that depends only on positions and the partition is set up
-    once.  In d = 1 that is the oriented vertical split, in O(n) memory;
-    in any other dimension it is the inverted interpolation system of every
-    transversal, in x centred on its mean.  ``candidate_count`` is the product of the set sizes in
-    both cases: the transversals the enumeration examines, or the
-    transversal space the d = 1 root search covers.
+    once.  In d = 1 that is the vertical split, its left set first, in O(n)
+    memory; in any other dimension it is the inverted interpolation system
+    of every transversal, in x centred on its mean.
 
+    A solve returns coefficients only; which transversal a plane
+    interpolates is read off the plane (see :func:`fit_grh`).
     :meth:`solve_many` solves a block of report vectors, one per row, in
     the same numpy calls.  Coefficients are summed elementwise in a fixed
     order, and each row's residuals come from a matrix product of its own,
@@ -232,16 +218,15 @@ class _GrhSolver:
     def __init__(self, xs: np.ndarray, part: AgentPartition):
         d = xs.shape[1]
         _require_transversal_shape(d, part)
-        self._count = math.prod(len(s) for s in part.sets)
-        self._split = None
+        self._left = None                        # the left set's size in d = 1
         if d == 1:
-            split = self._split = _vertical_split(xs, part)
-            self._members, self._sets = _set_layout((split.left, split.right))
-            self._ranks = np.array([split.k_left, split.k_right])
+            sets, ranks = _vertical_split(xs, part)
+            self._members, self._sets = _set_layout(sets)
+            self._ranks = np.array(ranks)
             self._x = xs[self._members, 0]
             # g is the same function of the slope in any x-origin; one in
             # the gap keeps y - b*x free of cancellation far from x = 0
-            nl = split.left.size
+            nl = self._left = len(sets[0])
             self._xc = self._x - 0.5 * (self._x[:nl].max() + self._x[nl:].min())
             return
         xc, self.centre = _centred(xs)
@@ -250,55 +235,31 @@ class _GrhSolver:
         self._ranks = np.array(part.ranks)
         self.xbar_t = np.hstack([xc, np.ones((xs.shape[0], 1))]).T[:, self._members]
 
-    def candidate_count(self) -> int:
-        return self._count
-
-    def solve(self, ys: np.ndarray) -> tuple[np.ndarray, int]:
-        """The coefficients (beta1, beta0) for one report vector and its
-        witness: row 0 of :meth:`solve_many` on the one-row block, raising
-        that row's error."""
-        betas, failed, witness = self.solve_many(ys[None, :])
+    def solve(self, ys: np.ndarray) -> np.ndarray:
+        """The coefficients (beta1, beta0) for one report vector: row 0 of
+        :meth:`solve_many` on the one-row block, raising that row's error."""
+        betas, failed = self.solve_many(ys[None, :])
         if failed:
             raise failed[0]
-        return betas[0], int(witness[0])
+        return betas[0]
 
-    def traversal_of(self, ys: np.ndarray, beta: np.ndarray, witness: int) -> tuple[int, ...]:
-        """The first satisfying transversal in product order of a solve of
-        ``ys`` to ``beta`` with the given witness.  In d = 1, as enumeration
-        reports it: the first member of each set, in set order, that lies
-        on the line."""
-        if self._split is None:
-            return tuple(int(i) for i in self.traversals[witness])
-        split = self._split
-        nl = split.left.size
-        y, i = ys[None, self._members], np.array([witness])
-        on = np.abs(_line_residuals(y, self._xc, y[0, i], self._xc[i], beta[:1])[0]) \
-            <= _rank_tolerance(ys)
-        first_left = int(split.left[np.argmax(on[:nl])])
-        first_right = int(split.right[np.argmax(on[nl:])])
-        return (first_right, first_left) if split.flipped else (first_left, first_right)
-
-    def solve_many(self, ys: np.ndarray) -> tuple[np.ndarray, dict[int, InternalInconsistency],
-                                                 np.ndarray]:
+    def solve_many(self, ys: np.ndarray) -> tuple[np.ndarray, dict[int, InternalInconsistency]]:
         """Solve each row of a (K, n) block of report vectors.
 
-        Returns the (K, d+1) coefficients, the error of each row on which
-        the method fails (``InternalInconsistency`` or
-        ``UniquenessViolation``, with NaN coefficients), and each row's
-        witness: the index of its first satisfying transversal (d >= 2) or
-        the left agent its line passes through, in split order (d = 1).
+        Returns the (K, d+1) coefficients and the error of each row on
+        which the method fails (``InternalInconsistency`` or
+        ``UniquenessViolation``, with NaN coefficients).
         """
-        tol = _rank_tolerance(ys)
-        if self._split is not None:
+        tol = 1e-9 * np.max(np.abs(ys), axis=-1)
+        if self._left is not None:
             return self._solve_lines(ys, tol)
         step = max(1, core.BLOCK_CELLS // (self.traversals.shape[0] * self._members.size))
-        betas, failed, witness = [], {}, []
+        betas, failed = [], {}
         for start in range(0, ys.shape[0], step):
-            chunk = self._solve_planes(ys[start:start + step], tol[start:start + step])
-            betas.append(chunk[0])
-            failed.update((start + k, exc) for k, exc in chunk[1].items())
-            witness.append(chunk[2])
-        return np.concatenate(betas), failed, np.concatenate(witness)
+            chunk, errors = self._solve_planes(ys[start:start + step], tol[start:start + step])
+            betas.append(chunk)
+            failed.update((start + k, exc) for k, exc in errors.items())
+        return np.concatenate(betas), failed
 
     def _solve_planes(self, ys: np.ndarray, tol: np.ndarray):
         """Every transversal's hyperplane for every row of a chunk, one
@@ -316,15 +277,14 @@ class _GrhSolver:
         np.subtract(ys[:, None, self._members], resid, out=resid)
         ok = _meets_ranks(resid, self._sets, self._ranks, tol[:, None, None])
         del resid
-        first = np.argmax(ok, axis=1)
-        chosen = self._over_x(betas[np.arange(ys.shape[0]), first])
+        chosen = _uncentred(betas[np.arange(ys.shape[0]), np.argmax(ok, axis=1)], self.centre)
         hits = np.count_nonzero(ok, axis=1)
         failed = {int(k): InternalInconsistency(
                       "no transversal hyperplane satisfies the rank conditions")
                   for k in np.flatnonzero(hits == 0)}
         multi = np.flatnonzero(hits > 1)
         if multi.size:
-            found, ok = self._over_x(betas[multi]), ok[multi]
+            found, ok = _uncentred(betas[multi], self.centre), ok[multi]
             same = DEDUP_TOL * np.max(np.abs(np.where(ok[..., None], found, 0.0)), axis=(1, 2))
             distinct = np.count_nonzero(
                 ok & (np.max(np.abs(found - chosen[multi, None]), axis=2) > same[:, None]), axis=1)
@@ -333,18 +293,7 @@ class _GrhSolver:
                                "satisfy the rank conditions"))
                           for k, count in zip(multi, distinct) if count)
         chosen[list(failed)] = np.nan
-        return chosen, failed, first
-
-    def _over_x(self, betas: np.ndarray) -> np.ndarray:
-        """Coefficient rows over x from rows over x - centre, as
-        :func:`_uncentred` computes them but summed elementwise in a fixed
-        order, so that a row gets the same bits in any block."""
-        shift = betas[..., 0] * self.centre[0]
-        for j in range(1, self.centre.size):
-            shift += betas[..., j] * self.centre[j]
-        out = betas.copy()
-        out[..., -1] -= shift
-        return out
+        return chosen, failed
 
     def _solve_lines(self, ys: np.ndarray, tol: np.ndarray):
         """Root of the rank gap g(b), per row, by Newton steps kept inside a bracket.
@@ -381,12 +330,11 @@ class _GrhSolver:
         The rows search together, one evaluation of every searching row per
         step; a row leaves when its line passes the rank count or it fails.
         """
-        nl = self._split.left.size
+        nl = self._left
         kl, kr = self._ranks - 1
         x = self._xc
         count = ys.shape[0]
         betas = np.full((count, 2), np.nan)
-        anchor = np.zeros(count, dtype=int)
         failed: dict[int, InternalInconsistency] = {}
         live = rows = np.arange(count)           # live: the original row of each searching row
         y, tol = ys[:, self._members], tol[:, None]
@@ -397,8 +345,10 @@ class _GrhSolver:
             j = u[:, nl:].argpartition(kr, axis=1)[:, kr] + nl
             y_i, x_i = y[rows, i], x[i]
             slope = (y[rows, j] - y_i) / (x[j] - x_i)
-            done = _meets_ranks(_line_residuals(y, x, y_i, x_i, slope),
-                                self._sets, self._ranks, tol)
+            # the active pair's line, in an order of operations that gives
+            # a point on the line through its own report exactly zero
+            resid = (y - y_i[:, None]) - slope[:, None] * (x - x_i[:, None])
+            done = _meets_ranks(resid, self._sets, self._ranks, tol)
             gap = u[rows, i] - u[rows, j]
             below, above = gap < 0.0, gap > 0.0
             lo = np.where(below, b, lo)
@@ -422,11 +372,10 @@ class _GrhSolver:
             found = live[done]
             betas[found, 0] = slope[done]
             betas[found, 1] = y_i[done] - slope[done] * self._x[i[done]]
-            anchor[found] = i[done]
             keep = ~leave
             live, y, tol, lo, hi, b = live[keep], y[keep], tol[keep], lo[keep], hi[keep], b[keep]
             rows = np.arange(live.size)
-        return betas, failed, anchor
+        return betas, failed
 
 
 def traversal_hyperplanes(data: DataSet, part: AgentPartition) -> list[tuple[tuple[int, ...], Hyperplane]]:
@@ -450,16 +399,23 @@ def fit_grh(data: DataSet, part: AgentPartition) -> GrhResult:
     ties cannot disqualify the true solution.  The tolerance scales with
     y, and so does the fit.  In d = 1 the solver's vertical split decides
     public separability exactly, from the x-ranges of the two sets.
+
+    The reported traversal is the first satisfying one in product order:
+    in each set, in set order, the first member whose residual on the
+    fitted plane is within ``core.residual_zero_tol``.
     """
     part.validate_against(data)
     if data.d != 1 and not is_publicly_separable(data, part):
         raise NotPubliclySeparable(
             "partition is not publicly separable; rejected before solving"
         )
-    solver = _GrhSolver(data.xs, part)
-    beta, witness = solver.solve(data.ys)
-    return GrhResult(Hyperplane(beta[:-1], beta[-1]), solver.traversal_of(data.ys, beta, witness),
-                     solver.candidate_count())
+    beta = _GrhSolver(data.xs, part).solve(data.ys)
+    h = Hyperplane(beta[:-1], beta[-1])
+    on = np.abs(data.ys - (data.xs @ h.beta1 + h.beta0)) <= residual_zero_tol(data, h)
+    traversal = tuple(next((i for i in s if on[i]), None) for s in part.sets)
+    if None in traversal:
+        raise InternalInconsistency("the fitted hyperplane passes through no member of a set")
+    return GrhResult(h, traversal, math.prod(len(s) for s in part.sets))
 
 
 def _grl_partition(data: DataSet, s, sprime, k: int, kprime: int) -> AgentPartition:

@@ -308,6 +308,25 @@ def test_default_candidates_cover_grid_and_crossings():
     assert len(cands) >= 41
 
 
+def test_a_constant_coordinate_pins_no_crossing():
+    # centred, the column is zero; scaled by its largest |entry| it once
+    # became 0/0 and the condition estimate failed to converge
+    data = DataSet(np.ones((4, 1)), np.arange(4.0))
+    assert hyperplanes_through_others(data, 0).shape == (0, 2)
+    assert len(default_candidates(data, 0)) == 41
+
+
+def test_audits_refuse_candidates_that_overflow():
+    # the reports span more than the largest float: the grid's spread is
+    # inf, and the candidates hold nan and inf
+    data = DataSet(np.arange(4.0).reshape(-1, 1), np.array([-1e308, 1e308, 0.0, 1.0]))
+    spec = MechanismSpec(MechanismKind.OLS)
+    for run in (lambda: default_candidates(data, 0), lambda: audit_sp(spec, data, 0),
+                lambda: audit_gsp(spec, data, max_coalition=2, max_evals=10)):
+        with pytest.raises(ContractViolation, match="candidates overflow"):
+            run()
+
+
 # -- influence envelopes ----------------------------------------------------------
 
 

@@ -148,6 +148,30 @@ def test_audit_gsp_clean_mechanism_returns_null(line_csv, tmp_path, capsys):
     assert json.loads(out) == {"violation": None}
 
 
+@pytest.mark.parametrize("mechanism, violation", [("ols", True), ("l1erm", False)])
+def test_audit_sp_on_a_constant_x_column_exits_zero(tmp_path, capsys, mechanism, violation):
+    # every crossing system is singular there; the audit once ended in a
+    # LinAlgError from the condition gate and exited 1
+    csv = tmp_path / "constant.csv"
+    write_dataset(csv, DataSet(np.ones((4, 1)), np.arange(4.0)))
+    code, out, err = run(capsys, "audit", "sp", "--mechanism", mechanism, "--agent", "0",
+                         "--data", str(csv))
+    assert code == 0 and err == ""
+    assert (json.loads(out)["violation"] is not None) == violation
+
+
+@pytest.mark.parametrize("mode", ["sp", "gsp"])
+def test_audit_over_overflowing_candidates_exits_three(tmp_path, capsys, mode):
+    # it once printed overflow warnings and then {"violation": null}
+    csv = tmp_path / "huge.csv"
+    write_dataset(csv, DataSet(np.arange(4.0).reshape(-1, 1),
+                               np.array([-1e308, 1e308, 0.0, 1.0])))
+    code, out, err = run(capsys, "audit", mode, "--mechanism", "ols", "--data", str(csv))
+    assert code == 3 and out == ""
+    assert err == ("contract violation: misreport candidates overflow: "
+                   "the reports span too wide a range\n")
+
+
 # -- influence ----------------------------------------------------------------------
 
 

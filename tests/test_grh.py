@@ -17,10 +17,12 @@ from truthfit import (
     ContractViolation,
     DataSet,
     Hyperplane,
+    InternalInconsistency,
     MechanismKind,
     MechanismSpec,
     MedianSide,
     NotPubliclySeparable,
+    UniquenessViolation,
     fit_grh,
     fit_grl,
     preset_partition,
@@ -383,6 +385,48 @@ def test_line_search_matches_enumeration_on_split_lines_with_random_ranks(pick):
     result = fit_grh(data, part)
     assert_matches_enumeration(data, part, result)
     assert fit_grl(data, s, sp, k, kp).close_to(result.hyperplane, tol=0.0)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_plane_traversal_is_the_first_satisfying_one_in_product_order(pick):
+    # integer points in three 3 x 3 boxes at the corners of a triangle, so
+    # no line through points of two boxes meets the third and every
+    # transversal spans a plane; few distinct y values make ties inside
+    # the sets and planes through more than three points common
+    sets, xs = [], []
+    for corner in ((0, 0), (6, 0), (0, 6)):
+        size = pick.draw(st.integers(1, 4))
+        cells = pick.draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                                   min_size=size, max_size=size, unique=True))
+        sets.append(tuple(range(len(xs), len(xs) + size)))
+        xs += [(corner[0] + a, corner[1] + b) for a, b in cells]
+    ys = pick.draw(st.lists(st.integers(-1, 1), min_size=len(xs), max_size=len(xs)))
+    ranks = tuple(pick.draw(st.integers(1, len(s))) for s in sets)
+    order = pick.draw(st.permutations(range(3)))
+    data = DataSet(np.array(xs, dtype=float), np.array(ys, dtype=float))
+    part = AgentPartition(tuple(sets[t] for t in order), tuple(ranks[t] for t in order))
+    try:
+        result = fit_grh(data, part)
+    except (UniquenessViolation, NotPubliclySeparable):
+        return
+    hits = oracle_satisfying(data, part)
+    npt.assert_allclose(result.hyperplane.coefficients(), hits[0][1], rtol=1e-9, atol=1e-9)
+    assert result.traversal == hits[0][0]
+
+
+def test_a_plane_through_no_member_of_a_set_is_an_inconsistency(monkeypatch):
+    data, part = random_separable_instance(np.random.default_rng(3), 2)
+    solve = grh._GrhSolver.solve
+    monkeypatch.setattr(grh._GrhSolver, "solve", lambda self, ys: solve(self, ys) + [0, 0, 1])
+    with pytest.raises(InternalInconsistency, match="passes through no member"):
+        fit_grh(data, part)
+
+
+def test_a_resistant_hyperplane_in_d0_is_the_kth_smallest_report():
+    data = DataSet(np.zeros((4, 0)), np.array([3.0, 1.0, 2.0, 5.0]))
+    result = fit_grh(data, AgentPartition(((0, 1, 2, 3),), (2,)))
+    assert result.hyperplane.beta0 == 2.0 and result.traversal == (2,)
 
 
 def test_brown_mood_at_ten_thousand_points_runs_in_linear_memory():

@@ -20,6 +20,7 @@ from truthfit import (
     MechanismSpec,
     audit_gsp,
     audit_sp,
+    brown_mood_spec,
     builtin_instance,
     default_candidates,
     fit_mechanism,
@@ -116,3 +117,17 @@ def test_tracer_counts_the_probes_of_a_coalition_audit_and_a_replay(monkeypatch)
         assert (rows == reported(found)).all(axis=1).any()
         assert not (rows == inst.data.ys).all(axis=1).any()
     assert len(rows) == 1  # the replay solves the certificate's row alone
+
+
+def test_tracer_sees_the_one_bind_and_solve_of_a_brown_mood_fit():
+    # the brown-mood-cli path: a d = 1 bind hands out the solver's bound
+    # methods, which must be those of the tracer's subclass
+    tracing = load_tracing()
+    data = random_data(np.random.default_rng(5), 9, 1)
+    tracer = tracing.Tracer()
+    with tracer:
+        fit_mechanism(brown_mood_spec(data), data)
+    metrics = tracer.metrics(rounds=1)
+    assert metrics["grh.inits"]["value"] == 1
+    assert metrics["grh.solves"]["value"] == 1
+    assert metrics["grh.candidates"]["value"] == 4 * 5
