@@ -17,7 +17,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
+from functools import partial, reduce
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -313,6 +313,12 @@ class ViolationCertificate:
         object.__setattr__(self, "after", tuple(float(v) for v in self.after))
 
 
+def _scale(*values) -> float:
+    """The unit of every audit threshold: the largest |value| among the
+    truthful reports and the reports being judged (arrays or numbers)."""
+    return float(np.max(np.abs(np.concatenate([np.ravel(v) for v in values]))))
+
+
 class _Probe:
     """One mechanism bound to the data, its truthful fit, and the judgement
     of joint misreports against it.
@@ -328,6 +334,7 @@ class _Probe:
         # to demand a larger strict gain, or a real (if small) sacrifice by one
         # member would masquerade as indifference and fake a certificate
         self.noise = min(margin, DEFAULT_MARGIN)
+        self.ymax = _scale(data.ys)
         self.bound = spec.bind(data)
         self.truthful = self.bound.hyperplane()
         self.xbar = data.xbar()
@@ -364,7 +371,8 @@ class _Probe:
         are gathered from the table and scattered into the rows at once.
         Each row is judged at its own coalition's columns only: the
         reports, truthful residuals and positions are gathered there as
-        (rows, columns) arrays, so a row is judged the same in any stack.
+        (rows, columns) arrays, and its margins are fractions of its own
+        :func:`_scale`, so a row is judged the same in any stack.
         """
         ys = self.data.ys
         counts = [len(picks) for _, picks in stack]
@@ -386,8 +394,12 @@ class _Probe:
         for j in range(1, xbar.shape[2]):
             fitted += coeffs[:, None, j] * xbar[..., j]
         r0, r1 = self.r0[cols], ys[cols] - fitted
-        pays = (~np.any(forced_worse(r0, r1, self.noise), axis=1)
-                & np.any(strictly_better(r0, r1, self.margin), axis=1))
+        # judged in units of each row's scale; a maximum column by column,
+        # as numpy reduces a short last axis slowly
+        scale = reduce(np.maximum, np.abs(reports).T, self.ymax)[:, None]
+        u0, u1 = r0 / scale, r1 / scale
+        pays = (~np.any(forced_worse(u0, u1, self.noise), axis=1)
+                & np.any(strictly_better(u0, u1, self.margin), axis=1))
         pays[list(failed)] = False
         first = int(np.argmax(pays)) if pays.any() else probes.size
         errors = [failed[k] for k in sorted(failed) if k < first]
@@ -410,19 +422,23 @@ def verify_certificate(spec: MechanismSpec, data: DataSet,
                        margin: float = DEFAULT_MARGIN) -> bool:
     """Replay the certificate: judge its misreports again as the audits do.
 
-    The replay must find the gain again, and the stated lines and residuals
-    must reproduce within 1e-12 (absolute plus relative).
+    The replay must find the gain again, and the stated residuals, and the
+    stated lines' predictions at every agent, must reproduce within 1e-12
+    of the certificate's :func:`_scale`.
     """
     if cert.coalition and not 0 <= cert.coalition[0] <= cert.coalition[-1] < data.n:
         raise ContractViolation(f"coalition {cert.coalition} out of range")
-    replay = _Probe(spec, data, margin).judge(
-        cert.coalition, [cert.misreports[m] for m in cert.coalition])
+    reports = [cert.misreports[m] for m in cert.coalition]
+    replay = _Probe(spec, data, margin).judge(cert.coalition, reports)
     if replay is None:
         return False
-    stated, actual = cert.before + cert.after, replay.before + replay.after
-    return (replay.truthful.close_to(cert.truthful, 1e-12)
-            and replay.deviated.close_to(cert.deviated, 1e-12)
-            and all(abs(s - a) <= 1e-12 * (1.0 + abs(a)) for s, a in zip(stated, actual)))
+    if not cert.truthful.d == cert.deviated.d == data.d:
+        return False
+    xbar = data.xbar()
+    stated, actual = (np.concatenate([c.before, c.after, xbar @ c.truthful.coefficients(),
+                                      xbar @ c.deviated.coefficients()])
+                      for c in (cert, replay))
+    return bool(np.all(np.abs(stated - actual) <= 1e-12 * _scale(data.ys, reports)))
 
 
 # --------------------------------------------------------------------------
@@ -439,7 +455,7 @@ def hyperplanes_through_others(data: DataSet, agent: int) -> np.ndarray:
     Returns an array of shape (count, d+1); count may be zero.
     """
     _check_agent(data, agent)
-    return _through_others(data, [agent])[0]
+    return _require_finite(_through_others(data, [agent])[0], "hyperplanes through other agents")
 
 
 def default_candidates(data: DataSet, agent: int, grid_points: int = 41) -> list[float]:
@@ -472,23 +488,30 @@ def _through_others(data: DataSet, agents) -> list[np.ndarray]:
     mats, good = _interpolation_systems(xc, subsets)
     subsets = subsets[good]
     solved = np.linalg.solve(mats[good], data.ys[subsets][..., None])[..., 0]
-    return [_uncentred(solved[(subsets != agent).all(axis=1)], centre) for agent in agents]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return [_uncentred(solved[(subsets != agent).all(axis=1)], centre) for agent in agents]
+
+
+def _require_finite(values, what: str):
+    """The values, or ContractViolation when one is not finite (the reports
+    span too wide a range): an audit or bound over them would search nothing."""
+    if not np.isfinite(values).all():
+        raise ContractViolation(f"{what} overflow: the reports span too wide a range")
+    return values
 
 
 def _grid_and_crossings(data: DataSet, grid_points: int, agents) -> list[np.ndarray]:
     """For each of ``agents``, the even grid over the stretched y-range
     followed by the agent's crossings: the predictions at its position of
     the hyperplanes through d+1 other agents.  Raises ContractViolation
-    when a candidate is not finite, as when the reports span more than the
-    largest float: an audit over such candidates would search nothing."""
+    when a candidate is not finite."""
     lo, hi = float(data.ys.min()), float(data.ys.max())
-    spread = (hi - lo) or 1.0
+    spread = (hi - lo) or abs(hi) or 1.0
     with np.errstate(over="ignore", invalid="ignore"):
         grid = np.linspace(lo - spread, hi + spread, grid_points)
         out = [np.concatenate([grid, betas @ np.append(data.xs[agent], 1.0)])
                for agent, betas in zip(agents, _through_others(data, agents))]
-    if not np.isfinite(np.concatenate(out)).all():
-        raise ContractViolation("misreport candidates overflow: the reports span too wide a range")
+    _require_finite(np.concatenate(out), "misreport candidates")
     return out
 
 
@@ -564,9 +587,10 @@ def audit_sp(spec: MechanismSpec, data: DataSet, agent: int,
              margin: float = DEFAULT_MARGIN) -> ViolationCertificate | None:
     """Search one agent's misreports for a strictly profitable deviation.
 
-    Candidates default to :func:`default_candidates`.  Returns the first
-    certificate in candidate order, or None.  Probes where the mechanism
-    itself becomes undefined (degenerate-tie errors) are skipped.
+    Candidates default to :func:`default_candidates`, and ``margin`` is a
+    fraction of each report's :func:`_scale`.  Returns the first certificate
+    in candidate order, or None.  Probes where the mechanism itself becomes
+    undefined (degenerate-tie errors) are skipped.
     """
     _check_agent(data, agent)
     probe = _Probe(spec, data, margin)
@@ -584,9 +608,9 @@ def audit_gsp(spec: MechanismSpec, data: DataSet, max_coalition: int,
               max_evals: int | None = None) -> ViolationCertificate | None:
     """Coalition misreport search: weak improvement for all, strict for one.
 
-    ``margin`` is the strict-gain threshold; the no-member-worse condition
-    is always judged at solver-noise scale (never looser than the default
-    margin).  Singleton coalitions are searched exhaustively first
+    ``margin`` is the strict-gain threshold, a fraction of each joint
+    report's :func:`_scale`; the no-member-worse condition is always judged
+    at solver-noise scale (never looser than the default margin).  Singleton coalitions are searched exhaustively first
     (identical to :func:`audit_sp` over the same candidate lists).  Larger
     coalitions are enumerated exhaustively for n <= 8, else
     ``COALITION_SAMPLES`` of each size are sampled; each agent's candidate
@@ -671,11 +695,12 @@ def influence_bounds(spec: MechanismSpec, data: DataSet, agent: int) -> Influenc
     Only the strategyproof traversal kinds (GRH, GRL) are accepted: their
     prediction at the agent is med(y, l, h), and it moves inside the
     interval spanned by the hyperplanes through d+1 other agents.  Probing
-    one unit beyond that interval on each side reveals whether the
-    prediction tracks the report (no bound) or pins to a constant (the
-    bound).  Every other kind raises UnsupportedMechanism; CRM also
-    interpolates d+1 agents, but its prediction need not be of clamp form,
-    so two probes would not determine it.
+    beyond it on each side, by the :func:`_scale` of the reports and the
+    crossings, reveals whether the prediction tracks the report (within 1e-9
+    of the probe's scale: no bound) or pins to a constant (the bound).
+    Every other kind raises UnsupportedMechanism; CRM also interpolates d+1
+    agents, but its prediction need not be of clamp form, so two probes
+    would not determine it.
     """
     if spec.kind not in (MechanismKind.GRH, MechanismKind.GRL):
         raise UnsupportedMechanism(
@@ -693,21 +718,21 @@ def influence_bounds(spec: MechanismSpec, data: DataSet, agent: int) -> Influenc
             "all (d+1)-subsets of the other agents are affinely dependent"
         )
     x_aug = np.append(data.xs[agent], 1.0)
-    anchors = betas @ x_aug
+    with np.errstate(over="ignore", invalid="ignore"):
+        anchors = betas @ x_aug
+        reach = _scale(data.ys, anchors) or 1.0     # all-zero data have no scale
+        low, high = _require_finite([anchors.min() - reach, anchors.max() + reach],
+                                    "influence probes")
     bound = spec.bind(data)
 
-    def probe(report: float) -> float:
+    def pinned(report: float, free: float) -> float:
+        """The prediction at ``report``, or ``free`` when it tracks the report."""
         ys2 = data.ys.copy()
         ys2[agent] = report
-        return float(bound.coefficients(ys2) @ x_aug)
+        value = float(bound.coefficients(ys2) @ x_aug)
+        return free if abs(value - report) <= 1e-9 * _scale(data.ys, report) else value
 
-    low_probe = float(anchors.min()) - 1.0
-    high_probe = float(anchors.max()) + 1.0
-    v_low = probe(low_probe)
-    v_high = probe(high_probe)
-    lower = -math.inf if abs(v_low - low_probe) <= 1e-9 * (1.0 + abs(low_probe)) else v_low
-    upper = math.inf if abs(v_high - high_probe) <= 1e-9 * (1.0 + abs(high_probe)) else v_high
-    return InfluenceBounds(lower, upper)
+    return InfluenceBounds(pinned(low, -math.inf), pinned(high, math.inf))
 
 
 # --------------------------------------------------------------------------
@@ -721,13 +746,15 @@ def efficiency_ratio(spec: MechanismSpec, data: DataSet) -> float:
 
 def efficiency_terms(spec: MechanismSpec, data: DataSet) -> tuple[float, float, float]:
     """Mechanism RSS, least-squares RSS, and their ratio: +inf when least
-    squares is exact but the mechanism is not, 1 when both are exact.  An
-    RSS counts as exact below (1e-12 max |y|)^2 n, in the units of y."""
-    mech_rss = rss(data, fit_mechanism(spec, data))
-    ols_rss = rss(data, fit_ols(data))
-    zero = (1e-12 * float(np.max(np.abs(data.ys)))) ** 2 * data.n
-    if ols_rss <= zero:
-        return mech_rss, ols_rss, 1.0 if mech_rss <= zero else math.inf
+    squares is exact but the mechanism is not, 1 when both are exact.  A
+    fit counts as exact when its root mean squared residual is at most
+    1e-12 max |y|.  Raises ContractViolation when an RSS is not finite."""
+    fits = (fit_mechanism(spec, data), fit_ols(data))
+    with np.errstate(over="ignore"):
+        mech_rss, ols_rss = _require_finite([rss(data, h) for h in fits], "residual sums of squares")
+    zero = 1e-12 * _scale(data.ys)
+    if math.sqrt(ols_rss / data.n) <= zero:
+        return mech_rss, ols_rss, 1.0 if math.sqrt(mech_rss / data.n) <= zero else math.inf
     return mech_rss, ols_rss, mech_rss / ols_rss
 
 

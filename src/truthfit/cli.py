@@ -196,17 +196,20 @@ def _deviation(name: str):
             abs(y - predict(truthful, x)), abs(y - predict(deviated, x)))
 
 
+def _reference_line(inst: BuiltinInstance, key: str) -> Hyperplane:
+    slope, intercept = inst.reference_lines[key]
+    return Hyperplane([slope], intercept)
+
+
 def _reproduce_fig1a() -> tuple[bool, list[str]]:
     lines: list[str] = []
-    _, _, truthful, deviated, before, after = _deviation("crm-disjoint")
-    ok = _check(lines, "fig1a truthful line",
-                truthful.close_to(Hyperplane([0.0], 1.0), 1e-9),
-                f"computed ({truthful.beta1[0]:.12g}, {truthful.beta0:.12g}), "
-                "expected (0, 1)")
-    ok &= _check(lines, "fig1a deviated line",
-                 deviated.close_to(Hyperplane([0.1], 1.4), 1e-9),
-                 f"computed ({deviated.beta1[0]:.12g}, {deviated.beta0:.12g}), "
-                 "expected (0.1, 1.4)")
+    inst, _, truthful, deviated, before, after = _deviation("crm-disjoint")
+    ok = True
+    for key, fit in (("truthful", truthful), ("deviated", deviated)):
+        ref = _reference_line(inst, key)
+        ok &= _check(lines, f"fig1a {key} line", fit.close_to(ref, 1e-9),
+                     f"computed ({fit.beta1[0]:.12g}, {fit.beta0:.12g}), "
+                     f"expected ({ref.beta1[0]:g}, {ref.beta0:g})")
     ok &= _check(lines, "fig1a manipulation gain",
                  abs(before - 2.0) <= 1e-9 and abs(after - 1.2) <= 1e-9,
                  f"true |residual| {before:.12g} -> {after:.12g}, expected 2 -> 1.2")
@@ -215,16 +218,12 @@ def _reproduce_fig1a() -> tuple[bool, list[str]]:
 
 def _reproduce_fig1b() -> tuple[bool, list[str]]:
     lines: list[str] = []
-    _, _, truthful, _, before, after = _deviation("crm-subset")
+    inst, _, truthful, _, before, after = _deviation("crm-subset")
     ok = _check(lines, "fig1b manipulation gain", before - after >= 1e-6,
                 f"true |residual| {before:.12g} -> {after:.12g}")
-    figure_line = Hyperplane([0.5], 3.5)
-    text_line = Hyperplane([2.0 / 3.0], 8.0 / 3.0)
-    matches = []
-    if truthful.close_to(figure_line, 1e-9):
-        matches.append("figure 0.5x + 3.5")
-    if truthful.close_to(text_line, 1e-9):
-        matches.append("text 2x/3 + 8/3")
+    matches = [label for label, key in (("figure 0.5x + 3.5", "figure_truthful"),
+                                        ("text 2x/3 + 8/3", "text_truthful"))
+               if truthful.close_to(_reference_line(inst, key), 1e-9)]
     lines.append(
         f"INFO fig1b truthful line ({truthful.beta1[0]:.12g}, {truthful.beta0:.12g}) "
         f"matches: {', '.join(matches) if matches else 'neither reference'} "

@@ -44,7 +44,7 @@ from .errors import (
     NotPubliclySeparable,
     UniquenessViolation,
 )
-from .separability import AgentPartition, is_publicly_separable
+from .separability import AgentPartition, is_publicly_separable, vertical_split
 
 #: Interpolation systems with condition estimates above this are singular.
 CONDITION_LIMIT = 1e12
@@ -93,20 +93,6 @@ def preset_partition(data: DataSet, scheme: str,
     sets = (tuple(int(i) for i in left), tuple(int(i) for i in right))
     ranks = (median_rank(len(sets[0]), side), median_rank(len(sets[1]), side))
     return AgentPartition(sets, ranks)
-
-
-def _vertical_split(xs: np.ndarray, part: AgentPartition) -> tuple[tuple, tuple]:
-    """The sets and ranks of a d = 1 partition, the left set first in x.
-
-    Raises NotPubliclySeparable when the x-ranges of the sets touch or
-    interleave.
-    """
-    first, second = (xs[list(s), 0] for s in part.sets)
-    if first.max() < second.min():
-        return part.sets, part.ranks
-    if second.max() < first.min():
-        return part.sets[::-1], part.ranks[::-1]
-    raise NotPubliclySeparable("S and S' are not separated by a vertical line")
 
 
 def _require_transversal_shape(d: int, part: AgentPartition) -> None:
@@ -220,7 +206,7 @@ class _GrhSolver:
         _require_transversal_shape(d, part)
         self._left = None                        # the left set's size in d = 1
         if d == 1:
-            sets, ranks = _vertical_split(xs, part)
+            sets, ranks = vertical_split(xs, part)
             self._members, self._sets = _set_layout(sets)
             self._ranks = np.array(ranks)
             self._x = xs[self._members, 0]

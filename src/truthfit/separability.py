@@ -317,9 +317,30 @@ def is_well_separable(point_sets) -> bool:
     return True
 
 
+def vertical_split(xs: np.ndarray, part: AgentPartition) -> tuple[tuple, tuple]:
+    """The sets and ranks of two sets on a line, the left set first in x.
+
+    Raises NotPubliclySeparable when their x-ranges touch or interleave;
+    disjoint ranges are separated however small their gap.
+    """
+    first, second = (xs[list(s), 0] for s in part.sets)
+    if first.max() < second.min():
+        return part.sets, part.ranks
+    if second.max() < first.min():
+        return part.sets[::-1], part.ranks[::-1]
+    raise NotPubliclySeparable("S and S' are not separated by a vertical line")
+
+
 def is_publicly_separable(data: DataSet, part: AgentPartition) -> bool:
-    """Well separability of the partition's x-projections."""
+    """Well separability of the partition's x-projections; two sets on a
+    line by the x-range rule of :func:`vertical_split`."""
     part.validate_against(data)
+    if data.d == 1 and part.t == 2:
+        try:
+            vertical_split(data.xs, part)
+        except NotPubliclySeparable:
+            return False
+        return True
     return is_well_separable([data.xs[list(s)] for s in part.sets])
 
 

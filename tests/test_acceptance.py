@@ -268,9 +268,10 @@ def test_criterion_06b_least_absolute_deviations_group_strategyproof():
         n = int(rng.integers(3, 7))
         d = 1 + trial % 2
         data = random_data(rng, n, d)
-        # margin 1e-6: exact group-strategyproofness leaves no gain, but the
-        # smallest-norm tie-break resolves within ~1e-9 of the optimum, so
-        # certificates at the default margin could reflect wobble, not strategy
+        # margin 1e-6 of the reports' scale: exact group-strategyproofness
+        # leaves no gain, but the smallest-norm tie-break resolves within ~1e-9
+        # of the optimum, so certificates at the default margin could reflect
+        # wobble, not strategy
         cert = audit_gsp(spec, data, max_coalition=3, candidates_per_agent=41,
                          seed=trial, max_evals=300, margin=1e-6)
         assert cert is None, (

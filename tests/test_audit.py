@@ -316,6 +316,14 @@ def test_a_constant_coordinate_pins_no_crossing():
     assert len(default_candidates(data, 0)) == 41
 
 
+def test_candidates_of_equal_reports_scale_with_them():
+    # the grid once spanned the reports +-1 when they were all equal
+    data = DataSet(np.arange(4.0).reshape(-1, 1), np.full(4, 3.0))
+    for k in (-40, 40):
+        scaled = DataSet(data.xs, 2.0 ** k * data.ys)
+        assert default_candidates(scaled, 0) == [2.0 ** k * v for v in default_candidates(data, 0)]
+
+
 def test_audits_refuse_candidates_that_overflow():
     # the reports span more than the largest float: the grid's spread is
     # inf, and the candidates hold nan and inf
@@ -325,6 +333,87 @@ def test_audits_refuse_candidates_that_overflow():
                 lambda: audit_gsp(spec, data, max_coalition=2, max_evals=10)):
         with pytest.raises(ContractViolation, match="candidates overflow"):
             run()
+
+
+def test_hyperplanes_through_others_refuse_rows_that_overflow():
+    # it once returned the row [-1e308, inf] with an overflow warning, and
+    # influence bounds probed beyond that infinite crossing
+    data = DataSet(np.arange(4.0).reshape(-1, 1), np.array([-1e308, 1e308, 0.0, 1.0]))
+    for run in (lambda: hyperplanes_through_others(data, 0),
+                lambda: influence_bounds(brown_mood_spec(data), data, 0)):
+        with pytest.raises(ContractViolation, match="hyperplanes through other agents overflow"):
+            run()
+
+
+# -- the units of y ----------------------------------------------------------------
+
+
+def _scaled_cases():
+    """(mechanism of the data, data) on fixed seeds: the OLS positive control,
+    the L1 fit, Brown-Mood and a d = 2 resistant plane."""
+    cases = []
+    for seed in (0, 1):
+        rng = np.random.default_rng(seed)
+        line = random_data(rng, 6, 1)
+        plane, part = random_separable_instance(rng, 2, sizes=(2, 2, 2))
+        cases += [(lambda data: MechanismSpec(MechanismKind.OLS), line),
+                  (lambda data: MechanismSpec(MechanismKind.L1ERM, L1Config()), line),
+                  (brown_mood_spec, line),
+                  (lambda data, part=part: MechanismSpec(MechanismKind.GRH, part), plane)]
+    return cases
+
+
+def _scaled_certificate(cert, factor):
+    """The certificate with every value in the units of y times ``factor``."""
+    if cert is None:
+        return None
+    from truthfit import Hyperplane
+    return ViolationCertificate(
+        cert.coalition, {m: factor * v for m, v in cert.misreports.items()},
+        tuple(factor * v for v in cert.before), tuple(factor * v for v in cert.after),
+        *(Hyperplane(factor * h.beta1, factor * h.beta0) for h in (cert.truthful, cert.deviated)))
+
+
+def _same_certificate(a, b) -> bool:
+    return (a is None and b is None) or (
+        a is not None and b is not None
+        and (a.coalition, a.misreports, a.before, a.after) == (b.coalition, b.misreports,
+                                                                b.before, b.after)
+        and all(np.array_equal(g.coefficients(), h.coefficients())
+                for g, h in ((a.truthful, b.truthful), (a.deviated, b.deviated))))
+
+
+@pytest.mark.parametrize("k", [-40, 30, 40])
+def test_audits_and_bounds_scale_exactly_with_the_reports(k):
+    # margins and the influence test once had floors in the units of y: at
+    # 2^30 the audits certified ulp-sized gains against GRH and L1, and at
+    # 2^-40 they found no gain against OLS and the bounds went wrong
+    factor = 2.0 ** k
+    for make_spec, data in _scaled_cases():
+        spec = make_spec(data)
+        scaled = DataSet(data.xs, factor * data.ys)
+        scaled_spec = make_spec(scaled)
+        certs = [audit_sp(spec, data, agent) for agent in range(data.n)]
+        certs.append(audit_gsp(spec, data, max_coalition=2, max_evals=200))
+        replays = [audit_sp(scaled_spec, scaled, agent) for agent in range(scaled.n)]
+        replays.append(audit_gsp(scaled_spec, scaled, max_coalition=2, max_evals=200))
+        if spec.kind is MechanismKind.OLS:  # the positive control
+            assert None not in replays
+        for cert, replay in zip(certs, replays):
+            assert _same_certificate(_scaled_certificate(cert, factor), replay)
+            if replay is None:
+                continue
+            assert verify_certificate(scaled_spec, scaled, replay)
+            moved = replay.after[0] * (1.0 + 1e-6)
+            tampered = ViolationCertificate(replay.coalition, replay.misreports, replay.before,
+                                            (moved,) + replay.after[1:], replay.truthful,
+                                            replay.deviated)
+            assert not verify_certificate(scaled_spec, scaled, tampered)
+        if spec.kind is MechanismKind.GRH and data.d == 1:
+            for agent in range(data.n):
+                b = influence_bounds(spec, data, agent)
+                assert influence_bounds(scaled_spec, scaled, agent) == InfluenceBounds(
+                    factor * b.lower, factor * b.upper)
 
 
 # -- influence envelopes ----------------------------------------------------------

@@ -172,6 +172,20 @@ def test_audit_over_overflowing_candidates_exits_three(tmp_path, capsys, mode):
                    "the reports span too wide a range\n")
 
 
+@pytest.mark.parametrize("mode", [["sp"], ["gsp", "--max-coalition", "2", "--max-evals", "200"]],
+                         ids=["sp", "gsp"])
+def test_audit_of_brown_mood_in_large_units_finds_no_violation(tmp_path, capsys, mode):
+    # margins in the units of y once certified agent 6 with a "gain" of
+    # 6.1e-5 on reports near 5e11: rounding, not strategy
+    rng = np.random.default_rng(4)
+    xs = np.sort(rng.uniform(0.0, 10.0, 7))
+    csv = tmp_path / "scaled.csv"
+    write_dataset(csv, DataSet(xs.reshape(-1, 1), 2.0 ** 40 * rng.normal(0.0, 1.0, 7)))
+    code, out, err = run(capsys, "audit", *mode, "--mechanism", "brown-mood", "--data", str(csv))
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"violation": None}
+
+
 # -- influence ----------------------------------------------------------------------
 
 
@@ -218,6 +232,17 @@ def test_efficiency_reports_the_rss_ratio(line_csv, capsys):
     assert payload["ratio"] >= 1.0 - 1e-9
     assert payload["ratio"] == pytest.approx(
         payload["mechanism_rss"] / payload["ols_rss"], rel=1e-12)
+
+
+def test_efficiency_of_an_overflowing_rss_exits_three_with_one_line(tmp_path, capsys):
+    # squaring the exactness scale 1e-12 * max|y| once raised OverflowError (exit 1)
+    csv = tmp_path / "wide.csv"
+    write_dataset(csv, DataSet(np.arange(4.0).reshape(-1, 1),
+                               np.array([1e200, -1e200, 1e-200, 5e199])))
+    code, out, err = run(capsys, "efficiency", "--data", str(csv), "--mechanism", "l1erm")
+    assert code == 3 and out == ""
+    assert err == ("contract violation: residual sums of squares overflow: "
+                   "the reports span too wide a range\n")
 
 
 # -- plot ---------------------------------------------------------------------------

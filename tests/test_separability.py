@@ -21,6 +21,7 @@ from truthfit import (
     MechanismSpec,
     Ordering,
     compare_hyperplanes,
+    fit_grh,
     has_weak_general_position,
     is_admissible,
     is_publicly_separable,
@@ -410,6 +411,19 @@ def test_is_publicly_separable_wraps_x_projections():
     bad = AgentPartition(((0, 2), (1, 3)), (1, 1))
     assert is_publicly_separable(data, good)
     assert not is_publicly_separable(data, bad)
+
+
+def test_two_sets_on_a_line_are_separable_exactly_when_grh_fits():
+    # the margin rule once refused this split while fit_grh, by the x-range
+    # rule, fitted its line; clouds on a line keep the margin rule
+    data = DataSet(np.array([[0.0], [1e-12], [1.0], [2.0]]), np.arange(4.0))
+    part = AgentPartition(((0,), (1, 2, 3)), (1, 2))
+    assert is_publicly_separable(data, part)
+    npt.assert_array_equal(fit_grh(data, part).hyperplane.coefficients(), [2.0, 0.0])
+    assert strictly_separates(data.xs[:1], data.xs[1:]) is None
+    touching = AgentPartition(((0, 1), (2, 3)), (1, 1))
+    assert not is_publicly_separable(DataSet(np.array([[0.0], [1.0], [1.0], [2.0]]),
+                                             np.arange(4.0)), touching)
 
 
 def test_partition_validation():
