@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import DataSet, Hyperplane, rss
+from .core import DataSet, Hyperplane, require_finite, rss, scale
 from .crm import CrmConfig, _directing
 from .erm import (
     L1Config,
@@ -313,12 +313,6 @@ class ViolationCertificate:
         object.__setattr__(self, "after", tuple(float(v) for v in self.after))
 
 
-def _scale(*values) -> float:
-    """The unit of every audit threshold: the largest |value| among the
-    truthful reports and the reports being judged (arrays or numbers)."""
-    return float(np.max(np.abs(np.concatenate([np.ravel(v) for v in values]))))
-
-
 class _Probe:
     """One mechanism bound to the data, its truthful fit, and the judgement
     of joint misreports against it.
@@ -334,11 +328,13 @@ class _Probe:
         # to demand a larger strict gain, or a real (if small) sacrifice by one
         # member would masquerade as indifference and fake a certificate
         self.noise = min(margin, DEFAULT_MARGIN)
-        self.ymax = _scale(data.ys)
+        self.ymax = scale(data.ys)
         self.bound = spec.bind(data)
         self.truthful = self.bound.hyperplane()
         self.xbar = data.xbar()
-        self.r0 = data.ys - self.xbar @ self.truthful.coefficients()
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.r0 = require_finite(data.ys - self.xbar @ self.truthful.coefficients(),
+                                     "truthful residuals")
 
     def judge(self, coalition: tuple[int, ...], reports) -> ViolationCertificate | None:
         """The certificate when the coalition's joint report pays off, else None.
@@ -372,7 +368,7 @@ class _Probe:
         Each row is judged at its own coalition's columns only: the
         reports, truthful residuals and positions are gathered there as
         (rows, columns) arrays, and its margins are fractions of its own
-        :func:`_scale`, so a row is judged the same in any stack.
+        :func:`core.scale`, so a row is judged the same in any stack.
         """
         ys = self.data.ys
         counts = [len(picks) for _, picks in stack]
@@ -396,8 +392,8 @@ class _Probe:
         r0, r1 = self.r0[cols], ys[cols] - fitted
         # judged in units of each row's scale; a maximum column by column,
         # as numpy reduces a short last axis slowly
-        scale = reduce(np.maximum, np.abs(reports).T, self.ymax)[:, None]
-        u0, u1 = r0 / scale, r1 / scale
+        unit = reduce(np.maximum, np.abs(reports).T, self.ymax)[:, None]
+        u0, u1 = r0 / unit, r1 / unit
         pays = (~np.any(forced_worse(u0, u1, self.noise), axis=1)
                 & np.any(strictly_better(u0, u1, self.margin), axis=1))
         pays[list(failed)] = False
@@ -424,7 +420,7 @@ def verify_certificate(spec: MechanismSpec, data: DataSet,
 
     The replay must find the gain again, and the stated residuals, and the
     stated lines' predictions at every agent, must reproduce within 1e-12
-    of the certificate's :func:`_scale`.
+    of the certificate's :func:`core.scale`.
     """
     if cert.coalition and not 0 <= cert.coalition[0] <= cert.coalition[-1] < data.n:
         raise ContractViolation(f"coalition {cert.coalition} out of range")
@@ -438,7 +434,7 @@ def verify_certificate(spec: MechanismSpec, data: DataSet,
     stated, actual = (np.concatenate([c.before, c.after, xbar @ c.truthful.coefficients(),
                                       xbar @ c.deviated.coefficients()])
                       for c in (cert, replay))
-    return bool(np.all(np.abs(stated - actual) <= 1e-12 * _scale(data.ys, reports)))
+    return bool(np.all(np.abs(stated - actual) <= 1e-12 * scale(data.ys, reports)))
 
 
 # --------------------------------------------------------------------------
@@ -455,7 +451,7 @@ def hyperplanes_through_others(data: DataSet, agent: int) -> np.ndarray:
     Returns an array of shape (count, d+1); count may be zero.
     """
     _check_agent(data, agent)
-    return _require_finite(_through_others(data, [agent])[0], "hyperplanes through other agents")
+    return require_finite(_through_others(data, [agent])[0], "hyperplanes through other agents")
 
 
 def default_candidates(data: DataSet, agent: int, grid_points: int = 41) -> list[float]:
@@ -492,14 +488,6 @@ def _through_others(data: DataSet, agents) -> list[np.ndarray]:
         return [_uncentred(solved[(subsets != agent).all(axis=1)], centre) for agent in agents]
 
 
-def _require_finite(values, what: str):
-    """The values, or ContractViolation when one is not finite (the reports
-    span too wide a range): an audit or bound over them would search nothing."""
-    if not np.isfinite(values).all():
-        raise ContractViolation(f"{what} overflow: the reports span too wide a range")
-    return values
-
-
 def _grid_and_crossings(data: DataSet, grid_points: int, agents) -> list[np.ndarray]:
     """For each of ``agents``, the even grid over the stretched y-range
     followed by the agent's crossings: the predictions at its position of
@@ -511,7 +499,7 @@ def _grid_and_crossings(data: DataSet, grid_points: int, agents) -> list[np.ndar
         grid = np.linspace(lo - spread, hi + spread, grid_points)
         out = [np.concatenate([grid, betas @ np.append(data.xs[agent], 1.0)])
                for agent, betas in zip(agents, _through_others(data, agents))]
-    _require_finite(np.concatenate(out), "misreport candidates")
+    require_finite(np.concatenate(out), "misreport candidates")
     return out
 
 
@@ -588,7 +576,7 @@ def audit_sp(spec: MechanismSpec, data: DataSet, agent: int,
     """Search one agent's misreports for a strictly profitable deviation.
 
     Candidates default to :func:`default_candidates`, and ``margin`` is a
-    fraction of each report's :func:`_scale`.  Returns the first certificate
+    fraction of each report's :func:`core.scale`.  Returns the first certificate
     in candidate order, or None.  Probes where the mechanism itself becomes
     undefined (degenerate-tie errors) are skipped.
     """
@@ -609,7 +597,7 @@ def audit_gsp(spec: MechanismSpec, data: DataSet, max_coalition: int,
     """Coalition misreport search: weak improvement for all, strict for one.
 
     ``margin`` is the strict-gain threshold, a fraction of each joint
-    report's :func:`_scale`; the no-member-worse condition is always judged
+    report's :func:`core.scale`; the no-member-worse condition is always judged
     at solver-noise scale (never looser than the default margin).  Singleton coalitions are searched exhaustively first
     (identical to :func:`audit_sp` over the same candidate lists).  Larger
     coalitions are enumerated exhaustively for n <= 8, else
@@ -695,7 +683,7 @@ def influence_bounds(spec: MechanismSpec, data: DataSet, agent: int) -> Influenc
     Only the strategyproof traversal kinds (GRH, GRL) are accepted: their
     prediction at the agent is med(y, l, h), and it moves inside the
     interval spanned by the hyperplanes through d+1 other agents.  Probing
-    beyond it on each side, by the :func:`_scale` of the reports and the
+    beyond it on each side, by the :func:`core.scale` of the reports and the
     crossings, reveals whether the prediction tracks the report (within 1e-9
     of the probe's scale: no bound) or pins to a constant (the bound).
     Every other kind raises UnsupportedMechanism; CRM also interpolates d+1
@@ -720,9 +708,9 @@ def influence_bounds(spec: MechanismSpec, data: DataSet, agent: int) -> Influenc
     x_aug = np.append(data.xs[agent], 1.0)
     with np.errstate(over="ignore", invalid="ignore"):
         anchors = betas @ x_aug
-        reach = _scale(data.ys, anchors) or 1.0     # all-zero data have no scale
-        low, high = _require_finite([anchors.min() - reach, anchors.max() + reach],
-                                    "influence probes")
+        reach = scale(data.ys, anchors) or 1.0     # all-zero data have no scale
+        low, high = require_finite([anchors.min() - reach, anchors.max() + reach],
+                                   "influence probes")
     bound = spec.bind(data)
 
     def pinned(report: float, free: float) -> float:
@@ -730,7 +718,7 @@ def influence_bounds(spec: MechanismSpec, data: DataSet, agent: int) -> Influenc
         ys2 = data.ys.copy()
         ys2[agent] = report
         value = float(bound.coefficients(ys2) @ x_aug)
-        return free if abs(value - report) <= 1e-9 * _scale(data.ys, report) else value
+        return free if abs(value - report) <= 1e-9 * scale(data.ys, report) else value
 
     return InfluenceBounds(pinned(low, -math.inf), pinned(high, math.inf))
 
@@ -751,8 +739,8 @@ def efficiency_terms(spec: MechanismSpec, data: DataSet) -> tuple[float, float, 
     1e-12 max |y|.  Raises ContractViolation when an RSS is not finite."""
     fits = (fit_mechanism(spec, data), fit_ols(data))
     with np.errstate(over="ignore"):
-        mech_rss, ols_rss = _require_finite([rss(data, h) for h in fits], "residual sums of squares")
-    zero = 1e-12 * _scale(data.ys)
+        mech_rss, ols_rss = require_finite([rss(data, h) for h in fits], "residual sums of squares")
+    zero = 1e-12 * scale(data.ys)
     if math.sqrt(ols_rss / data.n) <= zero:
         return mech_rss, ols_rss, 1.0 if math.sqrt(mech_rss / data.n) <= zero else math.inf
     return mech_rss, ols_rss, mech_rss / ols_rss

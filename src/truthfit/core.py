@@ -23,6 +23,20 @@ from .errors import ContractViolation
 BLOCK_CELLS = 1 << 20
 
 
+def scale(*values) -> float:
+    """The unit of every relative threshold: the largest |value| among the
+    values judged and their reports (arrays or numbers)."""
+    return float(np.max(np.abs(np.concatenate([np.ravel(v) for v in values]))))
+
+
+def require_finite(values, what: str):
+    """The values, or ContractViolation when one is not finite (the reports
+    span too wide a range for them)."""
+    if not np.isfinite(values).all():
+        raise ContractViolation(f"{what} overflow: the reports span too wide a range")
+    return values
+
+
 class MedianSide(Enum):
     """Which middle element an even-length median selects."""
 
@@ -146,9 +160,12 @@ def predict_all(h: Hyperplane, data: DataSet) -> np.ndarray:
 
 
 def outcomes(h: Hyperplane, data: DataSet) -> OutcomeRecord:
-    """Predictions and signed residuals y_i - f(x_i) for every agent."""
-    preds = predict_all(h, data)
-    return OutcomeRecord(preds, data.ys - preds)
+    """Predictions and signed residuals y_i - f(x_i) for every agent;
+    ContractViolation when one of them overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        preds = predict_all(h, data)
+        resid = data.ys - preds
+    return OutcomeRecord(preds, require_finite(resid, "predictions or residuals"))
 
 
 def rss(data: DataSet, h: Hyperplane) -> float:

@@ -62,10 +62,12 @@ def fit_ols(data: DataSet) -> Hyperplane:
 def _least_squares(pinv: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """``ys @ pinv.T`` for a (K, n) block of reports, each row summed over the
     agents in index order: unlike a BLAS product's, a row's bits do not
-    depend on its block."""
-    beta = ys[:, :1] * pinv[:, 0]
-    for i in range(1, ys.shape[1]):
-        beta += ys[:, i:i + 1] * pinv[:, i]
+    depend on its block.  A sum that overflows is left infinite, for
+    :class:`Hyperplane` or the audit to refuse."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        beta = ys[:, :1] * pinv[:, 0]
+        for i in range(1, ys.shape[1]):
+            beta += ys[:, i:i + 1] * pinv[:, i]
     return beta
 
 
@@ -283,7 +285,13 @@ def _min_norm_on_face(a_eq, b_eq, g, h):
     arithmetic; so a face pinned down by p independent rows comes out as
     their exact interpolation, and rounding does not build up over steps.
     The caller guarantees a nonempty face.
+
+    It runs in units of the power of two just above the largest |b_eq| or
+    |h|: beta scales with them exactly, and the squared norms stay finite
+    on reports near the float limit.
     """
+    unit = np.frexp(np.abs(np.concatenate([b_eq, h])).max(initial=0.0))[1]
+    b_eq, h = np.ldexp(b_eq, -unit), np.ldexp(h, -unit)
     p = a_eq.shape[1]
     active: list[np.ndarray] = []     # normals of the active constraints
     targets: list[float] = []         # their right-hand sides
@@ -321,7 +329,7 @@ def _min_norm_on_face(a_eq, b_eq, g, h):
         bad = slack < -1e-10 * (np.abs(h) + norms * np.linalg.norm(beta))
         bad[[r for r in rows if r is not None]] = False
         if not bad.any():
-            return beta
+            return np.ldexp(beta, unit)
         q = int(np.argmin(np.where(bad, slack / norms, np.inf)))
         normal, added = g[q], 0.0
         while True:

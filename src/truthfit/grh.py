@@ -15,9 +15,10 @@ with median ranks, Tukey the outer x-thirds.
 
 In any other dimension the solver enumerates all transversal hyperplanes
 (interpolating one agent per set), keeps those passing the rank conditions
-with a tie-robust count, and insists on uniqueness after coefficientwise
-deduplication.  That holds residuals for rows times candidates times n,
-in chunks of rows capped by ``core.BLOCK_CELLS`` (one row at least).
+with a tie-robust count, and insists that they predict the same at the
+set members, within 1e-12 of the largest |y|.  That holds residuals for
+rows times candidates times n, in chunks of rows capped by
+``core.BLOCK_CELLS`` (one row at least).
 
 Both solvers take a block of report vectors, one per row, and solve every
 row in the same numpy calls; an audit judges a coalition's joint reports
@@ -48,10 +49,6 @@ from .separability import AgentPartition, is_publicly_separable, vertical_split
 
 #: Interpolation systems with condition estimates above this are singular.
 CONDITION_LIMIT = 1e12
-
-#: Hyperplanes equal coefficientwise within this many times
-#: max |beta| over the satisfying candidates are the same candidate.
-DEDUP_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -249,8 +246,8 @@ class _GrhSolver:
 
     def _solve_planes(self, ys: np.ndarray, tol: np.ndarray):
         """Every transversal's hyperplane for every row of a chunk, one
-        (rows, transversals, set members) tie-robust rank count, each row's
-        first hit, and coefficientwise deduplication of its hits."""
+        (rows, transversals, set members) tie-robust rank count, and each row's
+        first hit, whose residuals its other hits must match to 1e-12 max |y|."""
         d = self.xbar_t.shape[0] - 1
         yt = ys[:, self.traversals]                      # (K, C, d+1)
         betas = self.inv[:, :, 0] * yt[:, :, None, 0]    # over x - centre, (K, C, d+1)
@@ -262,25 +259,29 @@ class _GrhSolver:
         resid = np.matmul(betas, self.xbar_t)
         np.subtract(ys[:, None, self._members], resid, out=resid)
         ok = _meets_ranks(resid, self._sets, self._ranks, tol[:, None, None])
-        del resid
-        chosen = _uncentred(betas[np.arange(ys.shape[0]), np.argmax(ok, axis=1)], self.centre)
+        first = np.argmax(ok, axis=1)
         hits = np.count_nonzero(ok, axis=1)
         failed = {int(k): InternalInconsistency(
                       "no transversal hyperplane satisfies the rank conditions")
                   for k in np.flatnonzero(hits == 0)}
         multi = np.flatnonzero(hits > 1)
         if multi.size:
-            found, ok = _uncentred(betas[multi], self.centre), ok[multi]
-            same = DEDUP_TOL * np.max(np.abs(np.where(ok[..., None], found, 0.0)), axis=(1, 2))
-            distinct = np.count_nonzero(
-                ok & (np.max(np.abs(found - chosen[multi, None]), axis=2) > same[:, None]), axis=1)
+            theirs = resid[multi]
+            apart = np.max(np.abs(theirs - theirs[np.arange(multi.size), first[multi], None]), axis=2)
+            same = 1e-12 * np.max(np.abs(ys[multi]), axis=1)
+            distinct = np.count_nonzero(ok[multi] & (apart > same[:, None]), axis=1)
             failed.update((int(k), UniquenessViolation(
-                               f"{count + 1} coefficientwise distinct hyperplanes "
-                               "satisfy the rank conditions"))
+                               f"{count + 1} hyperplanes that predict differently at the "
+                               "set members satisfy the rank conditions"))
                           for k, count in zip(multi, distinct) if count)
+        del resid
+        chosen = _uncentred(betas[np.arange(ys.shape[0]), first], self.centre)
         chosen[list(failed)] = np.nan
         return chosen, failed
 
+    # reports near the float limit overflow slopes and residuals: an
+    # infinite slope is never a Newton step, and a NaN gap fails its row
+    @np.errstate(over="ignore", invalid="ignore")
     def _solve_lines(self, ys: np.ndarray, tol: np.ndarray):
         """Root of the rank gap g(b), per row, by Newton steps kept inside a bracket.
 
@@ -344,9 +345,8 @@ class _GrhSolver:
             flat = ~(below | above)              # g(b) is zero, or NaN on infinite reports
             leave = done | flat
             halve = ~(leave | newton)
-            if halve.any():
-                with np.errstate(invalid="ignore"):   # -inf + inf on an unbounded bracket
-                    b[halve] = lo[halve] + 0.5 * (hi[halve] - lo[halve])
+            if halve.any():                      # -inf + inf on an unbounded bracket: NaN
+                b[halve] = lo[halve] + 0.5 * (hi[halve] - lo[halve])
                 leave |= halve & ~((lo < b) & (b < hi))
             if not leave.any():
                 continue

@@ -356,9 +356,10 @@ def has_weak_general_position(point_sets) -> bool:
     t = len(point_sets)
     if t == 0:
         raise ContractViolation("no point sets given")
-    union = np.vstack(point_sets)
-    scale = 1.0 + float(np.max(np.abs(union))) if union.size else 1.0
-    tol = 1e-9 * scale
+    # each coordinate in exact power-of-two units of its largest |value|, as in grh
+    exponent = np.frexp(np.abs(np.vstack(point_sets)).max(axis=0, initial=0.0))[1]
+    point_sets = [np.ldexp(s, -exponent) for s in point_sets]
+    union, tol = np.vstack(point_sets), 1e-9
     for picks in itertools.product(*[range(len(s)) for s in point_sets]):
         pts = np.vstack([point_sets[i][k] for i, k in enumerate(picks)])
         base, rest = pts[0], pts[1:] - pts[0]
@@ -383,14 +384,15 @@ def compare_hyperplanes(data: DataSet, part: AgentPartition,
     """First set whose members all lie strictly on one side of h1 vs h2.
 
     Returns ``(t, ALL_BELOW)`` when h1 predicts strictly below h2 on every
-    member of set t, or ``(t, ALL_ABOVE)`` for strictly above.  For distinct
-    hyperplanes over a publicly separable partition such a set must exist.
+    member of set t, or ``(t, ALL_ABOVE)`` for strictly above.  Such a set
+    must exist over a publicly separable partition for distinct hyperplanes:
+    ones whose predictions differ by more than 1e-12 of the largest |one|.
     """
     part.validate_against(data)
-    c1, c2 = h1.coefficients(), h2.coefficients()
-    if np.max(np.abs(c1 - c2)) <= 1e-12 * max(np.max(np.abs(c1)), np.max(np.abs(c2))):
-        raise ContractViolation("hyperplanes are equal to 1e-12 relative")
-    diff = predict_all(h1, data) - predict_all(h2, data)
+    p1, p2 = predict_all(h1, data), predict_all(h2, data)
+    diff = p1 - p2
+    if np.max(np.abs(diff)) <= 1e-12 * core.scale(p1, p2):
+        raise ContractViolation("hyperplanes predict the same to 1e-12 relative")
     for t, members in enumerate(part.sets):
         g = diff[list(members)]
         if np.all(g < 0.0):

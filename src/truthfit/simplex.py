@@ -26,6 +26,14 @@ phase 1: the old basis is still feasible, and phase 2 starts from it.  A
 solve also returns its optimal ``tableau``, so a caller can keep it and test
 later costs against it (:class:`BasisStack`) without factorising the basis
 again: a basis optimal for a cost is a warm solve that makes no pivot.
+
+Every tolerance but one is a fraction of the largest |value| of what it
+judges, with no floor: reduced costs of the largest |cost|, bound
+violations of the largest finite |bound| or |right-hand side|, and the
+phase-1 infeasibility test of the starting residuals.  Scaling the costs,
+or the right-hand sides and bounds together, by a power of two therefore
+changes no pivot and scales the solution exactly.  Only pivot elements are
+judged absolutely (``PIVOT_TOL``), in the units of the constraint matrix.
 """
 
 from __future__ import annotations
@@ -43,12 +51,15 @@ UNBOUNDED = "unbounded"
 #: Column status codes in :attr:`LpResult.basis`.
 AT_LOWER, AT_UPPER, BASIC = 0, 1, 2
 
-#: Pivot elements at or below this magnitude are treated as zero.
+#: Pivot elements at or below this magnitude are treated as zero, in the
+#: ratio test and when phase 1 drives artificials out of the basis.  The
+#: tableau B^-1 A does not change when the costs, or the right-hand sides
+#: and bounds, are rescaled, so this is the one absolute tolerance.
 PIVOT_TOL = 1e-10
 
-#: Reduced costs count as zero below TOL * max |c|, and bound violations
-#: below TOL times the scale of the right-hand sides and finite bounds
-#: (the default ``tol`` of a solve).
+#: Reduced costs count as zero at or below TOL * max |c|, and bound
+#: violations at or below TOL times the largest finite |bound| or
+#: |right-hand side|, with no floor (the default ``tol`` of a solve).
 TOL = 1e-9
 
 
@@ -104,16 +115,20 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, bounds=None,
     lp = _equality_form(c, a_ub, b_ub, a_eq, b_eq, bounds, tol)
     if lp is None:
         return LpResult(INFEASIBLE)
-    if basis is None or not lp.warm_start(np.asarray(basis)):
-        if not lp.cold_start():
-            return LpResult(INFEASIBLE, pivots=lp.pivots)
-    if lp.run(lp.cost) == UNBOUNDED:
-        return LpResult(UNBOUNDED, pivots=lp.pivots)
-    n = lp.ncols - lp.n_ub
-    x = lp.values()[:n]
+    # data near the float limit overflow reduced costs, values and the
+    # objective: an infinite reduced cost still prices its column, a NaN one
+    # (inf - inf) never enters, and callers judge what they read off x
+    with np.errstate(over="ignore", invalid="ignore"):
+        if basis is None or not lp.warm_start(np.asarray(basis)):
+            if not lp.cold_start():
+                return LpResult(INFEASIBLE, pivots=lp.pivots)
+        if lp.run(lp.cost) == UNBOUNDED:
+            return LpResult(UNBOUNDED, pivots=lp.pivots)
+        n = lp.ncols - lp.n_ub
+        x = lp.values()[:n]
+        objective = float(lp.cost[:n] @ x)
     square = lp.m == lp.ab.shape[0]
-    return LpResult(OPTIMAL, x, float(lp.cost[:n] @ x), lp.status, lp.pivots,
-                    lp if square else None)
+    return LpResult(OPTIMAL, x, objective, lp.status, lp.pivots, lp if square else None)
 
 
 class BasisStack:
@@ -173,9 +188,10 @@ class BasisStack:
         if self.n_ub:
             cost = np.concatenate([cost, np.zeros((cost.shape[0], self.n_ub))], axis=1)
         slots = slice(first, stop)
-        _, eligible = _pricing(cost[:, None, :], cost[:, self.basic[slots]],
-                               _cost_tol(cost, self.tol)[:, None], self.tab[slots],
-                               self.x[slots], self.lo, self.hi)
+        with np.errstate(over="ignore", invalid="ignore"):  # as in solve_lp
+            _, eligible = _pricing(cost[:, None, :], cost[:, self.basic[slots]],
+                                   _cost_tol(cost, self.tol)[:, None], self.tab[slots],
+                                   self.x[slots], self.lo, self.hi)
         out[:, :stop - first] = ~eligible.any(axis=-1)
         return out
 
@@ -243,7 +259,7 @@ class _Tableau:
         self.m, self.ncols, self.n_ub = ab.shape[0], ab.shape[1] - 1, n_ub
         self.max_iter = 200 * (ab.shape[0] + ab.shape[1] + 10)  # per phase
         scale = np.abs(np.concatenate([lo, hi, ab[:, -1]]))
-        self.ftol = tol * (1.0 + float(scale.max(where=np.isfinite(scale), initial=0.0)))
+        self.ftol = tol * float(scale.max(where=np.isfinite(scale), initial=0.0))
         self.pivots = 0
 
     def warm_start(self, status) -> bool:
@@ -297,7 +313,7 @@ class _Tableau:
         self.hi = np.concatenate([hi, np.full(n_art, np.inf)])
         if n_art:
             self.run(np.concatenate([np.zeros(ncols), np.ones(n_art)]))
-            if self.values()[ncols:].sum() > 1e-8 * (1.0 + float(np.abs(resid).sum())):
+            if self.values()[ncols:].sum() > 1e-8 * float(np.abs(resid).sum()):
                 return False
             self._drive_out_artificials(ncols)
         self.tab = np.hstack([self.tab[:, :ncols], self.tab[:, -1:]])
@@ -312,7 +328,7 @@ class _Tableau:
         for row in np.flatnonzero(self.basic >= ncols):
             entries = np.abs(self.tab[row, :ncols])
             col = int(np.argmax(entries)) if ncols else 0
-            if ncols == 0 or entries[col] <= 1e-9:
+            if ncols == 0 or entries[col] <= PIVOT_TOL:
                 keep[row] = False
             else:
                 self._pivot(row, col, leaving_status=AT_LOWER)

@@ -350,7 +350,8 @@ def test_hyperplanes_through_others_refuse_rows_that_overflow():
 
 def _scaled_cases():
     """(mechanism of the data, data) on fixed seeds: the OLS positive control,
-    the L1 fit, Brown-Mood and a d = 2 resistant plane."""
+    the L1 fit, Brown-Mood and a d = 2 resistant plane; and the two CRM
+    instances of Figure 1, manipulable and so positive controls too."""
     cases = []
     for seed in (0, 1):
         rng = np.random.default_rng(seed)
@@ -360,6 +361,9 @@ def _scaled_cases():
                   (lambda data: MechanismSpec(MechanismKind.L1ERM, L1Config()), line),
                   (brown_mood_spec, line),
                   (lambda data, part=part: MechanismSpec(MechanismKind.GRH, part), plane)]
+    for name in ("crm-disjoint", "crm-subset"):
+        inst = builtin_instance(name)
+        cases.append((lambda data, spec=inst.mechanism: spec, inst.data))
     return cases
 
 
@@ -399,6 +403,8 @@ def test_audits_and_bounds_scale_exactly_with_the_reports(k):
         replays.append(audit_gsp(scaled_spec, scaled, max_coalition=2, max_evals=200))
         if spec.kind is MechanismKind.OLS:  # the positive control
             assert None not in replays
+        if spec.kind is MechanismKind.CRM:  # Figure 1: some agents gain, and a pair
+            assert replays[-1] is not None
         for cert, replay in zip(certs, replays):
             assert _same_certificate(_scaled_certificate(cert, factor), replay)
             if replay is None:
@@ -414,6 +420,19 @@ def test_audits_and_bounds_scale_exactly_with_the_reports(k):
                 b = influence_bounds(spec, data, agent)
                 assert influence_bounds(scaled_spec, scaled, agent) == InfluenceBounds(
                     factor * b.lower, factor * b.upper)
+
+
+@pytest.mark.parametrize("seed", [26, 32, 33])
+def test_l1_audits_in_units_near_the_float_limit_find_no_violation(seed):
+    # the L1 fit is strategyproof; the face search once squared norms of
+    # 2^900-sized fits to inf, so its feasibility test passed every candidate
+    # and each of these audits certified a gain
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 8))
+    xs = rng.integers(0, 4, (n, 1)).astype(float)
+    data = DataSet(xs, 2.0 ** 900 * np.round(rng.normal(0.0, 2.0, n)))
+    spec = MechanismSpec(MechanismKind.L1ERM, L1Config())
+    assert all(audit_sp(spec, data, agent) is None for agent in range(n))
 
 
 # -- influence envelopes ----------------------------------------------------------

@@ -172,6 +172,50 @@ def test_audit_over_overflowing_candidates_exits_three(tmp_path, capsys, mode):
                    "the reports span too wide a range\n")
 
 
+def _limit_csv(tmp_path, ys) -> str:
+    """A CSV at x = 0..3 with reports near the float limit."""
+    csv = tmp_path / "limit.csv"
+    write_dataset(csv, DataSet(np.arange(4.0).reshape(-1, 1), np.array(ys)))
+    return str(csv)
+
+
+# under pytest a warning is an error, so each of these also pins that the
+# command prints none
+
+
+@pytest.mark.parametrize("mechanism", ["brown-mood", "tukey"])
+def test_fit_with_overflowing_predictions_exits_three(tmp_path, capsys, mechanism):
+    # it once printed four overflow warnings and ended in a traceback on
+    # the inf in its JSON (exit 1)
+    csv = _limit_csv(tmp_path, [1e308, -1e308, 0.0, 5.0])
+    code, out, err = run(capsys, "fit", "--mechanism", mechanism, "--data", csv)
+    assert code == 3 and out == ""
+    assert err == ("contract violation: predictions or residuals overflow: "
+                   "the reports span too wide a range\n")
+
+
+def test_l1_fit_near_the_float_limit_is_the_fit_of_scaled_reports(tmp_path, capsys):
+    # it once printed the simplex's overflow warnings beside its JSON
+    ys = np.array([1e308, -1e308, 0.0, 5.0])
+    code, out, err = run(capsys, "fit", "--mechanism", "l1erm", "--data", _limit_csv(tmp_path, ys))
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    small = fit_mechanism(MechanismSpec(MechanismKind.L1ERM, L1Config()),
+                          DataSet(np.arange(4.0).reshape(-1, 1), 2.0 ** -1000 * ys))
+    assert payload["beta1"] + [payload["beta0"]] == (2.0 ** 1000 * small.coefficients()).tolist()
+
+
+@pytest.mark.parametrize("mechanism", ["l1erm", "brown-mood"])
+def test_audit_of_overflowing_candidates_prints_no_warning(tmp_path, capsys, mechanism):
+    # the truthful fits once printed overflow warnings before the one line
+    csv = _limit_csv(tmp_path, [-1e308, 1e308, 0.0, 1.0])
+    code, out, err = run(capsys, "audit", "sp", "--mechanism", mechanism, "--agent", "0",
+                         "--data", csv)
+    assert code == 3 and out == ""
+    assert err == ("contract violation: misreport candidates overflow: "
+                   "the reports span too wide a range\n")
+
+
 @pytest.mark.parametrize("mode", [["sp"], ["gsp", "--max-coalition", "2", "--max-evals", "200"]],
                          ids=["sp", "gsp"])
 def test_audit_of_brown_mood_in_large_units_finds_no_violation(tmp_path, capsys, mode):

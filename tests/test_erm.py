@@ -412,6 +412,36 @@ def test_fits_scale_with_the_reports(scale):
                                 atol=1e-12 * np.abs(ref).max())
 
 
+def _weighted_instance(seed):
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(3, 12)), int(rng.integers(1, 3))
+    xs, ys = rng.uniform(-5.0, 5.0, (n, d)), rng.normal(0.0, 2.0, n)
+    return DataSet(xs, np.round(ys) if seed % 2 else ys), rng.uniform(0.5, 2.0, n)
+
+
+def _weighted_fit(data, weights, drift):
+    try:
+        return fit_l1erm(data, L1Config(weights=tuple(weights), drift=drift)).coefficients()
+    except ConfigurationError:
+        return None
+
+
+@pytest.mark.parametrize("k", [-40, -20, 20, 40])
+def test_fits_do_not_depend_on_a_common_scale_of_weights_and_drift(k):
+    # the simplex's tolerances had floors of 1.0 in the units of the weights:
+    # at 2^-40 half the fits moved off the optimum, and a drift beyond the
+    # total weight returned a fit where unit weights raise
+    factor = 2.0 ** k
+    for seed in range(30):
+        data, w = _weighted_instance(seed)
+        for drift in (0.0, 0.3 * w.sum(), 1.5 * w.sum()):
+            ref = _weighted_fit(data, w, drift)
+            got = _weighted_fit(data, factor * w, factor * drift)
+            assert (got is None) == (ref is None), (seed, drift)
+            if ref is not None:
+                assert np.array_equal(got, ref), (seed, drift)
+
+
 def test_single_point_returns_projection_of_origin():
     # among all lines through one point, the smallest-norm coefficients are
     # the projection onto the constraint beta1*x + beta0 = y

@@ -133,6 +133,51 @@ def test_fit_of_scaled_positions_is_the_rescaled_fit(scale):
     assert scaled.beta0 == pytest.approx(base.beta0, rel=1e-12)
 
 
+def _grid_instance(seed):
+    """A d = 2 family on integer grids by three anchors, with reports in
+    {-1, 0, 1} and random ranks; every third seed sits at x = 1e6."""
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(1, 4, 3)
+    xs = np.vstack([anchor + rng.integers(0, 3, (size, 2))
+                    for anchor, size in zip(([0, 0], [10, 0], [0, 10]), sizes)]).astype(float)
+    if seed % 3 == 0:
+        xs += 1e6
+    ys = rng.integers(-1, 2, len(xs)).astype(float)
+    bounds = np.cumsum(np.concatenate([[0], sizes]))
+    sets = tuple(tuple(range(lo, hi)) for lo, hi in zip(bounds[:-1], bounds[1:]))
+    return DataSet(xs, ys), AgentPartition(sets, tuple(int(rng.integers(1, k + 1))
+                                                       for k in sizes))
+
+
+def test_transversals_through_one_plane_are_one_fit():
+    # ties on grids make several transversals interpolate one plane; far
+    # from the x-origin their coefficients differ by more than 1e-12 of
+    # max |beta|, which mixes the units of beta1 and beta0, and the fit once
+    # raised UniquenessViolation (11 of these 200 families, e.g. seed 36)
+    for seed in range(0, 600, 3):
+        data, part = _grid_instance(seed)
+        fit = data.xbar() @ fit_grh(data, part).hyperplane.coefficients()
+        for _, beta in oracle_satisfying(data, part):
+            npt.assert_allclose(data.xbar() @ beta, fit, rtol=0.0, atol=1e-9)
+
+
+def test_rounded_families_fit_the_same_plane_in_tiny_units_of_x():
+    # the coefficientwise comparison refused 2 of these 400 at 2^-30, seeds 55 and 386
+    for seed in range(400):
+        data, part = random_separable_instance(np.random.default_rng(seed), 2)
+        data = DataSet(np.round(data.xs), np.round(data.ys))
+        try:
+            base = fit_grh(data, part)
+        except (NotPubliclySeparable, InternalInconsistency):
+            continue
+        tiny = DataSet(2.0 ** -30 * data.xs, data.ys)
+        fit = fit_grh(tiny, part)
+        assert fit.traversal == base.traversal
+        npt.assert_allclose(tiny.xbar() @ fit.hyperplane.coefficients(),
+                            data.xbar() @ base.hyperplane.coefficients(),
+                            rtol=0.0, atol=1e-12 * np.max(np.abs(data.ys)))
+
+
 def exact_resistant_line(data, part):
     """(slope, intercept) of the first satisfying transversal, in rationals."""
     xs = [Fraction(v) for v in data.xs[:, 0]]
@@ -556,3 +601,15 @@ def test_wgp_diagnostic_on_graph_points():
     assert not in_weak_general_position(data, part)
     bent = DataSet(np.array([[0.0], [1.0], [4.0]]), np.array([0.0, 1.0, 3.0]))
     assert in_weak_general_position(bent, part)
+
+
+@pytest.mark.parametrize("k", [-40, -20, 20, 40])
+def test_wgp_diagnostic_does_not_depend_on_the_units_of_x_or_y(k):
+    # judged against 1e-9 (1 + max |value|) of all coordinates at once, every
+    # verdict flipped at 2^-40 and 2^40
+    factor = 2.0 ** k
+    for seed in range(12):
+        data, part = random_separable_instance(np.random.default_rng(seed), 2, sizes=(3, 3, 3))
+        verdict = in_weak_general_position(data, part)
+        for scaled in (DataSet(factor * data.xs, data.ys), DataSet(data.xs, factor * data.ys)):
+            assert in_weak_general_position(scaled, part) == verdict, seed

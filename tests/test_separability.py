@@ -535,6 +535,18 @@ def test_compare_hyperplanes_equality_is_relative(scale):
             compare_hyperplanes(data, part, h, same)
 
 
+@pytest.mark.parametrize("k", [-30, 0, 30])
+def test_compare_hyperplanes_equality_does_not_depend_on_the_units_of_x(k):
+    # equal coefficientwise within 1e-12 of max |beta| once called these
+    # equal at x = (0, 1, 5, 6) * 2^-30, where they predict 1e-6 apart
+    factor = 2.0 ** k
+    data = DataSet(factor * np.array([[0.0], [1.0], [5.0], [6.0]]), np.zeros(4))
+    part = AgentPartition(((0, 1), (2, 3)), (1, 1))
+    h1 = Hyperplane(np.array([1.0 / factor]), 0.0)
+    h2 = Hyperplane(np.array([1.0 / factor]), 1e-6)
+    assert compare_hyperplanes(data, part, h1, h2) == (0, Ordering.ALL_BELOW)
+
+
 @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=3))
 @settings(max_examples=80, deadline=None)
 def test_compare_hyperplanes_verdict_is_sound(seed, d):
