@@ -377,7 +377,9 @@ class _Probe:
         cols = np.repeat(np.array([c + c[-1:] * (width - len(c)) for c, _ in stack],
                                   dtype=int).reshape(len(stack), width), counts, axis=0)
         reports = table[cols, picks]
-        probes = np.flatnonzero(np.any(reports != ys[cols], axis=1))
+        # "any"s and maximums column by column, as numpy reduces a short last
+        # axis slowly
+        probes = np.flatnonzero(reduce(np.logical_or, (reports != ys[cols]).T))
         if probes.size == 0:
             return None, []
         if probes.size < len(cols):
@@ -390,12 +392,11 @@ class _Probe:
         for j in range(1, xbar.shape[2]):
             fitted += coeffs[:, None, j] * xbar[..., j]
         r0, r1 = self.r0[cols], ys[cols] - fitted
-        # judged in units of each row's scale; a maximum column by column,
-        # as numpy reduces a short last axis slowly
+        # judged in units of each row's scale
         unit = reduce(np.maximum, np.abs(reports).T, self.ymax)[:, None]
         u0, u1 = r0 / unit, r1 / unit
-        pays = (~np.any(forced_worse(u0, u1, self.noise), axis=1)
-                & np.any(strictly_better(u0, u1, self.margin), axis=1))
+        pays = (~reduce(np.logical_or, forced_worse(u0, u1, self.noise).T)
+                & reduce(np.logical_or, strictly_better(u0, u1, self.margin).T))
         pays[list(failed)] = False
         first = int(np.argmax(pays)) if pays.any() else probes.size
         errors = [failed[k] for k in sorted(failed) if k < first]

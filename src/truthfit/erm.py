@@ -157,6 +157,10 @@ class _PiecewiseLinearFit:
         self.drift = float(drift)
         self.p = self.xbar.shape[1]
         self.cache = BasisStack(DUAL_BASES) if cache is None else cache
+        # the dual LP, once; rows in power-of-two units, which PIVOT_TOL reads whole
+        b_eq = np.append(np.zeros(self.p - 1), self.drift)
+        self.a_eq, self.b_eq = _unit_rows(self.xbar.T, b_eq)
+        self.bounds = np.column_stack([-self.lo_w, self.up_w])
 
     def risk(self, beta) -> float:
         r = self.rhs - self.xbar @ beta
@@ -168,10 +172,7 @@ class _PiecewiseLinearFit:
         """Stage 1: max rhs . tau s.t. xbar^T tau = drift e_p,
         -lo_w <= tau <= up_w (the LP dual of the risk minimization), warm
         from ``basis``; the optimal ``solve_lp`` result."""
-        b_eq = np.zeros(self.p)
-        b_eq[-1] = self.drift
-        res = solve_lp(-rhs, a_eq=self.xbar.T, b_eq=b_eq,
-                       bounds=np.column_stack([-self.lo_w, self.up_w]), basis=basis)
+        res = solve_lp(-rhs, a_eq=self.a_eq, b_eq=self.b_eq, bounds=self.bounds, basis=basis)
         if res.status == INFEASIBLE:
             raise ConfigurationError(
                 "risk is unbounded below; the drift coefficient exceeds the "
@@ -263,8 +264,8 @@ class _Face:
     for.  A face pinned by p rows keeps their inverse."""
 
     def __init__(self, fit: _PiecewiseLinearFit, tau):
-        edge = 1e-9 * (fit.up_w + fit.lo_w)
-        inside = (tau > edge - fit.lo_w) & (tau < fit.up_w - edge)
+        # a tau within 1e-9 of a bound, relative to that bound, sits on it
+        inside = (tau > 1e-9 * fit.lo_w - fit.lo_w) & (tau < fit.up_w - 1e-9 * fit.up_w)
         self.zero, self.rest = np.flatnonzero(inside), np.flatnonzero(~inside)
         self.a_eq = fit.xbar[self.zero]
         # rows written as g @ beta >= h: residual >= 0 at the upper bound,
@@ -286,10 +287,12 @@ def _min_norm_on_face(a_eq, b_eq, g, h):
     their exact interpolation, and rounding does not build up over steps.
     The caller guarantees a nonempty face.
 
-    It runs in units of the power of two just above the largest |b_eq| or
-    |h|: beta scales with them exactly, and the squared norms stay finite
-    on reports near the float limit.
+    It runs on rows in power-of-two units of their coefficients, and then
+    of the largest right-hand side: exactly the same face, with beta
+    scaled exactly, and no product overflows near the float limit.
     """
+    a_eq, b_eq = _unit_rows(a_eq, b_eq)
+    g, h = _unit_rows(g, h)
     unit = np.frexp(np.abs(np.concatenate([b_eq, h])).max(initial=0.0))[1]
     b_eq, h = np.ldexp(b_eq, -unit), np.ldexp(h, -unit)
     p = a_eq.shape[1]
@@ -322,15 +325,14 @@ def _min_norm_on_face(a_eq, b_eq, g, h):
             rows.append(None)
     beta = on_active()
 
-    norms = np.linalg.norm(g, axis=1)
     for _ in range(10 * (g.shape[0] + p) + 10):
         slack = g @ beta - h
-        # violations within the rounding of the slack itself do not count
-        bad = slack < -1e-10 * (np.abs(h) + norms * np.linalg.norm(beta))
+        # violations within the rounding of the slack's own terms do not count
+        bad = slack < -1e-10 * (np.abs(h) + np.abs(g) @ np.abs(beta))
         bad[[r for r in rows if r is not None]] = False
         if not bad.any():
             return np.ldexp(beta, unit)
-        q = int(np.argmin(np.where(bad, slack / norms, np.inf)))
+        q = int(np.argmin(np.where(bad, slack, np.inf)))
         normal, added = g[q], 0.0
         while True:
             z, weights = project(normal)
@@ -339,7 +341,8 @@ def _min_norm_on_face(a_eq, b_eq, g, h):
             for k, (u, w) in enumerate(zip(mult, weights)):
                 if u is not None and w > 0.0 and u / w < partial:
                     partial, drop = u / w, k
-            full = (h[q] - normal @ beta) / (z @ normal) if independent(z, normal) else np.inf
+            # z @ normal is z @ z, which cancellation cannot round to zero
+            full = (h[q] - normal @ beta) / (z @ z) if independent(z, normal) else np.inf
             step = min(partial, full)
             if not np.isfinite(step):
                 raise InternalInconsistency("optimal face of the fit LP is empty")
@@ -356,6 +359,12 @@ def _min_norm_on_face(a_eq, b_eq, g, h):
                 break
             del active[drop], targets[drop], mult[drop], rows[drop]
     raise InternalInconsistency("minimum-norm search failed to converge")
+
+
+def _unit_rows(a, b):
+    """Each row of a, and b's entry, over the power of two above the row's largest |a|."""
+    unit = -np.frexp(np.abs(a).max(axis=1, initial=0.0))[1]
+    return np.ldexp(a, unit[:, None]), np.ldexp(b, unit)
 
 
 def _build_l1(data: DataSet, cfg: L1Config) -> _PiecewiseLinearFit:

@@ -33,6 +33,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -99,13 +100,17 @@ def _require_transversal_shape(d: int, part: AgentPartition) -> None:
         )
 
 
-def _centred(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The positions moved so that their mean is the origin, and that mean.
+def _centred(xs: np.ndarray, rows=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+    """The positions moved so that the mean of ``rows`` of them is the
+    origin, and that mean.
 
     An [x | 1] system far from x = 0 is ill conditioned by its offset
-    alone; centred, its condition reflects only the points' spread.
+    alone; centred, its condition reflects only the points' spread.  A
+    transversal solve centres on the members of its partition's sets, so
+    that an agent in no set, however far, does not move the centre; sorted,
+    as all the agents they have the bits of the mean of all agents.
     """
-    centre = xs.mean(axis=0)
+    centre = xs[rows].mean(axis=0)
     return xs - centre, centre
 
 
@@ -166,7 +171,8 @@ def _meets_ranks(resid: np.ndarray, sets: np.ndarray, ranks: np.ndarray, tol) ->
     members = resid.shape[-1]
     neg = ((resid < -tol).reshape(-1, members) @ sets).reshape(shape)
     nonpos = ((resid <= tol).reshape(-1, members) @ sets).reshape(shape)
-    return ((neg < ranks) & (nonpos >= ranks)).all(axis=-1)
+    # an "all" set by set, as numpy reduces a short last axis slowly
+    return reduce(np.logical_and, np.moveaxis((neg < ranks) & (nonpos >= ranks), -1, 0))
 
 
 def _set_layout(sets) -> tuple[np.ndarray, np.ndarray]:
@@ -188,7 +194,7 @@ class _GrhSolver:
     Everything that depends only on positions and the partition is set up
     once.  In d = 1 that is the vertical split, its left set first, in O(n)
     memory; in any other dimension it is the inverted interpolation system
-    of every transversal, in x centred on its mean.
+    of every transversal, in x centred on the mean of the set members.
 
     A solve returns coefficients only; which transversal a plane
     interpolates is read off the plane (see :func:`fit_grh`).
@@ -212,7 +218,7 @@ class _GrhSolver:
             nl = self._left = len(sets[0])
             self._xc = self._x - 0.5 * (self._x[:nl].max() + self._x[nl:].min())
             return
-        xc, self.centre = _centred(xs)
+        xc, self.centre = _centred(xs, np.sort(np.concatenate(part.sets)))
         self.traversals, self.inv = _transversal_systems(xc, part)
         self._members, self._sets = _set_layout(part.sets)
         self._ranks = np.array(part.ranks)
@@ -368,7 +374,7 @@ def traversal_hyperplanes(data: DataSet, part: AgentPartition) -> list[tuple[tup
     """All hyperplanes interpolating one agent from each set, in set order."""
     part.validate_against(data)
     _require_transversal_shape(data.d, part)
-    xc, centre = _centred(data.xs)
+    xc, centre = _centred(data.xs, np.sort(np.concatenate(part.sets)))
     traversals, inv = _transversal_systems(xc, part)
     betas = _uncentred(np.einsum("cij,cj->ci", inv, data.ys[traversals]), centre)
     return [
@@ -388,7 +394,7 @@ def fit_grh(data: DataSet, part: AgentPartition) -> GrhResult:
 
     The reported traversal is the first satisfying one in product order:
     in each set, in set order, the first member whose residual on the
-    fitted plane is within ``core.residual_zero_tol``.
+    fitted plane is within ``core.residual_zero_tol`` of the set members.
     """
     part.validate_against(data)
     if data.d != 1 and not is_publicly_separable(data, part):
@@ -397,7 +403,7 @@ def fit_grh(data: DataSet, part: AgentPartition) -> GrhResult:
         )
     beta = _GrhSolver(data.xs, part).solve(data.ys)
     h = Hyperplane(beta[:-1], beta[-1])
-    on = np.abs(data.ys - (data.xs @ h.beta1 + h.beta0)) <= residual_zero_tol(data, h)
+    on = np.abs(data.ys - (data.xs @ h.beta1 + h.beta0)) <= _members_zero_tol(data, part, h)
     traversal = tuple(next((i for i in s if on[i]), None) for s in part.sets)
     if None in traversal:
         raise InternalInconsistency("the fitted hyperplane passes through no member of a set")
@@ -432,9 +438,17 @@ def in_weak_general_position(data: DataSet, part: AgentPartition) -> bool:
 
 def satisfies_rank_conditions(data: DataSet, part: AgentPartition, h: Hyperplane) -> bool:
     """Tie-robust check that h meets every set's rank condition on data,
-    with residuals within ``core.residual_zero_tol`` counted as zero."""
+    with residuals within ``core.residual_zero_tol`` of the set members
+    counted as zero."""
     part.validate_against(data)
     resid = data.ys - (data.xs @ h.beta1 + h.beta0)
     members, sets = _set_layout(part.sets)
     return bool(_meets_ranks(resid[members], sets, np.array(part.ranks),
-                             residual_zero_tol(data, h)))
+                             _members_zero_tol(data, part, h)))
+
+
+def _members_zero_tol(data: DataSet, part: AgentPartition, h: Hyperplane) -> float:
+    """``core.residual_zero_tol`` at the members of the partition's sets
+    only, so that an agent in no set, however far, does not widen it."""
+    members = np.sort(np.concatenate(part.sets))
+    return residual_zero_tol(DataSet(data.xs[members], data.ys[members]), h)

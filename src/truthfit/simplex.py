@@ -33,7 +33,8 @@ violations of the largest finite |bound| or |right-hand side|, and the
 phase-1 infeasibility test of the starting residuals.  Scaling the costs,
 or the right-hand sides and bounds together, by a power of two therefore
 changes no pivot and scales the solution exactly.  Only pivot elements are
-judged absolutely (``PIVOT_TOL``), in the units of the constraint matrix.
+judged absolutely (``PIVOT_TOL``), so callers state each constraint row at
+unit scale: ``erm`` by powers of two, the separation LP by centring and scaling.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ AT_LOWER, AT_UPPER, BASIC = 0, 1, 2
 #: Pivot elements at or below this magnitude are treated as zero, in the
 #: ratio test and when phase 1 drives artificials out of the basis.  The
 #: tableau B^-1 A does not change when the costs, or the right-hand sides
-#: and bounds, are rescaled, so this is the one absolute tolerance.
+#: and bounds, are rescaled: the one absolute tolerance, on unit-scale rows.
 PIVOT_TOL = 1e-10
 
 #: Reduced costs count as zero at or below TOL * max |c|, and bound

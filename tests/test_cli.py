@@ -29,8 +29,10 @@ from truthfit import (
     PhantomTerm,
     PwlResponse,
     CrmConfig,
+    fit_l1erm,
     fit_mechanism,
     fit_ols,
+    l1_risk,
     mechanism_jsonable,
     parse_mechanism,
     preset_partition,
@@ -203,6 +205,31 @@ def test_l1_fit_near_the_float_limit_is_the_fit_of_scaled_reports(tmp_path, caps
     small = fit_mechanism(MechanismSpec(MechanismKind.L1ERM, L1Config()),
                           DataSet(np.arange(4.0).reshape(-1, 1), 2.0 ** -1000 * ys))
     assert payload["beta1"] + [payload["beta0"]] == (2.0 ** 1000 * small.coefficients()).tolist()
+
+
+def _fit_l1_of_tiny_x(tmp_path, capsys, xs, ys):
+    csv = tmp_path / "tiny-x.csv"
+    write_dataset(csv, DataSet(1e-12 * np.array(xs).reshape(-1, 1), np.array(ys)))
+    code, out, err = run(capsys, "fit", "--mechanism", "l1erm", "--data", str(csv))
+    assert (code, err) == (0, "")
+    return json.loads(out)
+
+
+def test_l1_fit_of_tiny_x_is_the_fit_at_unit_x(tmp_path, capsys):
+    # the x row of the dual LP once read as zero pivots and was dropped:
+    # beta = (1.0000889e-12, 1.0), risk 7, where x = 0..4 gives y = 0.5 x, risk 5
+    payload = _fit_l1_of_tiny_x(tmp_path, capsys, [0.0, 1.0, 2.0, 3.0, 4.0],
+                                [0.0, 1.0, 0.0, 5.0, 2.0])
+    assert (payload["beta1"], payload["beta0"]) == ([5e11], 0.0)
+
+
+def test_l1_fit_of_tiny_x_has_the_optimal_risk(tmp_path, capsys):
+    # once exit 3: "risk is unbounded below; the drift coefficient exceeds..."
+    xs, ys = [-1.9, -1.6, 2.5, -3.3, 0.8, 1.8], [-1.0, 2.0, 1.0, -1.0, 2.0, -1.0]
+    payload = _fit_l1_of_tiny_x(tmp_path, capsys, xs, ys)
+    unit = DataSet(np.array(xs).reshape(-1, 1), np.array(ys))
+    optimum = l1_risk(unit, L1Config(), fit_l1erm(unit))
+    assert sum(abs(r) for r in payload["residuals"]) == pytest.approx(optimum, rel=1e-12)
 
 
 @pytest.mark.parametrize("mechanism", ["l1erm", "brown-mood"])

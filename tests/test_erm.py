@@ -442,6 +442,49 @@ def test_fits_do_not_depend_on_a_common_scale_of_weights_and_drift(k):
                 assert np.array_equal(got, ref), (seed, drift)
 
 
+def _fit_risk(data, q):
+    """The L1 fit (q None) or the q-quantile fit, its risk and its bounds."""
+    ones = np.ones(data.n)
+    if q is None:
+        h, up, lo = fit_l1erm(data), ones, ones
+        risk = l1_risk(data, L1Config(), h)
+    else:
+        h, up, lo = fit_quantile(data, QuantileConfig(q)), q * ones, (1.0 - q) * ones
+        risk = quantile_risk(data, QuantileConfig(q), h)
+    return h, risk, up, lo
+
+
+@pytest.mark.parametrize("k", [-300, -60, -40, -30, 30, 60, 300])
+def test_fits_are_optimal_whatever_the_power_of_two_units_of_x(k):
+    # the dual's equality rows are the columns of the design: a row of
+    # 1e-12 coordinates once read as zero pivots and was dropped as
+    # redundant, and half these fits at 2^-40 were suboptimal or refused
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        data = random_data(rng, int(rng.integers(3, 12)), int(rng.integers(1, 3)))
+        scaled = DataSet(2.0 ** k * data.xs, data.ys)
+        for q in (None, 0.3):
+            h, risk, up, lo = _fit_risk(scaled, q)
+            # scaling x scales beta1 the other way: the optimum is unit x's
+            opt = scipy_optimal_risk(data.xbar(), data.ys, up, lo, 0.0)
+            assert risk <= opt + 1e-9 * (1.0 + opt), (seed, q)
+            # without ties, exactly so
+            ref = _fit_risk(data, q)[0]
+            assert np.array_equal(h.beta1, 2.0 ** -k * ref.beta1) and h.beta0 == ref.beta0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_quantile_fits_at_a_tiny_q_are_optimal(seed):
+    # one 1e-9 edge for both bounds of tau, 1e-9 * (q + 1 - q), put every
+    # tau inside the bound q = 1e-10: seed 0 once had risk 3.248 against
+    # an optimum of 1.13e-9
+    rng = np.random.default_rng(seed)
+    data = random_data(rng, int(rng.integers(3, 12)), int(rng.integers(1, 3)))
+    _, risk, up, lo = _fit_risk(data, 1e-10)
+    opt = scipy_optimal_risk(data.xbar(), data.ys, up, lo, 0.0)
+    assert risk <= opt + 1e-9 * (1.0 + opt)
+
+
 def test_single_point_returns_projection_of_origin():
     # among all lines through one point, the smallest-norm coefficients are
     # the projection onto the constraint beta1*x + beta0 = y

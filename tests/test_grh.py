@@ -578,6 +578,23 @@ def test_d2_instances_far_from_x_zero_fit():
         assert satisfies_rank_conditions(moved, part, h), (offset, scale)
 
 
+def test_an_agent_in_no_set_does_not_move_the_fit_however_far():
+    # the transversal systems were centred on the mean of all agents, so
+    # one at 1e20 made every system singular ("not in separable position")
+    rng = np.random.default_rng(0)
+    xs = np.vstack([np.array(c) + rng.uniform(-1.0, 1.0, (3, 2))
+                    for c in ((0.0, 0.0), (5.0, 5.0), (10.0, 0.0))])
+    ys = rng.normal(0.0, 2.0, 9)
+    part = AgentPartition(((0, 1, 2), (3, 4, 5), (6, 7, 8)), (2, 2, 2))
+    nine, data = fit_grh(DataSet(xs, ys), part), DataSet(xs, ys)
+    ten = DataSet(np.vstack([xs, [[1e20, 1e20]]]), np.append(ys, 0.0))
+    fit = fit_grh(ten, part)
+    assert fit.traversal == nine.traversal
+    assert np.array_equal(fit.hyperplane.coefficients(), nine.hyperplane.coefficients())
+    assert np.array_equal([h.coefficients() for _, h in traversal_hyperplanes(ten, part)],
+                          [h.coefficients() for _, h in traversal_hyperplanes(data, part)])
+
+
 @given(st.integers(min_value=0, max_value=100_000),
        st.floats(-40, 40, allow_nan=False))
 @settings(max_examples=80, deadline=None)

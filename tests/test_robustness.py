@@ -27,6 +27,7 @@ DATA = {
     "too-few-in-d2": (np.array([[0.0, 0.0], [1.0, 0.0]]), [1.0, 2.0]),
     "d0": (np.zeros((4, 0)), [1.0, 2.0, 3.0, 4.0]),
     "tiny-x": (1e-300 * LINE, [0.0, 1.0, -1.0, 2.0]),
+    "huge-x": (1e200 * LINE, [0.0, 1.0, 0.0, 5.0]),
 }
 
 COMMANDS = {
