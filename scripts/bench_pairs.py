@@ -15,6 +15,10 @@ the number of pairs the working tree won and whether that makes a gain.  It is
 rewritten after every pair, so an interrupted comparison keeps the pairs it
 finished.
 
+After a workload's pairs at a seed, one traced round (``--seconds 0 --trace
+1``) per side records the work counters of ``COUNTERS`` under ``counters``,
+so that a change in time can be traced to a change in work.
+
 A run whose checks failed (``correct`` false) or that had failed operations
 is printed and not summarised: its workload and seed get no summary, and the
 script exits with status 1 once all pairs have run.
@@ -37,6 +41,10 @@ sys.path.insert(0, str(ROOT / "bench"))
 
 from run import machine  # noqa: E402  (the benchmark's own machine record)
 
+#: per-layer counts recorded from one traced round per side
+COUNTERS = ["simplex.lp_calls", "audit.probes", "erm.fits", "grh.solves",
+            "separability.lp_calls"]
+
 
 def extract(revision: str, into: Path) -> str:
     """Unpack ``revision`` of this repository into ``into``; its commit id."""
@@ -49,20 +57,32 @@ def extract(revision: str, into: Path) -> str:
     return commit
 
 
-def bench(tree: Path, workload: str, seed: int) -> dict:
-    """One untraced ``bench/run.py`` run in ``tree``: its result line."""
-    proc = subprocess.run([sys.executable, "bench/run.py", "--workload", workload,
-                           "--seed", str(seed), "--trace", "0"],
+def run_line(tree: Path, args: list[str]) -> dict:
+    """The result line of one ``bench/run.py`` run in ``tree``."""
+    proc = subprocess.run([sys.executable, "bench/run.py", *args],
                           cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if not lines:
         raise RuntimeError(f"bench/run.py in {tree} printed nothing:\n{proc.stderr}")
-    result = json.loads(lines[-1])
+    return json.loads(lines[-1])
+
+
+def bench(tree: Path, workload: str, seed: int) -> dict:
+    """One untraced ``bench/run.py`` run in ``tree``: its result line."""
+    result = run_line(tree, ["--workload", workload, "--seed", str(seed), "--trace", "0"])
     # the run length is in the full results file only
     written = tree / "bench" / "_out" / "results" / f"{workload}-seed{seed}-trace0.json"
     return {"seconds": json.loads(written.read_text())["seconds"], "correct": result["correct"],
             "attempted": result["attempted"], "failed": result["failed"],
             **{name: m["value"] for name, m in result["metrics"].items()}}
+
+
+def counters(tree: Path, workload: str, seed: int) -> dict:
+    """The ``COUNTERS`` of one traced round in ``tree``, less any layer it
+    does not trace."""
+    metrics = run_line(tree, ["--workload", workload, "--seed", str(seed),
+                              "--seconds", "0", "--trace", "1"])["metrics"]
+    return {name: metrics[name]["value"] for name in COUNTERS if name in metrics}
 
 
 def broken_runs(runs: list[dict]) -> list[str]:
@@ -152,6 +172,10 @@ def main(argv=None) -> int:
                     print(f"{workload} seed {seed} pair {k + 1}/{args.pairs}: " + "  ".join(
                         f"{m}: {pair['base'][m]:.4g} -> {pair['tree'][m]:.4g}"
                         for m in (e["name"] for e in spec["end_to_end"])), flush=True)
+                entry[str(seed)]["counters"] = {side: counters(tree, workload, seed)
+                                                for side, tree in (("base", base_tree),
+                                                                   ("tree", ROOT))}
+                args.out.write_text(json.dumps(record, indent=1) + "\n")
                 if problems:
                     broken = True
                     print(f"  {workload} seed {seed} not summarised, broken runs:")

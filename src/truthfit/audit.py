@@ -30,7 +30,8 @@ from .erm import (
     _PiecewiseLinearFit,
     _build_l1,
     _build_quantile,
-    _least_squares,
+    _ols_pinv,
+    _ordered_dot,
     fit_ols,
 )
 from .errors import (
@@ -150,14 +151,14 @@ def _with_row_zero(solve_many):
 
 
 def _bind_ols(data: DataSet, cfg: None):
-    pinv = np.linalg.pinv(data.xbar())
-    return _with_row_zero(lambda ys: (_least_squares(pinv, ys), {}))
+    pinv = _ols_pinv(data.xbar())
+    return _with_row_zero(lambda ys: (_ordered_dot(pinv, ys), {}))
 
 
 def _bind_piecewise_linear(build, data: DataSet, cfg):
     template = build(data, cfg)
     tail = template.rhs[data.n:]
-    # probes differ only in the dual objective, so they share the optimal
+    # probes differ only in the dual objective, so they share the solved
     # bases the template's cache keeps
 
     def solve(ys):
@@ -475,18 +476,27 @@ def _through_others(data: DataSet, agents) -> list[np.ndarray]:
     Every (d+1)-subset of all agents is solved once, in lexicographic
     order; an agent's hyperplanes are the rows whose subset avoids it, in
     the order of ``itertools.combinations`` over the other agents.  The
-    solve gives each system the same bits in any stack, and each agent's
-    rows are uncentred on their own, so an agent gets the bits of a solve
-    over its own subsets alone.
+    subsets are centred on the mean of all agents, and those that this
+    shared centre leaves singular are judged again each centred on its own
+    mean, so that one far agent does not collapse the others.  The solve
+    gives each system the same bits in any stack, so an agent gets the bits
+    of a solve over its own subsets alone.
     """
     subsets = np.array(list(itertools.combinations(range(data.n), data.d + 1)),
                        dtype=int).reshape(-1, data.d + 1)
     xc, centre = _centred(data.xs)
-    mats, good = _interpolation_systems(xc, subsets)
+    centres = np.broadcast_to(centre, (subsets.shape[0], data.d)).copy()
+    mats, good = _interpolation_systems(xc[subsets])
+    again = np.flatnonzero(~good)
+    if again.size:
+        points = data.xs[subsets[again]]
+        centres[again] = points.mean(axis=1)
+        mats[again], good[again] = _interpolation_systems(points - centres[again, None])
     subsets = subsets[good]
     solved = np.linalg.solve(mats[good], data.ys[subsets][..., None])[..., 0]
     with np.errstate(over="ignore", invalid="ignore"):
-        return [_uncentred(solved[(subsets != agent).all(axis=1)], centre) for agent in agents]
+        solved = _uncentred(solved, centres[good])
+    return [solved[(subsets != agent).all(axis=1)] for agent in agents]
 
 
 def _grid_and_crossings(data: DataSet, grid_points: int, agents) -> list[np.ndarray]:

@@ -6,24 +6,21 @@ of the piecewise-linear risk minimization,
     max rhs . tau  s.t.  xbar^T tau = drift e_p,  -lo_w <= tau <= up_w,
 
 with p = d+1 equality rows and one bounded column per row of data, on the
-bounded-variable simplex.  The probes of an audit change only rhs (the
-dual objective), so every optimal basis of one probe stays feasible for
-the next: a bound mechanism keeps the last 32 in a :class:`BasisStack`,
-each as the optimal tableau of the solve that found it beside the face of
-that solve's tau, and a probe for which one of them passes the simplex's
-optimality test reads its fit off that face without solving an LP.  An
-audit visits about ten optimal bases, so most of its probes find theirs
-among the 32 kept.  The bases are kept in arrival order, a new one in
-place of the oldest, so a hit changes nothing; a probe that misses
-warm-starts from the newest basis and factorises it afresh, so rounding
-does not build up from one solve to the next.  An audit hands over a
-block of probes at once
-(:meth:`_PiecewiseLinearFit.fit_many`): one pass prices every probe
-against every cached tableau, all the probes up to the first that no
-cached basis fits take their lowest optimal slot in one step, and that
-probe solves and joins the cache before the next run.  A probe that solves
-computes beta from the face it builds in the same way, so a fit does not
-depend on whether its basis was cached, nor on the block it came in.
+bounded-variable simplex.  The reduced cost of a nonbasic row is minus
+its residual under the interpolation of the p basic rows, so a solved
+basis serves every rhs whose residual signs it can certify: the vertex
+structure of L1 regression (Barrodale and Roberts, 1973).  The probes of
+an audit change only rhs.  A bound mechanism keeps the last 32 solved
+bases (:class:`_Basis`), oldest first, and a probe is served by the first
+whose implied tau either equals the kept one, so the basis is still
+optimal and the probe reads its fit off the kept face, or lies strictly
+inside its bounds on the basic rows, so their interpolation is the unique
+optimum.  An audit visits about ten faces, so most probes solve no LP.  A
+hit changes nothing; a miss warm-starts from the newest basis, factorised
+afresh, which joins the cache in place of the oldest.
+:meth:`_PiecewiseLinearFit.fit_many` judges a block of probes in one pass
+per kept basis, with sums in a fixed order, so a fit depends neither on
+its block nor on whether its basis was cached.
 Stage 2 resolves
 ties by picking, among all risk minimizers, the coefficient vector of
 smallest Euclidean norm; this strictly convex tie-break is what makes the
@@ -49,26 +46,39 @@ import numpy as np
 from . import core
 from .core import DataSet, Hyperplane
 from .errors import ConfigurationError, ContractViolation, InternalInconsistency
-from .simplex import INFEASIBLE, BasisStack, solve_lp
+from .simplex import AT_UPPER, BASIC, INFEASIBLE, TOL, solve_lp
 
 
 def fit_ols(data: DataSet) -> Hyperplane:
     """Least squares fit; rank-deficient designs get the minimum-norm solution.
     The OLS mechanism's binder solves in the same way, bit for bit."""
-    beta = _least_squares(np.linalg.pinv(data.xbar()), data.ys[None, :])[0]
+    beta = _ordered_dot(_ols_pinv(data.xbar()), data.ys[None, :])[0]
     return Hyperplane(beta[:-1], float(beta[-1]))
 
 
-def _least_squares(pinv: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """``ys @ pinv.T`` for a (K, n) block of reports, each row summed over the
-    agents in index order: unlike a BLAS product's, a row's bits do not
-    depend on its block.  A sum that overflows is left infinite, for
-    :class:`Hyperplane` or the audit to refuse."""
+def _ols_pinv(xbar: np.ndarray) -> np.ndarray:
+    """The pseudo-inverse of the design, taken with each column over the
+    power of two above its largest |entry| and scaled back (exact), so that
+    the units of no coordinate decide ``pinv``'s relative cutoff.  A design
+    that is rank deficient in those units keeps the minimum-norm solution
+    in its own."""
+    unit = np.frexp(np.abs(xbar).max(axis=0, initial=0.0))[1]
+    scaled = np.ldexp(xbar, -unit)
+    if np.linalg.matrix_rank(scaled) < xbar.shape[1]:
+        return np.linalg.pinv(xbar)
+    return np.ldexp(np.linalg.pinv(scaled), -unit[:, None])
+
+
+def _ordered_dot(m: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """``ys @ m.T`` for a (K, n) block ``ys``, each row summed over n in
+    index order: unlike a BLAS product's, a row's bits do not depend on its
+    block.  A sum that overflows is left infinite, for :class:`Hyperplane`
+    or the audit to refuse."""
     with np.errstate(over="ignore", invalid="ignore"):
-        beta = ys[:, :1] * pinv[:, 0]
+        out = ys[:, :1] * m[:, 0]
         for i in range(1, ys.shape[1]):
-            beta += ys[:, i:i + 1] * pinv[:, i]
-    return beta
+            out += ys[:, i:i + 1] * m[:, i]
+    return out
 
 
 @dataclass(frozen=True)
@@ -131,7 +141,7 @@ class QuantileConfig:
         object.__setattr__(self, "q", float(self.q))
 
 
-#: optimal dual bases a fit's cache keeps
+#: solved dual bases, each with its face, that a fit's cache keeps
 DUAL_BASES = 32
 
 
@@ -142,11 +152,11 @@ class _PiecewiseLinearFit:
     an asymmetric absolute-value cost: up_w on positive residuals, lo_w on
     negative ones (equal for plain L1).  ``drift`` multiplies beta0.
 
-    ``cache`` is a :class:`BasisStack` of optimal dual bases of earlier fits
-    on the same positions and weights, each beside its :class:`_Face` (a
-    fresh one of ``DUAL_BASES`` when None): when one is optimal for
-    an rhs, the fit reads stage 2 off it and solves no LP; otherwise stage 1
-    starts from its newest basis and the new optimal basis joins it.
+    ``cache`` is the list of :class:`_Basis` solved by earlier fits on the
+    same positions and weights, oldest first and at most ``DUAL_BASES`` (a
+    fresh one when None): when one serves an rhs, the fit reads stage 2
+    off it and solves no LP; otherwise stage 1 starts from the newest and
+    the new optimal basis joins the list.
     """
 
     def __init__(self, xbar, rhs, up_w, lo_w, drift, cache=None):
@@ -156,7 +166,7 @@ class _PiecewiseLinearFit:
         self.lo_w = np.asarray(lo_w, dtype=float)
         self.drift = float(drift)
         self.p = self.xbar.shape[1]
-        self.cache = BasisStack(DUAL_BASES) if cache is None else cache
+        self.cache = [] if cache is None else cache
         # the dual LP, once; rows in power-of-two units, which PIVOT_TOL reads whole
         b_eq = np.append(np.zeros(self.p - 1), self.drift)
         self.a_eq, self.b_eq = _unit_rows(self.xbar.T, b_eq)
@@ -167,6 +177,13 @@ class _PiecewiseLinearFit:
         return float(self.up_w @ np.maximum(r, 0.0)
                      + self.lo_w @ np.maximum(-r, 0.0)
                      + self.drift * beta[-1])
+
+    def inside(self, tau, rows=slice(None)):
+        """Which entries of ``tau``, the duals of ``rows``, lie strictly
+        inside their bounds: one within 1e-9 of a bound, relative to that
+        bound, sits on it."""
+        lo, up = self.lo_w[rows], self.up_w[rows]
+        return (tau > 1e-9 * lo - lo) & (tau < up - 1e-9 * up)
 
     def dual(self, basis, rhs):
         """Stage 1: max rhs . tau s.t. xbar^T tau = drift e_p,
@@ -217,44 +234,68 @@ class _PiecewiseLinearFit:
                     failed[k] = exc
         return beta, failed
 
-    def _faces(self, rhs) -> tuple[dict["_Face", list[int]], dict[int, Exception]]:
-        """The rows of each optimal face, found in the cache where one of a
-        row's bases is optimal and by a solve warm from the newest otherwise;
-        and the error of each row whose solve fails.
+    def _faces(self, rhs) -> tuple[dict, dict[int, Exception]]:
+        """The rows each face serves: a kept basis (its interpolation) or
+        its :class:`_Face` where one serves the row, the face of a solve
+        warm from the newest otherwise; and the error of each row whose
+        solve fails.
 
-        Rows are priced against the cache in chunks.  A hit changes nothing,
-        so all the rows up to the next miss take their lowest optimal slot at
-        once, as each would alone.  A solve changes at most one slot, so the
-        rest of the chunk is priced again against that slot only.
+        Each kept basis, oldest first, judges the rows that no older one
+        serves.  The first row that none serves solves, as it would alone,
+        and its basis joins the cache in place of the oldest: the rows the
+        oldest served meet the others again, and the rows still unserved
+        meet the new one.
         """
-        cache = self.cache
-        rows_of: dict[_Face, list[int]] = {}
+        rows_of: dict = {}
         failed: dict[int, Exception] = {}
-        step = max(1, core.BLOCK_CELLS // (DUAL_BASES * self.xbar.size))
+        step = max(1, core.BLOCK_CELLS // self.xbar.size)
         for start in range(0, rhs.shape[0], step):
             chunk = rhs[start:start + step]
-            optimal = cache.optimal_for(-chunk)
-            j = 0
-            while j < len(chunk):
-                missed = np.flatnonzero(~optimal[j:].any(axis=1))
-                miss = j + int(missed[0]) if missed.size else len(chunk)
-                pick = optimal[j:miss].argmax(axis=1)
-                for slot in np.unique(pick).tolist():
-                    rows = start + j + np.flatnonzero(pick == slot)
-                    rows_of.setdefault(cache.payload[slot], []).extend(rows.tolist())
-                if miss == len(chunk):
-                    break
-                j = miss + 1
+            # the simplex's reduced-cost tolerance for each row's cost
+            tol = TOL * np.abs(chunk).max(axis=1, initial=0.0)
+            bases = list(self.cache)  # every basis that judges the chunk, the cache last
+            by = np.full(len(chunk), -1)  # the basis serving each row; -2: solved
+            own = np.zeros(len(chunk), dtype=bool)  # served by that basis's face
+
+            def judge(rows, first):
+                for k in range(first, len(bases)):
+                    rows = rows[by[rows] == -1]
+                    if not rows.size:
+                        return
+                    stays, pinned = bases[k].serves(self, chunk[rows], tol[rows])
+                    by[rows[stays | pinned]] = k
+                    own[rows[stays]] = bases[k].face.inverse is None
+
+            judge(np.arange(len(chunk)), 0)
+            for miss in range(len(chunk)):
+                if by[miss] != -1:
+                    continue
+                by[miss] = -2
                 try:
-                    res = self.dual(cache.newest(), chunk[miss])
+                    res = self.dual(self.cache[-1].status if self.cache else None, chunk[miss])
                     face = _Face(self, res.x)
                 except (ConfigurationError, InternalInconsistency) as exc:
                     failed[start + miss] = exc
                     continue
                 rows_of[face] = [start + miss]
-                if res.tableau is not None:
-                    slot = cache.add(res.tableau, face)
-                    optimal[j:, slot] = cache.optimal_for(-chunk[j:], slot)[:, 0]
+                if np.count_nonzero(res.basis == BASIC) < self.p:
+                    continue  # phase 1 dropped a redundant row: no p basic rows
+                later = np.arange(miss + 1, len(chunk))
+                if len(self.cache) == DUAL_BASES:
+                    oldest = len(bases) - len(self.cache)
+                    self.cache.pop(0)
+                    orphans = later[by[later] == oldest]
+                    by[orphans], own[orphans] = -1, False
+                    judge(orphans, oldest + 1)
+                bases.append(_Basis(self, res.basis, face))
+                self.cache.append(bases[-1])
+                judge(later, len(bases) - 1)
+            for k in np.unique(by[by >= 0]).tolist():
+                for on_face in (False, True):
+                    rows = np.flatnonzero((by == k) & (own == on_face))
+                    if rows.size:
+                        key = bases[k].face if on_face else bases[k]
+                        rows_of.setdefault(key, []).extend((start + rows).tolist())
         return rows_of, failed
 
 
@@ -264,8 +305,7 @@ class _Face:
     for.  A face pinned by p rows keeps their inverse."""
 
     def __init__(self, fit: _PiecewiseLinearFit, tau):
-        # a tau within 1e-9 of a bound, relative to that bound, sits on it
-        inside = (tau > 1e-9 * fit.lo_w - fit.lo_w) & (tau < fit.up_w - 1e-9 * fit.up_w)
+        inside = fit.inside(tau)
         self.zero, self.rest = np.flatnonzero(inside), np.flatnonzero(~inside)
         self.a_eq = fit.xbar[self.zero]
         # rows written as g @ beta >= h: residual >= 0 at the upper bound,
@@ -273,6 +313,47 @@ class _Face:
         self.sign = np.where(tau > 0.0, -1.0, 1.0)[self.rest]
         self.g = self.sign[:, None] * fit.xbar[self.rest]
         self.inverse = np.linalg.inv(self.a_eq) if self.zero.size == fit.p else None
+
+
+class _Basis:
+    """A solved optimal basis of the dual LP: its p basic rows ``zero``,
+    the ``inverse`` of their design rows (so that it serves as the face they
+    pin), the bound each other row's tau sits on, and the solve's face."""
+
+    def __init__(self, fit: _PiecewiseLinearFit, status, face: _Face):
+        self.status, self.face = status, face
+        self.zero, self.rest = np.flatnonzero(status == BASIC), np.flatnonzero(status != BASIC)
+        self.upper = status[self.rest] == AT_UPPER
+        self.x_rest = fit.xbar[self.rest]
+        self.up_rest, self.lo_rest = fit.up_w[self.rest], -fit.lo_w[self.rest]
+        # a face pinned by p rows is pinned by the basic ones
+        self.inverse = (np.linalg.inv(fit.xbar[self.zero]) if face.inverse is None
+                        else face.inverse)
+
+    def serves(self, fit: _PiecewiseLinearFit, rhs, tol) -> tuple[np.ndarray, np.ndarray]:
+        """For each row of a block of right-hand sides, given the simplex's
+        reduced-cost tolerance of each: whether this basis stays optimal,
+        and, where it does not, whether the interpolation beta of its basic
+        rows is the unique optimum.
+
+        The implied tau puts each other row on the bound its residual under
+        beta picks (the kept one within the tolerance), and tau_B solves
+        xbar_B^T tau_B = drift e_p - xbar_N^T tau_N.  The basis stays optimal
+        when no row changes bound; beta is the unique optimum when every
+        tau_B lies strictly inside its bounds.
+        """
+        beta = np.matmul(self.inverse, rhs[:, self.zero, None])[..., 0]
+        resid = rhs[:, self.rest] - _ordered_dot(self.x_rest, beta)
+        upper = (resid > tol[:, None]) | (self.upper & ~(resid < -tol[:, None]))
+        stays = (upper == self.upper).all(axis=1)
+        pinned = np.zeros_like(stays)
+        moved = np.flatnonzero(~stays)
+        if moved.size:
+            tau = np.where(upper[moved], self.up_rest, self.lo_rest)
+            load = -_ordered_dot(self.x_rest.T, tau)
+            load[:, -1] += fit.drift
+            pinned[moved] = fit.inside(_ordered_dot(self.inverse.T, load), self.zero).all(axis=1)
+        return stays, pinned
 
 
 def _min_norm_on_face(a_eq, b_eq, g, h):
@@ -300,6 +381,7 @@ def _min_norm_on_face(a_eq, b_eq, g, h):
     targets: list[float] = []         # their right-hand sides
     mult: list[float | None] = []     # their multipliers (None: equality)
     rows: list[int | None] = []       # their rows of g (None: equality)
+    implied: list[int] = []           # rows of g the active rows imply
 
     def project(normal):
         """Component of ``normal`` off the active normals, and its weights."""
@@ -329,23 +411,32 @@ def _min_norm_on_face(a_eq, b_eq, g, h):
         slack = g @ beta - h
         # violations within the rounding of the slack's own terms do not count
         bad = slack < -1e-10 * (np.abs(h) + np.abs(g) @ np.abs(beta))
-        bad[[r for r in rows if r is not None]] = False
+        bad[[r for r in rows if r is not None] + implied] = False
         if not bad.any():
             return np.ldexp(beta, unit)
         q = int(np.argmin(np.where(bad, slack, np.inf)))
         normal, added = g[q], 0.0
         while True:
             z, weights = project(normal)
-            # partial step: the largest dual move keeping multipliers >= 0
+            # partial step: the largest dual move keeping multipliers >= 0;
+            # weights within the rounding of the largest read as zero
             partial, drop = np.inf, None
+            least = 1e-10 * np.abs(weights).max(initial=0.0)
             for k, (u, w) in enumerate(zip(mult, weights)):
-                if u is not None and w > 0.0 and u / w < partial:
+                if u is not None and w > least and u / w < partial:
                     partial, drop = u / w, k
             # z @ normal is z @ z, which cancellation cannot round to zero
             full = (h[q] - normal @ beta) / (z @ z) if independent(z, normal) else np.inf
             step = min(partial, full)
             if not np.isfinite(step):
-                raise InternalInconsistency("optimal face of the fit LP is empty")
+                # no step meets row q, a combination of the active rows: before
+                # any step, and violated within the rounding of beta as a whole
+                # (lstsq mixes its units), they imply it; else the face is empty
+                worst = -1e-10 * (abs(h[q]) + np.abs(normal).sum() * np.abs(beta).max())
+                if added or normal @ beta - h[q] < worst:
+                    raise InternalInconsistency("optimal face of the fit LP is empty")
+                implied.append(q)
+                break
             if np.isfinite(full):
                 beta = beta + step * z
             mult = [None if u is None else u - step * w for u, w in zip(mult, weights)]

@@ -118,20 +118,22 @@ def _uncentred(betas: np.ndarray, centre: np.ndarray) -> np.ndarray:
     """Coefficient rows (beta1, beta0) over x from rows over x - centre.
 
     The shift beta1 . centre is summed elementwise in a fixed order, so a
-    row gets the same bits in any stack of rows.
+    row gets the same bits in any stack of rows.  ``centre`` is one for all
+    rows or, stacked like them, one per row.
     """
     out = betas.copy()
     if centre.size:
-        shift = betas[..., 0] * centre[0]
-        for j in range(1, centre.size):
-            shift += betas[..., j] * centre[j]
+        shift = betas[..., 0] * centre[..., 0]
+        for j in range(1, centre.shape[-1]):
+            shift += betas[..., j] * centre[..., j]
         out[..., -1] -= shift
     return out
 
 
-def _interpolation_systems(xs: np.ndarray, subsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The stacked [x | 1] interpolation system of each row of point indices,
-    and which of them are nonsingular (condition at most CONDITION_LIMIT).
+def _interpolation_systems(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stacked [x | 1] interpolation system of each (d+1, d) stack of
+    positions, and which of them are nonsingular (condition at most
+    CONDITION_LIMIT).
 
     Pass centred positions (see :func:`_centred`).  The gate judges each
     system with every nonzero column divided by its largest |entry|, so
@@ -139,9 +141,9 @@ def _interpolation_systems(xs: np.ndarray, subsets: np.ndarray) -> tuple[np.ndar
     x = 0 still pin a line.  A zero column, such as a constant coordinate
     once centred, stays zero, and its system is singular.
     """
-    d = xs.shape[1]
-    mats = np.ones((subsets.shape[0], d + 1, d + 1))
-    mats[:, :, :d] = xs[subsets]
+    d = points.shape[-1]
+    mats = np.ones((points.shape[0], d + 1, d + 1))
+    mats[:, :, :d] = points
     scale = np.abs(mats).max(axis=1, keepdims=True)
     with np.errstate(all="ignore"):
         conds = np.linalg.cond(mats / np.where(scale > 0.0, scale, 1.0))
@@ -151,7 +153,7 @@ def _interpolation_systems(xs: np.ndarray, subsets: np.ndarray) -> tuple[np.ndar
 def _transversal_systems(xs: np.ndarray, part: AgentPartition) -> tuple[np.ndarray, np.ndarray]:
     """Every transversal in product order, and its inverted interpolation system."""
     traversals = np.array(list(itertools.product(*part.sets)), dtype=int)
-    mats, good = _interpolation_systems(xs, traversals)
+    mats, good = _interpolation_systems(xs[traversals])
     if not good.all():
         raise NotPubliclySeparable(
             "singular transversal interpolation system; positions of the "

@@ -22,10 +22,8 @@ artificials.
 A solve returns its final ``basis``: one status code per column, the
 variables first and then one slack per inequality row.  Passing it back as
 ``basis=`` to a problem with the same constraints and any cost vector skips
-phase 1: the old basis is still feasible, and phase 2 starts from it.  A
-solve also returns its optimal ``tableau``, so a caller can keep it and test
-later costs against it (:class:`BasisStack`) without factorising the basis
-again: a basis optimal for a cost is a warm solve that makes no pivot.
+phase 1: the old basis is still feasible, and phase 2 starts from it,
+factorised afresh.
 
 Every tolerance but one is a fraction of the largest |value| of what it
 judges, with no floor: reduced costs of the largest |cost|, bound
@@ -80,7 +78,6 @@ class LpResult:
     objective: float | None = None
     basis: np.ndarray | None = None
     pivots: int = 0
-    tableau: "_Tableau | None" = None
 
     @property
     def ok(self) -> bool:
@@ -128,98 +125,7 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, bounds=None,
         n = lp.ncols - lp.n_ub
         x = lp.values()[:n]
         objective = float(lp.cost[:n] @ x)
-    square = lp.m == lp.ab.shape[0]
-    return LpResult(OPTIMAL, x, objective, lp.status, lp.pivots, lp if square else None)
-
-
-class BasisStack:
-    """The last ``size`` optimal tableaux of solves of one LP, which differ
-    only in cost, each beside one payload its caller keeps with it, stacked
-    so that one pass prices a block of costs against all of them.
-
-    Solves that share the constraints share the feasible bases, so every
-    kept basis stays feasible for any later cost, and it is optimal for that
-    cost exactly when the simplex's own optimality test passes on its
-    tableau: a hit is a warm solve that would make no pivot.  The tableaux
-    are kept in arrival order, a new one in place of the oldest, so a hit
-    changes nothing and a row of a block meets the stack as it would alone.
-    A miss warm-starts from the newest basis, whose tableau the solve
-    factorises afresh, so rounding does not build up from one solve to the
-    next.
-    """
-
-    def __init__(self, size: int):
-        self.size = size
-        self.payload: list = [None] * size  # by slot
-        self.added = 0  # tableaux kept so far; the next goes to slot added % size
-
-    def add(self, tableau: "_Tableau", payload) -> int:
-        """Keep an optimal tableau and its payload in place of the oldest;
-        the slot written."""
-        if not self.added:
-            self.tab = np.empty((self.size,) + tableau.tab.shape)
-            self.basic = np.empty((self.size, tableau.m), dtype=tableau.basic.dtype)
-            self.x = np.empty((self.size, tableau.ncols))
-            self.status = np.empty((self.size, tableau.ncols), dtype=tableau.status.dtype)
-            self.lo, self.hi = tableau.lo, tableau.hi
-            self.n_ub, self.tol = tableau.n_ub, tableau.tol
-        slot = self.added % self.size
-        self.tab[slot], self.basic[slot] = tableau.tab, tableau.basic
-        self.x[slot], self.status[slot] = tableau.x, tableau.status
-        self.payload[slot] = payload
-        self.added += 1
-        return slot
-
-    def newest(self) -> np.ndarray | None:
-        """The status codes of the basis kept last; None before any."""
-        return self.status[(self.added - 1) % self.size] if self.added else None
-
-    def optimal_for(self, c, slot: int | None = None) -> np.ndarray:
-        """For each row of a (K, variables) block of costs ``c`` (the slacks
-        cost nothing) and each slot, or the one ``slot``: whether a warm
-        solve from that basis would stop before its first pivot, the test
-        that ends :meth:`_Tableau.run`.  Shape (K, size), or (K, 1) for one
-        slot; an empty slot is never optimal."""
-        cost = np.asarray(c, dtype=float)
-        filled = min(self.added, self.size)
-        first, stop = (0, filled) if slot is None else (slot, min(slot + 1, filled))
-        out = np.zeros((cost.shape[0], self.size if slot is None else 1), dtype=bool)
-        if first >= stop:
-            return out
-        if self.n_ub:
-            cost = np.concatenate([cost, np.zeros((cost.shape[0], self.n_ub))], axis=1)
-        slots = slice(first, stop)
-        with np.errstate(over="ignore", invalid="ignore"):  # as in solve_lp
-            _, eligible = _pricing(cost[:, None, :], cost[:, self.basic[slots]],
-                                   _cost_tol(cost, self.tol)[:, None], self.tab[slots],
-                                   self.x[slots], self.lo, self.hi)
-        out[:, :stop - first] = ~eligible.any(axis=-1)
-        return out
-
-
-def _cost_tol(cost, tol: float) -> np.ndarray:
-    """Reduced costs at or below this magnitude count as zero: relative to
-    the cost (per cost, along the last axis), so that scaling the cost
-    scales no decision (with a zero cost every basis is optimal)."""
-    return tol * np.abs(cost).max(axis=-1, keepdims=True, initial=0.0)
-
-
-def _pricing(cost, basic_cost, dtol, tab, x, lo, hi) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced costs under ``cost`` of a tableau B^-1 [A | b] whose basic
-    columns cost ``basic_cost`` and whose nonbasic values are ``x``, and
-    which columns may enter: none means the basis is optimal for that cost.
-
-    Leading axes of ``tab``, ``basic_cost`` and ``x`` stack tableaux of one
-    LP, and leading axes of ``cost``, ``basic_cost`` and ``dtol`` stack
-    costs, broadcast against them.  A product and a sum, not a matrix
-    product, form the reduced costs, so each pair of cost and tableau
-    rounds exactly as it does alone.
-    """
-    reduced = cost - (basic_cost[..., None] * tab[..., :-1]).sum(axis=-2)
-    # basic columns have zero reduced cost, so only nonbasic ones qualify:
-    # rising below their upper bound or falling above their lower one (a
-    # free column at zero may do either)
-    return reduced, ((reduced < -dtol) & (x < hi)) | ((reduced > dtol) & (x > lo))
+    return LpResult(OPTIMAL, x, objective, lp.status, lp.pivots)
 
 
 def _equality_form(c, a_ub, b_ub, a_eq, b_eq, bounds, tol) -> "_Tableau | None":
@@ -362,10 +268,16 @@ class _Tableau:
     def run(self, cost) -> str:
         """Bland-rule iterations until optimal or unbounded."""
         lo, hi, x = self.lo, self.hi, self.x
-        dtol = _cost_tol(cost, self.tol)
+        # reduced costs at or below dtol count as zero: relative to the cost,
+        # so that scaling it scales no decision (a zero cost is optimal anywhere)
+        dtol = self.tol * np.abs(cost).max(initial=0.0)
         for _ in range(self.max_iter):
             tab = self.tab
-            reduced, eligible = _pricing(cost, cost[self.basic], dtol, tab, x, lo, hi)
+            reduced = cost - (cost[self.basic][:, None] * tab[:, :-1]).sum(axis=0)
+            # basic columns have zero reduced cost, so only nonbasic ones
+            # qualify: rising below their upper bound or falling above their
+            # lower one (a free column at zero may do either)
+            eligible = ((reduced < -dtol) & (x < hi)) | ((reduced > dtol) & (x > lo))
             if not eligible.any():
                 return OPTIMAL
             col = int(eligible.argmax())  # Bland: lowest eligible index

@@ -48,7 +48,7 @@ from truthfit import (
     tukey_spec,
     verify_certificate,
 )
-from truthfit import audit, core, erm, grh
+from truthfit import audit, core, erm, grh, simplex
 from truthfit.audit import DEFAULT_MARGIN
 from truthfit.errors import InternalInconsistency
 from truthfit.random_instances import random_data, random_separable_instance
@@ -253,6 +253,16 @@ def test_hyperplanes_through_others_skip_degenerate_subsets():
     assert betas.shape == (2, 2)  # the shared-x pair pins no line
 
 
+def test_one_far_agent_does_not_collapse_the_others():
+    # centred on the mean of all four agents (2.5e19), every pair of agents
+    # 0-2 reads as one position; each pair centred on its own mean does not
+    data = DataSet(np.array([[0.0], [1.0], [2.0], [1e20]]), np.array([0.0, 1.0, 0.5, 0.0]))
+    npt.assert_allclose(hyperplanes_through_others(data, 3),
+                        [[1.0, 0.0], [0.25, 0.0], [-0.5, 1.5]], rtol=1e-15, atol=1e-15)
+    bounds = influence_bounds(brown_mood_spec(data), data, 3)
+    assert bounds.lower == -math.inf and bounds.upper == 2.5e19
+
+
 @pytest.mark.parametrize("d", [1, 2])
 def test_candidates_from_one_solve_are_the_solves_per_agent(d):
     rng = np.random.default_rng(40 + d)
@@ -263,7 +273,7 @@ def test_candidates_from_one_solve_are_the_solves_per_agent(d):
     for agent in range(data.n):
         others = [j for j in range(data.n) if j != agent]
         subsets = np.array(list(itertools.combinations(others, d + 1)))
-        mats, good = grh._interpolation_systems(xc, subsets)
+        mats, good = grh._interpolation_systems(xc[subsets])
         solved = np.linalg.solve(mats[good], data.ys[subsets[good]][..., None])[..., 0]
         betas = grh._uncentred(solved, centre)
         # unless the agent is one of the pair at the repeated position
@@ -853,7 +863,9 @@ def test_batched_piecewise_linear_rows_meet_the_cache_as_alone(case, cells, monk
 
     def counted(*args, **kwargs):
         res = solve_lp(*args, **kwargs)
-        solves.append(None if res.tableau is None else res.basis.tobytes())
+        # a basis is kept when it has a basic column per coefficient
+        square = np.count_nonzero(res.basis == simplex.BASIC) == data.d + 1
+        solves.append(res.basis.tobytes() if square else None)
         return res
 
     monkeypatch.setattr(erm, "solve_lp", counted)
@@ -892,9 +904,9 @@ def test_batched_piecewise_linear_pricing_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert not failed and np.isfinite(coeffs).all()
-    # priced in one pass, the block would form 4096 x 32 bases x 3 x 300
-    # doubles (about 0.9 GB); in chunks the peak stays near the block itself
-    # (4096 x 300 doubles, 9.8 MB)
+    # judged in one pass, the block would form 4096 x 300 x 3 doubles per
+    # kept basis; in chunks the peak stays near the block itself (4096 x 300
+    # doubles, 9.8 MB)
     assert peak < 48 * 2 ** 20, peak
 
 

@@ -74,6 +74,7 @@ def test_a_broken_run_is_not_summarised_and_fails_the_comparison(monkeypatch, tm
 
     monkeypatch.setattr(script, "extract", lambda revision, into: "0" * 40)
     monkeypatch.setattr(script, "bench", bench)
+    monkeypatch.setattr(script, "counters", lambda tree, workload, seed: {})
     out = tmp_path / "pairs.json"
     status = script.main(["HEAD", "--workload", "grh-audit", "--pairs", "3", "--out", str(out)])
     entry = json.loads(out.read_text())["workloads"]["grh-audit"]["1"]
@@ -86,3 +87,35 @@ def test_a_broken_run_is_not_summarised_and_fails_the_comparison(monkeypatch, tm
         assert status == 0
         assert "broken" not in entry
         assert entry["summary"]["ops_per_cpu_s"]["wins"] == 3
+
+
+def test_work_counters_of_one_traced_round_per_side_follow_the_pairs(monkeypatch, tmp_path):
+    script = load_script()
+    calls = []
+
+    def run_line(tree, args):
+        side = "tree" if tree == script.ROOT else "base"
+        calls.append((side, args))
+        assert args[args.index("--seconds") + 1] == "0" and args[args.index("--trace") + 1] == "1"
+        lps = 233.0 if side == "tree" else 509.0
+        # a layer the side does not trace is missing from its metrics
+        metrics = {"simplex.lp_calls": lps, "audit.probes": 48.0, "erm.fits": 48.0,
+                   "separability.lp_calls": 0.0, "simplex.lp_ms": 60.0}
+        return {"correct": True, "metrics": {k: {"value": v, "unit": "count/round"}
+                                             for k, v in metrics.items()}}
+
+    def bench(tree, workload, seed):
+        assert not calls  # the pairs come first
+        return run(10.0)
+
+    monkeypatch.setattr(script, "extract", lambda revision, into: "0" * 40)
+    monkeypatch.setattr(script, "bench", bench)
+    monkeypatch.setattr(script, "run_line", run_line)
+    out = tmp_path / "pairs.json"
+    assert script.main(["HEAD", "--workload", "l1-audit", "--pairs", "2", "--out", str(out)]) == 0
+    assert [side for side, _ in calls] == ["base", "tree"]
+    entry = json.loads(out.read_text())["workloads"]["l1-audit"]["1"]
+    assert entry["counters"] == {
+        side: {"simplex.lp_calls": lps, "audit.probes": 48.0, "erm.fits": 48.0,
+               "separability.lp_calls": 0.0}
+        for side, lps in (("base", 509.0), ("tree", 233.0))}

@@ -245,6 +245,20 @@ def test_quantile_tie_break_matches_enumeration_oracle(case, q):
     check_tie_break(case[0], QuantileConfig(q))
 
 
+@pytest.mark.parametrize("xs, ys", [((1, 0, 0, 0, 0), (1, 0, 0, 0, 0)),
+                                    ((1, 1, 0, 0, 0), (1, 1, 0, 0, 0)),
+                                    ((0, 0, 0, 0, 1, 1), (0, 0, 0, 0, 1, 1))])
+def test_rows_the_active_rows_imply_do_not_empty_the_face(xs, ys):
+    # agents at x = 0 on both sides of beta0 = 0 pin it; once the line
+    # through (1, 1) is active, lstsq leaves beta0 at -1.2e-16, and a row
+    # beta0 >= 0 read as violated emptied the face
+    data = DataSet(np.array(xs, dtype=float)[:, None], np.array(ys, dtype=float))
+    for spec in (MechanismSpec(MechanismKind.L1ERM, L1Config()),
+                 MechanismSpec(MechanismKind.QUANTILE, QuantileConfig(0.3))):
+        npt.assert_allclose(fit_mechanism(spec, data).coefficients(), [1.0, 0.0],
+                            rtol=0.0, atol=1e-15)
+
+
 def test_collinear_triple_fits_their_exact_line():
     # points 1, 2 and 5 are collinear and their line is the unique optimum
     xs = [1.324063664466082, -0.1292670223162311, 4.529776429441803,
@@ -357,7 +371,7 @@ def test_an_lp_is_built_once_per_solve(monkeypatch):
     data = random_data(np.random.default_rng(46), 6, 2)
     spec = MechanismSpec(MechanismKind.L1ERM, L1Config())
     assert audit_gsp(spec, data, max_coalition=2, max_evals=300) is None
-    # the cache keeps each solve's own tableau instead of building it again
+    # the cache keeps each solve's basis and inverse instead of building the LP again
     assert len(lps) > 1
     assert len(forms) == len(lps)
 
@@ -366,38 +380,97 @@ def test_dual_bases_keep_at_most_thirty_two_in_arrival_order(monkeypatch):
     rng = np.random.default_rng(47)
     data = random_data(rng, 10, 2)
     w = np.ones(data.n)
-    cache = simplex.BasisStack(erm.DUAL_BASES)
+    cache = []
     lps = count_lps(monkeypatch)
-    seen, kept = set(), 0
+    seen = set()
     for _ in range(200):
         rhs = rng.normal(0.0, 2.0, data.n)
-        before = len(lps)
-        faces = list(cache.payload)
-        tab = cache.tab[:min(cache.added, cache.size)].copy() if cache.added else None
-        newest = cache.newest()
-        _PiecewiseLinearFit(data.xbar(), rhs, w, w, 0.0, cache=cache).fit()
-        # a probe's optimal basis is in the cache, whether cached or solved
-        assert cache.optimal_for(-rhs[None]).any()
+        before, kept = len(lps), list(cache)
+        fit = _PiecewiseLinearFit(data.xbar(), rhs, w, w, 0.0, cache=cache)
+        fit.fit()
         if len(lps) == before:
             # a hit changes nothing
-            assert all(a is b for a, b in zip(cache.payload, faces))
-            npt.assert_array_equal(cache.tab[:len(tab)], tab)
-            npt.assert_array_equal(cache.newest(), newest)
+            assert len(cache) == len(kept) and all(a is b for a, b in zip(cache, kept))
             continue
-        # the k-th basis kept overwrites slot k mod 32 and no other
-        slot = kept % erm.DUAL_BASES
-        assert cache.payload[slot] is not faces[slot]
-        assert all(a is b for k, (a, b) in enumerate(zip(cache.payload, faces)) if k != slot)
-        if tab is not None:
-            others = [k for k in range(len(tab)) if k != slot]
-            npt.assert_array_equal(cache.tab[others], tab[others])
-        npt.assert_array_equal(cache.newest(), cache.status[slot])
-        kept += 1
-        seen.add(cache.newest().tobytes())
-    # more optimal bases than the cache keeps, so some were evicted
+        # a solve appends its basis, in place of the oldest once 32 are kept
+        assert len(cache) == min(len(kept) + 1, erm.DUAL_BASES)
+        assert all(a is b for a, b in zip(cache[:-1], kept[len(kept) + 1 - len(cache):]))
+        assert cache[-1] not in kept
+        # the new basis serves the rhs it was solved for, as optimal
+        stays, _ = cache[-1].serves(fit, rhs[None], simplex.TOL * np.abs(rhs[None]).max(axis=1))
+        assert stays.all()
+        seen.add(tuple(cache[-1].zero))
+    # more interpolation sets than the cache keeps, so some were evicted
     assert len(seen) > erm.DUAL_BASES
-    assert min(cache.added, cache.size) == erm.DUAL_BASES and None not in cache.payload
-    assert len(lps) > erm.DUAL_BASES
+    assert len(cache) == erm.DUAL_BASES
+
+
+def test_a_kept_basis_stays_optimal_exactly_when_a_warm_solve_makes_no_pivot():
+    rng = np.random.default_rng(48)
+    data = random_data(rng, 8, 2)
+    cfg = L1Config(weights=tuple(rng.uniform(0.5, 2.0, 8)), drift=0.3,
+                   phantoms=(PhantomTerm(np.ones(2), 0.5, 1.5),))
+    fit = _build_l1(data, cfg)
+    tail = fit.rhs[data.n:]
+    block = np.hstack([data.ys + rng.normal(0.0, 1.0, (40, data.n)), np.tile(tail, (40, 1))])
+    fit.fit_many(block)
+    assert len(fit.cache) >= 4
+    stayed = 0
+    for rhs in block[:20]:
+        tol = simplex.TOL * np.abs(rhs[None]).max(axis=1)
+        for basis in fit.cache:
+            stays, _ = basis.serves(fit, rhs[None], tol)
+            assert stays[0] == (fit.dual(basis.status, rhs).pivots == 0)
+            stayed += int(stays[0])
+    assert stayed > 0
+
+
+@st.composite
+def cached_block_cases(draw):
+    """A weighted L1 fit with phantoms and drift, or a q = 0.3 quantile fit,
+    on continuous data, and a block of 30 reports that move one to three
+    agents each."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n, d = int(rng.integers(4, 9)), int(rng.integers(1, 3))
+    data = random_data(rng, n, d)
+    if draw(st.booleans()):
+        phantoms = tuple(PhantomTerm(rng.uniform(-3.0, 3.0, d), float(rng.normal()),
+                                     float(rng.uniform(0.5, 2.0)))
+                         for _ in range(int(rng.integers(0, 3))))
+        fit = _build_l1(data, L1Config(weights=tuple(rng.uniform(0.5, 2.0, n)),
+                                       phantoms=phantoms, drift=float(rng.uniform(-0.5, 0.5))))
+    else:
+        fit = erm._build_quantile(data, QuantileConfig(0.3))
+    block = np.tile(fit.rhs, (30, 1))
+    for row in block:
+        moved = rng.choice(n, int(rng.integers(1, 4)), replace=False)
+        row[moved] += rng.normal(0.0, 2.0, moved.size)
+    return fit, block
+
+
+@given(cached_block_cases())
+@settings(max_examples=60, deadline=None)
+def test_rows_served_across_a_residual_sign_flip_equal_uncached_fits(case):
+    fit, block = case
+    flipped = []
+    serves = erm._Basis.serves
+
+    def record(basis, fit, rhs, tol):
+        stays, pinned = serves(basis, fit, rhs, tol)
+        flipped.extend(row.tobytes() for row in rhs[pinned & ~stays])
+        return stays, pinned
+
+    fit.fit_many(fit.rhs[None])  # the truthful fit, unless the drift leaves it unbounded
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(erm._Basis, "serves", record)
+        beta = fit.fit_many(block)[0]
+    # at most 31 solves: no basis is evicted, so each row is served once
+    assert len(fit.cache) < erm.DUAL_BASES
+    for k in [k for k, row in enumerate(block) if row.tobytes() in flipped]:
+        alone = _PiecewiseLinearFit(fit.xbar, block[k], fit.up_w, fit.lo_w, fit.drift)
+        npt.assert_array_equal(beta[k], alone.fit())
+        best = scipy_optimal_risk(fit.xbar, block[k], fit.up_w, fit.lo_w, fit.drift)
+        assert abs(alone.risk(beta[k]) - best) <= 1e-9 * (1.0 + abs(best))
 
 
 @pytest.mark.parametrize("scale", [1e-13, 1e-9, 1e-6, 1e6, 1e12])
@@ -645,6 +718,21 @@ def test_ols_rank_deficient_uses_minimum_norm():
     data = DataSet(np.array([[2.0], [2.0]]), np.array([1.0, 3.0]))
     h = fit_ols(data)
     npt.assert_allclose(h.coefficients(), 2.0 / 5.0 * np.array([2.0, 1.0]), atol=1e-12)
+
+
+@pytest.mark.parametrize("k", [-60, 60])
+def test_ols_predictions_do_not_depend_on_a_power_of_two_unit_of_x(k):
+    # pinv's relative cutoff dropped the x column at x * 2^60 and x * 2^-60
+    spec = MechanismSpec(MechanismKind.OLS)
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(4, 12))
+        data = DataSet(rng.uniform(-5.0, 5.0, (n, 1)), rng.normal(0.0, 2.0, n))
+        scaled = DataSet(np.ldexp(data.xs, k), data.ys)
+        ref = data.xbar() @ fit_ols(data).coefficients()
+        for fit in (fit_ols, lambda d: fit_mechanism(spec, d)):
+            moved = scaled.xbar() @ fit(scaled).coefficients() - ref
+            assert np.abs(moved).max() <= 1e-9 * np.abs(data.ys).max(), seed
 
 
 def test_ols_fit_is_the_ols_mechanism_bit_for_bit():

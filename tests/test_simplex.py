@@ -156,95 +156,6 @@ def test_random_problems_match_scipy(trial):
         warm = solve_lp(c2, a_ub, b_ub, a_eq, b_eq, bounds, basis=ours.basis)
         ref2 = scipy_solve(c2, a_ub, b_ub, a_eq, b_eq, bounds)
         _check_against_scipy(warm, ref2, a_ub, b_ub, a_eq, b_eq, bounds)
-        # the kept tableau holds the solve's own x, and it is optimal for a
-        # cost exactly when a warm solve with that cost makes no pivot
-        tableau = ours.tableau
-        assert tableau is not None
-        npt.assert_array_equal(tableau.values()[:n], ours.x)
-        for cost, again in ((c, solve_lp(c, a_ub, b_ub, a_eq, b_eq, bounds, basis=ours.basis)),
-                            (c2, warm)):
-            optimal = _stack([tableau]).optimal_for(cost[None])[0]
-            assert optimal.tolist() == [again.pivots == 0]
-        if optimal[0]:
-            # a hit reads its point off the kept tableau: optimal for c2 too
-            x = tableau.values()[:n]
-            hit = simplex.LpResult(simplex.OPTIMAL, x, float(c2 @ x))
-            _check_against_scipy(hit, ref2, a_ub, b_ub, a_eq, b_eq, bounds)
-
-
-def test_a_stack_of_bases_prices_each_as_a_warm_solve_from_it_would():
-    rng = np.random.default_rng(77)
-    lp, tableaux = _optimal_tableaux(rng)
-    n = len(lp[-1])
-    assert len(tableaux) >= 4
-    stack = _stack(list(tableaux.values()))
-    costs = rng.normal(size=(40, n))
-    block = stack.optimal_for(costs)
-    hits = 0
-    for c, row in zip(costs, block):
-        # a row of a block is priced as that cost alone, slot by slot
-        assert stack.optimal_for(c[None])[0].tolist() == row.tolist()
-        for slot, (tableau, hit) in enumerate(zip(tableaux.values(), row)):
-            assert stack.optimal_for(c[None], slot).tolist() == [[hit]]
-            warm = solve_lp(c, *lp, basis=tableau.status)
-            assert hit == (warm.pivots == 0)
-            hits += hit
-    assert hits > 0
-
-
-def test_a_stack_keeps_the_last_bases_in_arrival_order():
-    rng = np.random.default_rng(78)
-    lp, tableaux = _optimal_tableaux(rng)
-    n = len(lp[-1])
-    size = 3
-    tableaux = list(tableaux.values())
-    assert len(tableaux) > size
-    stack = simplex.BasisStack(size)
-    # every basis is optimal for a zero cost, so only emptiness refuses it
-    costs = np.vstack([np.zeros(n), rng.normal(size=(30, n))])
-    assert stack.newest() is None
-    assert stack.optimal_for(costs).tolist() == [[False] * size] * len(costs)
-    assert stack.optimal_for(costs, 0).tolist() == [[False]] * len(costs)
-    written = [None] * size  # the tableau each slot holds
-    for k, tableau in enumerate(tableaux * 2):
-        before, payload = list(stack.payload), object()
-        # the k-th add overwrites slot k mod size, payload included
-        slot = stack.add(tableau, payload)
-        assert slot == k % size
-        written[slot] = tableau
-        assert stack.payload[slot] is payload
-        assert all(a is b for s, (a, b) in enumerate(zip(stack.payload, before)) if s != slot)
-        npt.assert_array_equal(stack.newest(), tableau.status)
-        block = stack.optimal_for(costs)
-        filled = min(k + 1, size)
-        assert block[0, :filled].all() and not block[:, filled:].any()
-        for s in range(size):
-            assert stack.optimal_for(costs, s)[:, 0].tolist() == block[:, s].tolist()
-        for c, row in zip(costs[1:6], block[1:6]):
-            assert stack.optimal_for(c[None])[0].tolist() == row.tolist()
-            for s, hit in enumerate(row[:filled]):
-                assert hit == (solve_lp(c, *lp, basis=written[s].status).pivots == 0)
-
-
-def _optimal_tableaux(rng):
-    """An LP's constraints as ``solve_lp`` takes them after the cost, and
-    its optimal tableaux under random costs, one per basis."""
-    n = 6
-    a_ub, b_ub = rng.normal(size=(3, n)), rng.normal(size=3) + 2.0
-    a_eq, b_eq = rng.normal(size=(1, n)), rng.normal(size=1)
-    lp = (a_ub, b_ub, a_eq, b_eq, [(-1.0, 2.0)] * n)
-    tableaux = {}
-    for _ in range(40):
-        res = solve_lp(rng.normal(size=n), *lp)
-        tableaux[res.basis.tobytes()] = res.tableau
-    return lp, tableaux
-
-
-def _stack(tableaux):
-    stack = simplex.BasisStack(len(tableaux))
-    for slot, tableau in enumerate(tableaux):
-        assert stack.add(tableau, None) == slot
-    return stack
 
 
 def _check_against_scipy(ours, ref, a_ub, b_ub, a_eq, b_eq, bounds):
